@@ -133,6 +133,18 @@ struct FaultRow {
     overhead_pct: f64,
 }
 
+/// The exact write-spin fast-forward against spinning through the event
+/// queue: the unbounded spinners' 100 KB cells at LAN and WAN latency, run
+/// with [`Experiment::fast_forward`] off and on in one binary. The
+/// summaries must be bit-identical; the speedup is the whole gain.
+#[derive(Debug, Serialize)]
+struct SpinRow {
+    cells: usize,
+    stepwise_ms: f64,
+    fast_forward_ms: f64,
+    speedup: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct KernelBench {
     hold: Vec<HoldRow>,
@@ -143,6 +155,7 @@ struct KernelBench {
     observability: ObsRow,
     fleet_observability: FleetObsRow,
     fault_plane: FaultRow,
+    spin_fast_forward: SpinRow,
 }
 
 /// The steady state of a discrete-event simulation: each iteration peeks
@@ -498,6 +511,49 @@ fn main() {
         );
     }
 
+    // --- 5b. Write-spin fast-forward: every iteration queued vs retired. ---
+    let spin_cells: Vec<ExperimentConfig> = [16usize, 100]
+        .into_iter()
+        .flat_map(|conc| {
+            [0u64, 5].map(|ms| {
+                Fidelity::Quick
+                    .micro(conc, 100 * 1024)
+                    .with_latency(SimDuration::from_millis(ms))
+            })
+        })
+        .collect();
+    let spinners = [
+        ServerKind::SingleThread,
+        ServerKind::AsyncPool,
+        ServerKind::AsyncPoolFix,
+        ServerKind::Staged,
+    ];
+    let time_spin = |fast_forward: bool| {
+        let start = Instant::now();
+        let summaries: Vec<_> = spin_cells
+            .iter()
+            .flat_map(|cfg| {
+                let exp = Experiment::new(cfg.clone()).fast_forward(fast_forward);
+                spinners.map(|kind| exp.run(kind))
+            })
+            .collect();
+        (summaries, start.elapsed().as_secs_f64() * 1e3)
+    };
+    let (stepwise, stepwise_ms) = time_spin(false);
+    let (retired, fast_forward_ms) = time_spin(true);
+    assert_eq!(stepwise, retired, "the spin fast-forward must be bit-identical");
+    let spin_fast_forward = SpinRow {
+        cells: stepwise.len(),
+        stepwise_ms,
+        fast_forward_ms,
+        speedup: stepwise_ms / fast_forward_ms.max(1e-9),
+    };
+    println!(
+        "\nspin fast-forward: {} spinner cells (100 KB, LAN + 5 ms)  stepwise {:.0} ms  \
+         fast-forward {:.0} ms  speedup {:.2}x (summaries bit-identical)",
+        spin_fast_forward.cells, stepwise_ms, fast_forward_ms, spin_fast_forward.speedup
+    );
+
     // --- 6. Record. ---
     let out = std::env::var("ASYNCINV_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".into());
     let report = KernelBench {
@@ -509,6 +565,7 @@ fn main() {
         observability,
         fleet_observability,
         fault_plane,
+        spin_fast_forward,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize kernel bench");
     std::fs::write(&out, json + "\n").expect("write kernel bench json");

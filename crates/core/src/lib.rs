@@ -122,8 +122,8 @@ pub mod workload {
 /// Substrate models, exposed for custom experiments and ablations.
 pub mod substrate {
     pub use asyncinv_cpu::{
-        Burst, BurstKind, Completion, CoreId, CpuConfig, CpuEvent, CpuModel, CpuStats, SchedPolicy,
-        CpuTimeBreakdown, StatsWindow, ThreadId,
+        Burst, BurstKind, Completion, CoreId, CpuConfig, CpuEvent, CpuModel, CpuStats, Retired,
+        SchedPolicy, CpuTimeBreakdown, StatsWindow, ThreadId,
     };
     pub use asyncinv_tcp::{
         ConnId, ConnStats, Connection, SendBufPolicy, TcpConfig, TcpEvent, TcpNotice, TcpWorld,

@@ -72,5 +72,5 @@ mod stats;
 
 pub use burst::{Burst, BurstKind};
 pub use config::{CpuConfig, SchedPolicy};
-pub use model::{Completion, CoreId, CpuEvent, CpuModel, SchedEvent, ThreadId};
+pub use model::{Completion, CoreId, CpuEvent, CpuModel, Retired, SchedEvent, ThreadId};
 pub use stats::{CpuStats, CpuTimeBreakdown, StatsWindow};

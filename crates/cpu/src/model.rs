@@ -43,6 +43,17 @@ pub struct Completion {
     pub tag: u64,
 }
 
+/// What [`CpuModel::retire_cycles`] did: how many whole cycles it ran and
+/// how long one cycle took at the current slowdown. Cycle `i` (from 1)
+/// ended at `now + i × period`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired {
+    /// Whole cycles retired.
+    pub cycles: u64,
+    /// CPU time of one cycle.
+    pub period: SimDuration,
+}
+
 /// A scheduling moment, recorded (only when [`CpuModel::record_sched`] is
 /// on) for observability layers that reconstruct per-thread timelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,11 +337,10 @@ impl CpuModel {
         if burst.kind == BurstKind::Syscall {
             self.stats.syscall_bursts += 1;
         }
-        let mut burst = burst;
-        if self.slowdown != 1.0 {
-            let ns = (burst.duration.as_nanos() as f64 * self.slowdown).ceil() as u64;
-            burst.duration = SimDuration::from_nanos(ns.max(1));
-        }
+        let burst = Burst {
+            duration: self.scaled(burst.duration),
+            kind: burst.kind,
+        };
         let state = self.threads[tid.0].state;
         match state {
             ThreadState::Finishing(core) => {
@@ -352,6 +362,113 @@ impl CpuModel {
             }
             other => panic!("submit to thread {tid:?} in state {other:?}"),
         }
+    }
+
+    /// A burst duration under the current slowdown factor (the identity
+    /// at native speed).
+    #[inline]
+    fn scaled(&self, d: SimDuration) -> SimDuration {
+        if self.slowdown == 1.0 {
+            return d;
+        }
+        let ns = (d.as_nanos() as f64 * self.slowdown).ceil() as u64;
+        SimDuration::from_nanos(ns.max(1))
+    }
+
+    /// Runs whole repetitions of `cycle` for the finishing thread `tid`
+    /// inline, without scheduling their events: the arithmetic a driver
+    /// would otherwise reach by submitting the cycle's bursts one after
+    /// another from each completion, chaining on the same core.
+    ///
+    /// This is exact, not an approximation. A cycle is retired only when
+    /// nothing else can happen before all of its completions: every one of
+    /// them lies strictly before `horizon`, which the driver sets to its
+    /// earliest pending event (so no event of the same instant is
+    /// overtaken either). With no waiter for the core, slice boundaries
+    /// renew for free and the slice budget is carried forward in closed
+    /// form. With a waiter, only cycles that fit in the slice left are
+    /// retired, so the preemption still happens at the boundary. Retired
+    /// bursts are charged to the same user/system times and kernel-crossing
+    /// counts as submitted ones. The model also retires nothing while the
+    /// core is frozen by a stall fault.
+    ///
+    /// On return the thread is still finishing, at `now + cycles × period`;
+    /// the caller resumes its model there. Returns zero cycles (and changes
+    /// nothing) when `tid` is not finishing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is empty or holds a zero-length burst.
+    pub fn retire_cycles(
+        &mut self,
+        now: SimTime,
+        tid: ThreadId,
+        cycle: &[Burst],
+        horizon: SimTime,
+    ) -> Retired {
+        assert!(
+            !cycle.is_empty() && cycle.iter().all(|b| !b.duration.is_zero()),
+            "a retired cycle needs at least one burst, none of zero length"
+        );
+        let period: SimDuration = cycle.iter().map(|b| self.scaled(b.duration)).sum();
+        let none = Retired {
+            cycles: 0,
+            period,
+        };
+        let ThreadState::Finishing(core) = self.threads[tid.0].state else {
+            return none;
+        };
+        if self.cores[core.0].frozen_until > now || horizon <= now {
+            return none;
+        }
+        // Cycle n's last completion lands at now + n × period < horizon.
+        let mut cycles = (horizon.duration_since(now).as_nanos() - 1) / period.as_nanos();
+        let slice = self.cores[core.0].slice_remaining;
+        let waiter = self.has_ready_for(core);
+        if waiter {
+            cycles = cycles.min(slice.as_nanos() / period.as_nanos());
+        }
+        if cycles == 0 {
+            return none;
+        }
+        let busy = period * cycles;
+        self.cores[core.0].slice_remaining = if waiter {
+            slice - busy
+        } else {
+            // An empty slice renews at the next segment start; one that
+            // runs out mid-burst renews on the spot. Either way the budget
+            // wraps every `time_slice`, and a boundary that falls exactly
+            // on the last completion leaves it empty, as a burst end would.
+            let first = if slice.is_zero() { self.cfg.time_slice } else { slice };
+            if busy < first {
+                first - busy
+            } else {
+                let over = (busy - first).as_nanos() % self.cfg.time_slice.as_nanos();
+                if over == 0 {
+                    SimDuration::ZERO
+                } else {
+                    self.cfg.time_slice - SimDuration::from_nanos(over)
+                }
+            }
+        };
+        for b in cycle {
+            let d = self.scaled(b.duration) * cycles;
+            let th = &mut self.threads[tid.0];
+            match b.kind {
+                BurstKind::User => {
+                    th.user_time += d;
+                    self.stats.user_time += d;
+                }
+                BurstKind::Syscall => {
+                    th.sys_time += d;
+                    self.stats.sys_time += d;
+                    self.stats.syscall_bursts += cycles;
+                }
+            }
+        }
+        self.threads[tid.0].kind = cycle[cycle.len() - 1].kind;
+        self.stats.retired_bursts += cycles * cycle.len() as u64;
+        Retired { cycles, period }
     }
 
     /// Declares that `tid` will not chain another burst: it blocks, the core
@@ -922,6 +1039,162 @@ mod tests {
             "victim finished too late: {done}"
         );
         assert!(d.cpu.stats().preemptions >= 1);
+    }
+
+    /// Puts a spinner (and, with `waiter`, a second thread queued behind
+    /// it) on one core and runs until the spinner's first burst of
+    /// `first` completes, then slows the machine by `slowdown`. Returns
+    /// the driver with the spinner finishing, and that instant.
+    fn spin_setup(
+        cfg: &CpuConfig,
+        first: SimDuration,
+        waiter: bool,
+        slowdown: f64,
+    ) -> (Driver, SimTime) {
+        let mut d = Driver::new(cfg.clone());
+        let a = d.cpu.spawn_thread("spinner");
+        let b = d.cpu.spawn_thread("waiter");
+        d.submit(a, Burst::user(first), 100);
+        if waiter {
+            d.submit(b, Burst::user(us(40)), 200);
+        }
+        loop {
+            let (now, ev) = d.sim.next_event().expect("spinner never finished");
+            let done = d.cpu.on_event(now, ev, &mut d.out);
+            d.flush();
+            if let Some(c) = done {
+                assert_eq!(c.thread, a, "the spinner runs first");
+                d.cpu.set_slowdown(slowdown);
+                return (d, now);
+            }
+        }
+    }
+
+    /// Chains `n` repetitions of `cycle` for the finishing thread 0
+    /// through the event queue, the way a spinning model does.
+    fn step_cycles(d: &mut Driver, mut now: SimTime, cycle: &[Burst], n: u64) -> SimTime {
+        for _ in 0..n {
+            for b in cycle {
+                d.cpu.submit(now, ThreadId(0), *b, 7, &mut d.out);
+                d.flush();
+                loop {
+                    let (t, ev) = d.sim.next_event().expect("burst lost");
+                    let done = d.cpu.on_event(t, ev, &mut d.out);
+                    d.flush();
+                    if let Some(c) = done {
+                        assert_eq!(c.thread, ThreadId(0), "the spinner was preempted");
+                        now = t;
+                        break;
+                    }
+                }
+            }
+        }
+        now
+    }
+
+    /// Submits one more burst for the finishing spinner at `now` and runs
+    /// the machine dry: every completion (time, thread, tag) in order, and
+    /// the final statistics without the retired-burst count.
+    fn run_dry(d: &mut Driver, now: SimTime) -> (Vec<(u64, usize, u64)>, CpuStats) {
+        d.cpu.submit(now, ThreadId(0), Burst::syscall(us(3)), 999, &mut d.out);
+        d.cpu.finish_turn(now, ThreadId(0), &mut d.out);
+        d.flush();
+        let mut log = Vec::new();
+        while let Some((t, ev)) = d.sim.next_event() {
+            if let Some(c) = d.cpu.on_event(t, ev, &mut d.out) {
+                log.push((t.as_nanos(), c.thread.0, c.tag));
+                d.cpu.finish_turn(t, c.thread, &mut d.out);
+            }
+            d.flush();
+        }
+        let stats = CpuStats {
+            retired_bursts: 0,
+            ..*d.cpu.stats()
+        };
+        (log, stats)
+    }
+
+    #[test]
+    fn retired_cycles_match_stepped_cycles() {
+        let cycle = [Burst::user(us(7)), Burst::syscall(us(2))];
+        let ns = SimDuration::from_nanos;
+        let mut retired_any = false;
+        for slice_us in [27u64, 50, 1_000] {
+            let cfg = CpuConfig {
+                time_slice: us(slice_us),
+                ..CpuConfig::single_core()
+            };
+            for first in [us(5), us(27), us(slice_us)] {
+                for waiter in [false, true] {
+                    for slowdown in [1.0, 1.7] {
+                        // 1 ns past 27, 45 or 54 us, the last retired cycle
+                        // ends exactly on a slice boundary for some slices.
+                        let reaches = [
+                            ns(1),
+                            us(9),
+                            us(9) + ns(1),
+                            us(27) + ns(1),
+                            us(45) + ns(1),
+                            us(54) + ns(1),
+                            us(200),
+                            us(10_000),
+                        ];
+                        for reach in reaches {
+                            let (mut fast, t0) = spin_setup(&cfg, first, waiter, slowdown);
+                            let r = fast.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + reach);
+                            assert!(t0 + r.period * r.cycles < t0 + reach, "crossed the horizon");
+                            let (mut slow, s0) = spin_setup(&cfg, first, waiter, slowdown);
+                            assert_eq!(t0, s0);
+                            let t1 = step_cycles(&mut slow, s0, &cycle, r.cycles);
+                            assert_eq!(t1, t0 + r.period * r.cycles);
+                            assert_eq!(
+                                fast.cpu.cores[0].slice_remaining,
+                                slow.cpu.cores[0].slice_remaining,
+                                "slice {slice_us}us first {first} waiter {waiter} x{slowdown}"
+                            );
+                            assert_eq!(fast.cpu.stats().retired_bursts, 2 * r.cycles);
+                            assert_eq!(run_dry(&mut fast, t1), run_dry(&mut slow, t1));
+                            retired_any |= r.cycles > 0;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(retired_any);
+    }
+
+    #[test]
+    fn retirement_stops_at_the_horizon_or_a_waiters_slice_boundary() {
+        let cycle = [Burst::user(us(7)), Burst::syscall(us(2))];
+        let cfg = CpuConfig {
+            time_slice: us(100),
+            ..CpuConfig::single_core()
+        };
+        // Alone: the horizon alone bounds it (strictly before).
+        let (mut d, t0) = spin_setup(&cfg, us(1), false, 1.0);
+        let r = d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(90));
+        assert_eq!((r.cycles, r.period), (9, us(9)), "the 10th ends at the horizon");
+        // A waiter: only what fits in the 99 us of slice left.
+        let (mut d, t0) = spin_setup(&cfg, us(1), true, 1.0);
+        let r = d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(10_000));
+        assert_eq!(r.cycles, 11);
+        assert_eq!(d.cpu.cores[0].slice_remaining, us(0));
+    }
+
+    #[test]
+    fn nothing_retires_off_the_finishing_path() {
+        let cycle = [Burst::user(us(7)), Burst::syscall(us(2))];
+        let (mut d, t0) = spin_setup(&CpuConfig::single_core(), us(5), false, 1.0);
+        // The horizon is the current instant: nothing fits.
+        assert_eq!(d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0).cycles, 0);
+        // A frozen core starts nothing before the stall lifts.
+        d.cpu.cores[0].frozen_until = t0 + us(1);
+        assert_eq!(d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(500)).cycles, 0);
+        d.cpu.cores[0].frozen_until = SimTime::ZERO;
+        // A blocked thread is not mid-callback.
+        d.cpu.finish_turn(t0, ThreadId(0), &mut d.out);
+        assert_eq!(d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(500)).cycles, 0);
+        assert_eq!(d.cpu.stats().retired_bursts, 0);
     }
 
     #[test]

@@ -31,6 +31,11 @@ pub struct CpuStats {
     /// "kernel crossings per request" a uniform metric across every
     /// architecture.
     pub syscall_bursts: u64,
+    /// Bursts executed by [`CpuModel::retire_cycles`](crate::CpuModel::retire_cycles)
+    /// without a completion event of their own. Included in every other
+    /// counter and time sum above exactly as if they had run one by one;
+    /// this field only records how many events the driver was spared.
+    pub retired_bursts: u64,
 }
 
 impl CpuStats {
@@ -68,6 +73,7 @@ impl CpuStats {
             threads_spawned: self.threads_spawned - earlier.threads_spawned,
             steals: self.steals - earlier.steals,
             syscall_bursts: self.syscall_bursts - earlier.syscall_bursts,
+            retired_bursts: self.retired_bursts - earlier.retired_bursts,
         }
     }
 }

@@ -27,7 +27,7 @@ use asyncinv_cpu::{Burst, ThreadId};
 use asyncinv_obs::TraceKind;
 use asyncinv_tcp::ConnId;
 
-use crate::arch::{tag, untag, ServerModel};
+use crate::arch::{spin_bursts, tag, untag, ServerModel};
 use crate::engine::Ctx;
 use crate::trace_codes::{Q_DONE, Q_READ, Q_REGISTER, Q_WRITE};
 
@@ -216,17 +216,13 @@ impl AsyncPool {
     /// One unbounded-spin write iteration on worker `w`.
     fn spin_iteration(&mut self, ctx: &mut Ctx<'_>, w: usize) {
         let job = self.jobs[w].as_mut().expect("spin without a job");
-        let written = ctx.write(job.conn, job.remaining);
+        let zero = spin_bursts(ctx.profile(), 0);
+        let written = ctx.spin_write(self.workers[w], job.conn, job.remaining, &zero);
         job.remaining -= written;
         job.last_written = written;
         let conn = job.conn;
-        let p = ctx.profile();
-        let user = p.write_prep + p.copy_user(written);
-        ctx.submit(
-            self.workers[w],
-            Burst::user(user),
-            tag(P_SPIN_USER, conn.0, w as u16),
-        );
+        let [user, _] = spin_bursts(ctx.profile(), written);
+        ctx.submit(self.workers[w], user, tag(P_SPIN_USER, conn.0, w as u16));
     }
 
     /// Worker finished its task: pull the next one or park in the pool.
@@ -298,13 +294,8 @@ impl ServerModel for AsyncPool {
             }
             P_SPIN_USER => {
                 let job = self.jobs[w].expect("spin charge without job");
-                let p = ctx.profile();
-                let cost = p.write_syscall + p.copy_sys(job.last_written);
-                ctx.submit(
-                    self.workers[w],
-                    Burst::syscall(cost),
-                    tag(P_SPIN_SYS, c, wi),
-                );
+                let [_, sys] = spin_bursts(ctx.profile(), job.last_written);
+                ctx.submit(self.workers[w], sys, tag(P_SPIN_SYS, c, wi));
             }
             P_SPIN_SYS => {
                 let job = self.jobs[w].expect("spin completion without job");

@@ -23,10 +23,11 @@ pub(crate) use single_thread::SingleThread;
 pub(crate) use staged::Staged;
 pub(crate) use sync_thread::SyncThread;
 
-use asyncinv_cpu::ThreadId;
+use asyncinv_cpu::{Burst, ThreadId};
 use asyncinv_tcp::ConnId;
 
 use crate::engine::{Ctx, ExperimentConfig};
+use crate::profile::ServiceProfile;
 
 /// A server architecture: reacts to engine events by running bursts and
 /// writing responses.
@@ -175,6 +176,19 @@ impl std::fmt::Display for ServerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.paper_name())
     }
+}
+
+/// The two bursts of one iteration of an unbounded write-spin loop that
+/// wrote `written` bytes: user-side bookkeeping plus the user copy, then
+/// the `write()` syscall plus the kernel copy. The four unbounded spinners
+/// (SingleT-Async, sTomcat-Async, sTomcat-Async-Fix, Staged-SEDA) charge
+/// these, and hand the zero-byte pair to [`Ctx::spin_write`] so the
+/// iterations it retires cost exactly what they would have run.
+pub(crate) fn spin_bursts(p: &ServiceProfile, written: usize) -> [Burst; 2] {
+    [
+        Burst::user(p.write_prep + p.copy_user(written)),
+        Burst::syscall(p.write_syscall + p.copy_sys(written)),
+    ]
 }
 
 /// Packs (phase, connection index, worker index) into a burst tag.

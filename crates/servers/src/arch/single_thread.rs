@@ -15,7 +15,7 @@ use asyncinv_cpu::{Burst, ThreadId};
 use asyncinv_obs::TraceKind;
 use asyncinv_tcp::ConnId;
 
-use crate::arch::{tag, untag, ServerModel};
+use crate::arch::{spin_bursts, tag, untag, ServerModel};
 use crate::engine::Ctx;
 use crate::trace_codes::Q_READ;
 
@@ -74,12 +74,12 @@ impl SingleThread {
     /// its CPU cost; the sys-burst completion decides what happens next.
     fn spin_iteration(&mut self, ctx: &mut Ctx<'_>) {
         let (conn, remaining) = self.writing.expect("spin without a write job");
-        let w = ctx.write(conn, remaining);
+        let zero = spin_bursts(ctx.profile(), 0);
+        let w = ctx.spin_write(self.thread(), conn, remaining, &zero);
         self.writing = Some((conn, remaining - w));
         self.last_written = w;
-        let p = ctx.profile();
-        let user = p.write_prep + p.copy_user(w);
-        ctx.submit(self.thread(), Burst::user(user), tag(P_SPIN_USER, conn.0, 0));
+        let [user, _] = spin_bursts(ctx.profile(), w);
+        ctx.submit(self.thread(), user, tag(P_SPIN_USER, conn.0, 0));
     }
 }
 
@@ -126,9 +126,8 @@ impl ServerModel for SingleThread {
                 self.spin_iteration(ctx);
             }
             P_SPIN_USER => {
-                let p = ctx.profile();
-                let cost = p.write_syscall + p.copy_sys(self.last_written);
-                ctx.submit(self.thread(), Burst::syscall(cost), tag(P_SPIN_SYS, c, 0));
+                let [_, sys] = spin_bursts(ctx.profile(), self.last_written);
+                ctx.submit(self.thread(), sys, tag(P_SPIN_SYS, c, 0));
             }
             P_SPIN_SYS => {
                 match self.writing {

@@ -23,7 +23,7 @@ use asyncinv_cpu::{Burst, ThreadId};
 use asyncinv_obs::TraceKind;
 use asyncinv_tcp::ConnId;
 
-use crate::arch::{tag, untag, ServerModel};
+use crate::arch::{spin_bursts, tag, untag, ServerModel};
 use crate::engine::Ctx;
 use crate::trace_codes::Q_STAGE_BASE;
 
@@ -115,14 +115,14 @@ impl Staged {
     /// One unbounded-spin write iteration on write-stage worker `w`.
     fn spin_iteration(&mut self, ctx: &mut Ctx<'_>, w: usize) {
         let job = self.jobs[w].as_mut().expect("spin without a job");
-        let written = ctx.write(job.conn, job.remaining);
+        let tid = self.stages[WRITE].threads[w];
+        let zero = spin_bursts(ctx.profile(), 0);
+        let written = ctx.spin_write(tid, job.conn, job.remaining, &zero);
         job.remaining -= written;
         job.last_written = written;
         let conn = job.conn;
-        let p = ctx.profile();
-        let user = p.write_prep + p.copy_user(written);
-        let tid = self.stages[WRITE].threads[w];
-        ctx.submit(tid, Burst::user(user), tag(P_SPIN_USER, conn.0, w as u16));
+        let [user, _] = spin_bursts(ctx.profile(), written);
+        ctx.submit(tid, user, tag(P_SPIN_USER, conn.0, w as u16));
     }
 }
 
@@ -166,10 +166,9 @@ impl ServerModel for Staged {
             }
             P_SPIN_USER => {
                 let job = self.jobs[w].expect("spin charge without job");
-                let p = ctx.profile();
-                let cost = p.write_syscall + p.copy_sys(job.last_written);
+                let [_, sys] = spin_bursts(ctx.profile(), job.last_written);
                 let tid = self.stages[WRITE].threads[w];
-                ctx.submit(tid, Burst::syscall(cost), tag(P_SPIN_SYS, c, wi));
+                ctx.submit(tid, sys, tag(P_SPIN_SYS, c, wi));
             }
             P_SPIN_SYS => {
                 let job = self.jobs[w].expect("spin completion without job");

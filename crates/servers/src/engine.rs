@@ -261,6 +261,11 @@ pub struct Ctx<'a> {
     /// learning while this holds so overload transients don't poison the
     /// learned state.
     pub(crate) shed_active: bool,
+    /// Earliest instant of any event the driver has pending ([`spin_horizon`]):
+    /// write-spin iterations that complete strictly before it may be
+    /// retired inline ([`Ctx::spin_write`]). Equal to `now`, so nothing is
+    /// retired, for contexts built by external drivers.
+    pub(crate) horizon: SimTime,
 }
 
 impl std::fmt::Debug for Ctx<'_> {
@@ -303,10 +308,12 @@ impl<'a> Ctx<'a> {
             obs,
             obs_on,
             shed_active,
+            horizon: now,
         }
     }
 
-    /// Current virtual time.
+    /// Current virtual time. A [`Ctx::spin_write`] that retires iterations
+    /// moves it forward within the callback.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -330,25 +337,77 @@ impl<'a> Ctx<'a> {
     /// Non-blocking `socket.write()` on `conn` (counted, may return 0).
     pub fn write(&mut self, conn: ConnId, len: usize) -> usize {
         let written = self.tcp.write(self.now, conn, len, self.tcp_out);
+        self.trace_write(self.now, conn, written);
+        written
+    }
+
+    /// Mirrors TcpWorld's write_calls / zero_writes counters in the trace
+    /// exactly: one WriteCall per syscall, one WriteSpin per zero return.
+    #[inline]
+    fn trace_write(&mut self, at: SimTime, conn: ConnId, written: usize) {
+        if !self.obs_on {
+            return;
+        }
+        let class = self.conn_info[conn.0].class;
+        self.obs.record(
+            TraceEvent::new(at, TraceKind::WriteCall)
+                .conn(conn.0)
+                .class(class)
+                .arg(written as u64),
+        );
+        if written == 0 {
+            self.obs
+                .record(TraceEvent::new(at, TraceKind::WriteSpin).conn(conn.0).class(class));
+        }
+    }
+
+    /// One write of an unbounded write-spin loop: [`Ctx::write`] by `tid`,
+    /// the thread whose burst completion is being delivered, which then
+    /// runs `cycle` (the bursts one zero-return iteration costs, chained
+    /// from each completion) and writes again until the write succeeds.
+    ///
+    /// When the write returns zero, the iterations that would follow it
+    /// change nothing but counters and the clock until the next ACK or
+    /// fault, so the ones that complete before the driver's next pending
+    /// event are retired here, exactly:
+    /// [`CpuModel::retire_cycles`] charges their bursts, the connection
+    /// counts their zero writes, and the trace gets their WriteCall and
+    /// WriteSpin events at the instants they would have happened. The
+    /// callback then continues at the last retired write: [`Ctx::now`]
+    /// moves there, and the returned count is that write's, zero. The
+    /// run's results and trace are bit-identical to spinning through the
+    /// event queue; only the number of events processed drops.
+    pub fn spin_write(
+        &mut self,
+        tid: ThreadId,
+        conn: ConnId,
+        len: usize,
+        cycle: &[Burst],
+    ) -> usize {
+        let written = self.write(conn, len);
+        if written > 0 || self.horizon <= self.now || !self.tcp.conn(conn).write_stalled() {
+            return written;
+        }
+        // Bursts and sends this callback already produced are pending too.
+        let horizon = self
+            .cpu_out
+            .iter()
+            .map(|&(t, _)| t)
+            .chain(self.tcp_out.iter().map(|&(t, _)| t))
+            .fold(self.horizon, SimTime::min);
+        let retired = self.cpu.retire_cycles(self.now, tid, cycle, horizon);
+        if retired.cycles == 0 {
+            return 0;
+        }
+        let start = self.now;
         if self.obs_on {
-            // Mirror TcpWorld's write_calls / zero_writes counters exactly:
-            // one WriteCall per syscall, one WriteSpin per zero-byte return.
-            let class = self.conn_info[conn.0].class;
-            self.obs.record(
-                TraceEvent::new(self.now, TraceKind::WriteCall)
-                    .conn(conn.0)
-                    .class(class)
-                    .arg(written as u64),
-            );
-            if written == 0 {
-                self.obs.record(
-                    TraceEvent::new(self.now, TraceKind::WriteSpin)
-                        .conn(conn.0)
-                        .class(class),
-                );
+            for i in 1..=retired.cycles {
+                self.trace_write(start + retired.period * i, conn, 0);
             }
         }
-        written
+        self.now = start + retired.period * retired.cycles;
+        self.tcp.retire_zero_writes(conn, self.now, retired.cycles);
+        0
     }
 
     /// Blocking-write kernel continuation (not counted as a syscall).
@@ -417,6 +476,27 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// The spin horizon a drive loop gives a burst completion's [`Ctx`].
+/// `next` is the earliest event still queued. Every loop runs events up to
+/// `end` inclusive and, until its warm-up snapshot is `snapped`, stops
+/// before `warm_end` to take it; retired iterations must not cross either
+/// instant.
+pub(crate) fn spin_horizon(
+    next: Option<SimTime>,
+    warm_end: SimTime,
+    end: SimTime,
+    snapped: bool,
+) -> SimTime {
+    let mut h = end + SimDuration::from_nanos(1);
+    if let Some(t) = next {
+        h = h.min(t);
+    }
+    if !snapped {
+        h = h.min(warm_end);
+    }
+    h
+}
+
 /// The client's view of its outstanding request on one connection.
 #[derive(Debug, Clone, Copy)]
 struct ReqTrack {
@@ -452,6 +532,7 @@ struct Serving {
 #[derive(Debug, Clone)]
 pub struct Experiment {
     cfg: ExperimentConfig,
+    fast_forward: bool,
 }
 
 impl Experiment {
@@ -479,7 +560,19 @@ impl Experiment {
             }
         }
         assert!(!cfg.measure.is_zero(), "measurement window must be positive");
-        Experiment { cfg }
+        Experiment {
+            cfg,
+            fast_forward: true,
+        }
+    }
+
+    /// Whether write-spin iterations are retired inline ([`Ctx::spin_write`];
+    /// on by default). Results are identical either way; off runs every
+    /// iteration through the event queue, for equivalence checks and
+    /// before/after timing.
+    pub fn fast_forward(mut self, on: bool) -> Self {
+        self.fast_forward = on;
+        self
     }
 
     /// The configuration.
@@ -604,6 +697,9 @@ impl Experiment {
 
         macro_rules! ctx {
             ($now:expr) => {
+                ctx!($now, $now)
+            };
+            ($now:expr, $horizon:expr) => {
                 Ctx {
                     now: $now,
                     cpu: &mut cpu,
@@ -616,6 +712,7 @@ impl Experiment {
                     obs_on,
                     shed_active: shed
                         .is_some_and(|sc| serving_count >= sc.max_concurrent || !accept_q.is_empty()),
+                    horizon: $horizon,
                 }
             };
         }
@@ -1103,11 +1200,18 @@ impl Experiment {
                 }
                 EngineEvent::Cpu(cev) => {
                     if let Some(done) = cpu.on_event(now, cev, &mut cpu_out) {
-                        {
-                            let mut cx = ctx!(now);
+                        let horizon = if self.fast_forward {
+                            spin_horizon(sim.peek_time(), warm_end, end, snapped)
+                        } else {
+                            now
+                        };
+                        // A retired write spin moves the callback's clock.
+                        let after = {
+                            let mut cx = ctx!(now, horizon);
                             server.on_burst(&mut cx, done.thread, done.tag);
-                        }
-                        cpu.finish_turn(now, done.thread, &mut cpu_out);
+                            cx.now
+                        };
+                        cpu.finish_turn(after, done.thread, &mut cpu_out);
                     }
                 }
                 EngineEvent::Tcp(tev) => match tcp.on_event(now, tev, &mut tcp_out) {
@@ -1251,5 +1355,81 @@ impl Experiment {
             crossings_per_req: per_req(cpu_delta.syscall_bursts),
             per_class,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arch::spin_bursts;
+
+    /// A machine whose only thread is finishing a burst at `t0`, and a
+    /// connection whose send buffer is full: the state a spinner writes in.
+    fn stalled() -> (CpuModel, TcpWorld, ThreadId, ConnId, SimTime) {
+        let mut cpu = CpuModel::new(CpuConfig::single_core());
+        let tid = cpu.spawn_thread("spinner");
+        let mut out = Vec::new();
+        cpu.submit(SimTime::ZERO, tid, Burst::user(SimDuration::from_micros(1)), 0, &mut out);
+        let (t0, ev) = out.pop().expect("burst scheduled");
+        assert!(cpu.on_event(t0, ev, &mut out).is_some(), "the thread is finishing");
+        let mut tcp = TcpWorld::new(TcpConfig::default());
+        let conn = tcp.open(SimTime::ZERO);
+        assert!(tcp.write(SimTime::ZERO, conn, 64 * 1024, &mut Vec::new()) > 0);
+        assert!(tcp.conn(conn).write_stalled());
+        (cpu, tcp, tid, conn, t0)
+    }
+
+    /// Runs one `spin_write` from `t0` with the driver horizon 1 ms out and
+    /// `pending` already produced by the callback; returns where the
+    /// callback's clock ends and the write calls counted.
+    fn spin_from(pending: Option<SimDuration>) -> (SimDuration, u64) {
+        let (mut cpu, mut tcp, tid, conn, t0) = stalled();
+        let profile = ServiceProfile::default();
+        let conn_info = [ConnInfo::default()];
+        let mut cpu_out: Vec<(SimTime, CpuEvent)> = Vec::new();
+        if let Some(d) = pending {
+            let ev = CpuEvent::BurstDone { core: asyncinv_cpu::CoreId(0), token: u64::MAX };
+            cpu_out.push((t0 + d, ev));
+        }
+        let mut tcp_out = Vec::new();
+        let mut obs = NoopObserver;
+        let mut cx = Ctx::for_driver(
+            t0, &mut cpu, &mut tcp, &profile, &conn_info, &mut cpu_out, &mut tcp_out, &mut obs,
+            false, false,
+        );
+        cx.horizon = t0 + SimDuration::from_millis(1);
+        let zero = spin_bursts(&profile, 0);
+        assert_eq!(cx.spin_write(tid, conn, 1024, &zero), 0);
+        let moved = cx.now().duration_since(t0);
+        (moved, tcp.stats().write_calls)
+    }
+
+    #[test]
+    fn spin_write_retires_up_to_the_horizon() {
+        // 9 us cycles: the 111th ends at 999 us, the 112th would reach 1 ms.
+        assert_eq!(spin_from(None), (SimDuration::from_micros(999), 1 + 1 + 111));
+    }
+
+    #[test]
+    fn spin_write_stops_before_events_the_callback_produced() {
+        // A burst this callback already scheduled 20 us out bounds it too.
+        let twenty = SimDuration::from_micros(20);
+        assert_eq!(spin_from(Some(twenty)), (SimDuration::from_micros(18), 1 + 1 + 2));
+    }
+
+    /// External drivers build contexts without a horizon.
+    #[test]
+    fn spin_write_without_a_horizon_retires_nothing() {
+        let (mut cpu, mut tcp, tid, conn, t0) = stalled();
+        let profile = ServiceProfile::default();
+        let conn_info = [ConnInfo::default()];
+        let (mut cpu_out, mut tcp_out, mut obs) = (Vec::new(), Vec::new(), NoopObserver);
+        let mut cx = Ctx::for_driver(
+            t0, &mut cpu, &mut tcp, &profile, &conn_info, &mut cpu_out, &mut tcp_out, &mut obs,
+            false, false,
+        );
+        assert_eq!(cx.spin_write(tid, conn, 1024, &spin_bursts(&profile, 0)), 0);
+        assert_eq!(cx.now(), t0);
+        assert_eq!(cpu.stats().retired_bursts, 0);
     }
 }

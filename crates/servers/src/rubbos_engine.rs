@@ -31,7 +31,7 @@ use asyncinv_workload::{Station, StationEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::ServerKind;
-use crate::engine::{ConnInfo, Ctx};
+use crate::engine::{spin_horizon, ConnInfo, Ctx};
 use crate::profile::ServiceProfile;
 
 /// Per-interaction results of a RUBBoS run.
@@ -102,6 +102,10 @@ pub struct RubbosExperiment {
     /// Simulation queue backend (results are backend-independent; this
     /// only trades wall-clock speed).
     pub backend: BackendKind,
+    /// Retire write-spin iterations inline (see
+    /// [`Experiment::fast_forward`](crate::Experiment::fast_forward));
+    /// results are identical either way.
+    pub fast_forward: bool,
 }
 
 impl RubbosExperiment {
@@ -133,6 +137,7 @@ impl RubbosExperiment {
             measure: SimDuration::from_secs(40),
             pool_workers: 200,
             backend: BackendKind::default(),
+            fast_forward: true,
         }
     }
 
@@ -272,6 +277,9 @@ fn run_macro<Q: QueueBackend<MEvent>>(
 
     macro_rules! ctx {
         ($now:expr) => {
+            ctx!($now, $now)
+        };
+        ($now:expr, $horizon:expr) => {
             Ctx {
                 now: $now,
                 cpu: &mut cpu,
@@ -284,6 +292,7 @@ fn run_macro<Q: QueueBackend<MEvent>>(
                 obs_on,
                 // The macro engine has no load shedder.
                 shed_active: false,
+                horizon: $horizon,
             }
         };
     }
@@ -394,11 +403,18 @@ fn run_macro<Q: QueueBackend<MEvent>>(
             }
             MEvent::Cpu(cev) => {
                 if let Some(done) = cpu.on_event(now, cev, &mut cpu_out) {
-                    {
-                        let mut cx = ctx!(now);
+                    let horizon = if cfg.fast_forward {
+                        spin_horizon(sim.peek_time(), warm_end, end, snapped)
+                    } else {
+                        now
+                    };
+                    // A retired write spin moves the callback's clock.
+                    let after = {
+                        let mut cx = ctx!(now, horizon);
                         server.on_burst(&mut cx, done.thread, done.tag);
-                    }
-                    cpu.finish_turn(now, done.thread, &mut cpu_out);
+                        cx.now
+                    };
+                    cpu.finish_turn(after, done.thread, &mut cpu_out);
                 }
             }
             MEvent::Tcp(tev) => match tcp.on_event(now, tev, &mut tcp_out) {

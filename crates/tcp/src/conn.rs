@@ -161,6 +161,24 @@ impl Connection {
         w
     }
 
+    /// `true` when a write returns zero and keeps doing so until the next
+    /// ACK or fault: the buffer is full and holds data (so the idle reset
+    /// cannot fire either).
+    pub fn write_stalled(&self) -> bool {
+        self.space() == 0 && self.buffered() > 0
+    }
+
+    /// Accounts `n` more zero-returning [`Connection::write`] calls, the
+    /// last at `last`, in one step: the counters and the idle clock end
+    /// exactly where the `n` calls would leave them. Only valid while
+    /// [`Connection::write_stalled`] holds with no ACK or fault in between.
+    pub(crate) fn retire_zero_writes(&mut self, last: SimTime, n: u64) {
+        debug_assert!(self.write_stalled(), "retiring writes that could succeed");
+        self.last_activity = last;
+        self.stats.write_calls += n;
+        self.stats.zero_writes += n;
+    }
+
     /// Continuation of a *blocking* `socket.write()`: the kernel copies more
     /// of the caller's buffer into freed send-buffer space from inside the
     /// original syscall, so no new `write()` call is counted. This is why

@@ -156,6 +156,17 @@ impl TcpWorld {
         w
     }
 
+    /// Accounts `n` more zero-returning [`TcpWorld::write`] calls on
+    /// `conn`, the last at `last`, in one step: the counters and the
+    /// connection's idle clock end exactly where the `n` calls would leave
+    /// them. Only valid while [`Connection::write_stalled`] holds with no
+    /// ACK or fault in between.
+    pub fn retire_zero_writes(&mut self, conn: ConnId, last: SimTime, n: u64) {
+        self.conns[conn.0].retire_zero_writes(last, n);
+        self.stats.write_calls += n;
+        self.stats.zero_writes += n;
+    }
+
     /// Blocking-write continuation on `conn`: copies more bytes without
     /// counting a new `socket.write()` call. See
     /// [`Connection::write_continue`].
