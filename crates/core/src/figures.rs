@@ -7,9 +7,10 @@
 //! for CI; [`Fidelity::Full`] matches the defaults used for the numbers in
 //! `EXPERIMENTS.md`.
 
+use asyncinv_fleet::Experiment;
 use asyncinv_metrics::RunSummary;
 use asyncinv_servers::rubbos_engine::{RubbosExperiment, RubbosSummary};
-use asyncinv_servers::{Experiment, ExperimentConfig, ServerKind};
+use asyncinv_servers::{ExperimentConfig, ServerKind};
 use asyncinv_simcore::SimDuration;
 use asyncinv_tcp::SendBufPolicy;
 use asyncinv_workload::Mix;

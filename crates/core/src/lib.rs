@@ -48,9 +48,10 @@ pub use asyncinv_metrics::{
     find_knee, fmt_f64, littles_law_residual, Align, Chart, ClassSummary, CpuShare, Histogram,
     RunSummary, Series, SweepPoint, Table, ThroughputWindow,
 };
+pub use asyncinv_fleet::Experiment;
 pub use asyncinv_servers::{
-    Ctx, EngineEvent, Experiment, ExperimentConfig, HybridPath, ServerKind, ServerModel,
-    ServiceProfile, ShedConfig, ShedPolicy,
+    Ctx, ExperimentConfig, HybridPath, ServerKind, ServerModel, ServiceProfile, ShedConfig,
+    ShedPolicy,
 };
 pub use asyncinv_simcore::{BackendKind, SimDuration, SimRng, SimTime};
 

@@ -22,8 +22,9 @@
 //! `repro_all`'s child processes inherit it). `ASYNCINV_THREADS=1` forces
 //! fully serial execution.
 
+use asyncinv_fleet::Experiment;
 use asyncinv_metrics::RunSummary;
-use asyncinv_servers::{Experiment, ServerKind};
+use asyncinv_servers::ServerKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::figures::Fidelity;

@@ -217,7 +217,6 @@ impl ConservationConfig {
                     .collect(),
                     aliases: vec![("shard_routes".into(), "routes".into())],
                     scopes: vec![
-                        "crates/servers/src/engine.rs".into(),
                         "crates/fleet/src/cluster.rs".into(),
                         "crates/fleet/src/parallel.rs".into(),
                     ],

@@ -6,7 +6,8 @@
 //! hashing derives placement from a seeded avalanche hash, and
 //! power-of-two-choices carries its own [`SimRng`] stream so routing never
 //! perturbs the client pool's random sequence (which is what keeps a
-//! 1-shard fleet bit-identical to the bare engine).
+//! 1-shard fleet identical under every balancer, and equal to a
+//! single-server `Experiment`).
 
 use asyncinv_simcore::SimRng;
 use serde::{Deserialize, Serialize};

@@ -1,23 +1,28 @@
-//! # asyncinv-fleet — sharded clusters, load balancing and hedged requests
+//! # asyncinv-fleet — the drive loop: one server, sharded clusters, load balancing and hedged requests
 //!
 //! The paper studies one server under test; real deployments of the
 //! studied architectures run as *fleets* of shards behind a balancer. This
-//! crate lifts the whole `asyncinv` stack to that setting without touching
-//! the architectures: a [`Cluster`] instantiates N independent
-//! server-under-test shards (each shard a full simulated machine running
-//! any architecture from `asyncinv-servers`, unchanged) behind a pluggable
-//! [`Balancer`], with optional hedged requests and per-shard fault and
-//! shed planes.
+//! crate holds the simulator's one drive loop and runs both: a [`Cluster`]
+//! instantiates N independent server-under-test shards (each shard a full
+//! simulated machine running any architecture from `asyncinv-servers`,
+//! unchanged) behind a pluggable [`Balancer`], with optional hedged
+//! requests and per-shard fault and shed planes, and an [`Experiment`] is
+//! the same loop with one shard.
 //!
-//! Guarantees carried over from the single-server engine:
+//! Guarantees:
 //!
 //! - **Determinism** — same config, same seed, same [`FleetSummary`],
 //!   bitwise, on any OS thread and any queue backend.
-//! - **1-shard transparency** — a fleet of one shard is *bit-identical* to
-//!   a bare [`asyncinv_servers::Experiment`] run under every balancer
-//!   (property-tested across all architectures): balancers draw no
-//!   randomness at one shard, fleet-only trace kinds and counters are not
-//!   emitted, and the drive loop replays the engine's exact event order.
+//! - **1-shard transparency** — a fleet of one shard *is* an
+//!   [`Experiment`] under every balancer: balancers draw no randomness at
+//!   one shard and fleet-only trace kinds and counters are not emitted.
+//!   `tests/engine_fixture.rs` pins its output to digests recorded from
+//!   the single-server engine this loop replaced.
+//! - **Exact write-spin retirement** — the interleaved loop hands every
+//!   burst completion the global queue head as its spin horizon, so
+//!   unbounded spinners retire zero-return writes inline on fleets of any
+//!   size ([`asyncinv_servers::Ctx::spin_write`]); results are
+//!   bit-identical to spinning through the queue.
 //! - **Audited tracing** — the fleet trace kinds (`ShardRoute`, `Hedge`,
 //!   `HedgeCancel`, `ShardRetry`) reconcile bitwise against the
 //!   [`RunSummary`](asyncinv_metrics::RunSummary) counters via
@@ -35,6 +40,7 @@
 
 mod balancer;
 mod cluster;
+mod experiment;
 mod hedge;
 mod parallel;
 mod scenario;
@@ -44,6 +50,7 @@ pub use balancer::{mix64, Balancer, BalancerKind, ConsistentHashRing};
 pub use cluster::{
     fleet_audit, Cluster, FleetConfig, FleetSummary, ShardFault, ShardShed, ShardSummary,
 };
+pub use experiment::Experiment;
 pub use hedge::{HedgeConfig, HedgeEstimator};
 pub use parallel::{ParallelCluster, ParallelHealth, WorkerHealth};
 pub use scenario::{BrownoutSpec, FleetScenario};

@@ -56,8 +56,8 @@
 //! makes the machine lanes free of cross-shard writes inside a window.
 //!
 //! A 1-shard fleet is delegated to the interleaved driver: with one
-//! shard the spec is applied inline at route time (for bare-engine
-//! bit-identity), so its machine lane is not phase-pure — and
+//! shard the spec is applied inline at route time (a single-server
+//! `Experiment` is that shape), so its machine lane is not phase-pure — and
 //! parallel-in-time across one shard is an empty dimension anyway.
 
 use std::cmp::Ordering;
@@ -73,7 +73,9 @@ use asyncinv_servers::{
 };
 use asyncinv_simcore::{configured_threads, SimTime};
 use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
-use asyncinv_workload::{ClientEvent, ClientPool, RetryBudget, UserId};
+use asyncinv_workload::{
+    ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId,
+};
 
 use crate::cluster::{
     Cluster, Counters, FleetConfig, FleetReq, FleetSummary, Serving, ShardObs, ShardSummary,
@@ -236,7 +238,10 @@ fn machine_step(
 ) -> Option<usize> {
     macro_rules! dispatch_core {
         ($method:ident $(, $arg:expr)*) => {{
+            // Phase workers cannot see the global queue head: no spin
+            // retirement (the horizon is `now`).
             let mut cx = Ctx::for_driver(
+                now,
                 now,
                 &mut core.cpu,
                 &mut core.tcp,
@@ -714,7 +719,7 @@ impl ParallelCluster {
         assert_eq!(kinds.len(), self.cfg.shards, "one architecture per shard");
         if self.cfg.shards == 1 {
             // One shard applies request specs inline at route time (the
-            // bare-engine bit-identity contract), so its machine lane is
+            // single-server `Experiment` shape), so its machine lane is
             // not phase-pure — and there is nothing to parallelize.
             let summary = Cluster::new(self.cfg.clone()).drive(kinds, obs);
             return (summary, ParallelHealth::default());
@@ -787,11 +792,14 @@ impl ParallelCluster {
             });
         }
 
-        // Resilience plane (engine mirror).
+        // Resilience plane, as in the interleaved driver (one client-wide
+        // RTO estimator in `TimeoutMode::Rto`).
         let policy = cell.retry;
         let retry_on = policy.enabled();
         let timeout = policy.timeout.unwrap_or_default();
         let mut budget = RetryBudget::new(&policy);
+        let mut rto = (retry_on && policy.timeout_mode == TimeoutMode::Rto)
+            .then(|| RtoEstimator::new(&policy));
 
         // Hedge plane (fleet-only; validation requires shards >= 2).
         // Mirrors the interleaved driver: with `per_shard` the estimator
@@ -876,6 +884,7 @@ impl ParallelCluster {
                 let mut sobs = ShardObs { inner: &mut *obs, base: sh.thread_base };
                 let mut cx = Ctx::for_driver(
                     $now,
+                    $now,
                     &mut sh.cpu,
                     &mut sh.tcp,
                     &cell.profile,
@@ -893,8 +902,9 @@ impl ParallelCluster {
             }};
         }
 
-        // Engine-mirror flush order: sched logs (trace only), then every
-        // shard's cpu_out, then every shard's tcp_out, then client events.
+        // The interleaved loop's flush order: sched logs (trace only), then
+        // every shard's cpu_out, then every shard's tcp_out, then client
+        // events.
         macro_rules! flush {
             () => {
                 if obs_on {
@@ -1231,6 +1241,9 @@ impl ParallelCluster {
                     } else {
                         let track = req[$conn].expect("matched without track");
                         let rt = $now.duration_since(track.sent_at);
+                        if let Some(e) = rto.as_mut() {
+                            e.observe(rt);
+                        }
                         window.record($now);
                         if $now >= warm_end && $now < end {
                             hist.record(rt);
@@ -1319,7 +1332,7 @@ impl ParallelCluster {
                 if retry_on {
                     budget.deposit();
                     sched_coord!(
-                        $now + timeout,
+                        $now + rto.as_ref().map_or(timeout, |e| e.current()),
                         CoordEv::Timeout { shard: s as u32, user: u as u32, epoch: ep }
                     );
                 }
@@ -1737,6 +1750,9 @@ impl ParallelCluster {
                                 let (s, u) = (shard as usize, user as usize);
                                 if req[u].as_ref().is_some_and(|t| t.primary == (s, epoch)) {
                                     timeouts += 1;
+                                    if let Some(e) = rto.as_mut() {
+                                        e.on_timeout();
+                                    }
                                     if obs_on {
                                         let (attempt, cls) =
                                             req[u].as_ref().map_or((0, 0), |t| (t.attempt, t.class));
@@ -1772,7 +1788,7 @@ impl ParallelCluster {
                                         CoordEv::Arrive { shard, user, epoch }
                                     );
                                     sched_coord!(
-                                        now + timeout,
+                                        now + rto.as_ref().map_or(timeout, |e| e.current()),
                                         CoordEv::Timeout { shard, user, epoch }
                                     );
                                     if hedge_on {

@@ -123,8 +123,8 @@ pub struct RunSummary {
     #[serde(default)]
     pub fault_events: u64,
     /// Request attempts routed to a shard by the fleet balancer within the
-    /// window. Zero outside multi-shard fleet runs (a 1-shard fleet stays
-    /// bit-identical to the bare engine and routes nothing).
+    /// window. Zero outside multi-shard fleet runs (a 1-shard fleet, such
+    /// as a single-server `Experiment`, routes nothing).
     #[serde(default)]
     pub shard_routes: u64,
     /// Hedged duplicate attempts fired within the window.

@@ -32,9 +32,10 @@ use crate::profile::ServiceProfile;
 /// A server architecture: reacts to engine events by running bursts and
 /// writing responses.
 ///
-/// Implementations are driven entirely by the [`Experiment`](crate::Experiment)
-/// engine; the trait is public so downstream users can plug in custom
-/// architectures (e.g. for ablations).
+/// Implementations are driven entirely by a drive loop through
+/// [`Ctx`](crate::Ctx) (the fleet crate's, whose one-shard case is
+/// `Experiment`, or the RUBBoS engine's); the trait is public so downstream
+/// users can plug in custom architectures (e.g. for ablations).
 ///
 /// `Send` is a supertrait so drivers may move a model between OS threads
 /// (the parallel fleet driver ships whole shard machines to phase

@@ -1,4 +1,4 @@
-//! # asyncinv-servers — the six server architectures and the experiment engine
+//! # asyncinv-servers — the server architectures and the cell they run in
 //!
 //! This crate is the core of the `asyncinv` reproduction of *"Improving
 //! Asynchronous Invocation Performance in Client-server Systems"* (ICDCS
@@ -20,20 +20,23 @@
 //! (completion-based I/O over an io_uring-style submission/completion
 //! ring — batched kernel crossings, CQE-driven writes, zero write-spin).
 //!
-//! The [`Experiment`] engine wires a closed-loop client pool, the TCP world
-//! and the CPU scheduler around one server instance and produces a
+//! An [`ExperimentConfig`] describes one cell: machine, network, client
+//! pool, cost model and resilience policy. Architectures run on the
+//! simulated machine through [`Ctx`], which a drive loop builds for every
+//! callback. That loop lives in `asyncinv-fleet`: `Experiment` (one server)
+//! is the one-shard case of its `Cluster`, and it produces a
 //! [`asyncinv_metrics::RunSummary`] with the quantities the paper reports:
 //! throughput, response times, context switches per second/request,
-//! `socket.write()` calls per request and the CPU user/system split.
+//! `socket.write()` calls per request and the CPU user/system split. The
+//! RUBBoS macro engine ([`rubbos_engine`]) keeps a loop of its own.
 //!
 //! ```
-//! use asyncinv_servers::{Experiment, ExperimentConfig, ServerKind};
+//! use asyncinv_servers::{ExperimentConfig, ServerKind};
 //!
 //! let mut cfg = ExperimentConfig::micro(8, 100); // concurrency 8, 0.1 KB
 //! cfg.measure = asyncinv_simcore::SimDuration::from_millis(200);
-//! let summary = Experiment::new(cfg).run(ServerKind::SingleThread);
-//! assert!(summary.throughput > 0.0);
-//! assert_eq!(summary.server, "SingleT-Async");
+//! let server = ServerKind::SingleThread.build(&cfg);
+//! assert_eq!(server.name(), "SingleT-Async");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +51,7 @@ pub mod trace_codes;
 
 pub use arch::{ServerKind, ServerModel};
 pub use engine::{
-    ConnInfo, Ctx, EngineEvent, Experiment, ExperimentConfig, HybridPath, ShedConfig, ShedPolicy,
+    spin_horizon, ConnInfo, Ctx, ExperimentConfig, HybridPath, ShedConfig, ShedPolicy,
 };
 pub use profile::ServiceProfile;
 

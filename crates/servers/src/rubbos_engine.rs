@@ -102,8 +102,7 @@ pub struct RubbosExperiment {
     /// Simulation queue backend (results are backend-independent; this
     /// only trades wall-clock speed).
     pub backend: BackendKind,
-    /// Retire write-spin iterations inline (see
-    /// [`Experiment::fast_forward`](crate::Experiment::fast_forward));
+    /// Retire write-spin iterations inline (see [`Ctx::spin_write`]);
     /// results are identical either way.
     pub fast_forward: bool,
 }

@@ -24,4 +24,14 @@ echo "== gate: dag scenario (drift check + dag/span audits, both drivers) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
     --quick --scenario scenarios/dag_social.json
 
+echo "== gate: benchmark tests + seed-1 goldens (every workload's cell digests) =="
+cargo test --offline --manifest-path benchmark/Cargo.toml
+bench_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_dir"' EXIT
+cargo run --release --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+    --repeats 1 --trace 0 --results "$bench_dir/results.json" | tee "$bench_dir/out.txt"
+# The binary exits 0 even when cells fail; the verdict is the last line.
+tail -n 1 "$bench_dir/out.txt" | grep -q '^{"correct":true,' \
+    || { echo "benchmark goldens: cells failed (see above)"; exit 1; }
+
 echo "ci OK"

@@ -87,6 +87,14 @@ ASYNCINV_BENCH_OUT="$obs_dir/BENCH_kernel.quick.json" \
     cargo run --release -p asyncinv-bench --bin kernel_bench -- --quick
 test -s "$obs_dir/BENCH_kernel.quick.json"
 
+echo "== benchmark tests + seed-1 goldens (every workload's cell digests) =="
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+    --repeats 1 --trace 0 --results "$obs_dir/benchmark.json" | tee "$obs_dir/benchmark.out"
+# The binary exits 0 even when cells fail; the verdict is the last line.
+tail -n 1 "$obs_dir/benchmark.out" | grep -q '^{"correct":true,' \
+    || { echo "benchmark goldens: cells failed (see above)"; exit 1; }
+
 echo "== benches compile =="
 cargo bench --no-run
 

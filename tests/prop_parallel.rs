@@ -13,7 +13,7 @@ use asyncinv::fleet::{
 };
 use asyncinv::obs::{Recorder, TraceEvent};
 use asyncinv::prelude::*;
-use asyncinv::workload::RetryPolicy;
+use asyncinv::workload::{RetryPolicy, TimeoutMode};
 use proptest::prelude::*;
 
 const CONC: usize = 8;
@@ -194,6 +194,28 @@ fn traced_parallel_run_reproduces_interleaved_trace_bitwise() {
     assert!(a.fleet.fault_events > 0, "the fault must actually fire");
     assert!(a.fleet.hedges > 0, "hedging must actually fire");
     assert!(a.fleet.shed_dropped > 0, "the shed override must actually shed");
+}
+
+/// `TimeoutMode::Rto` reaches fleets: both drivers arm the client-wide RTO
+/// estimate (seeded from the fixed timeout, fed every response time and
+/// backed off on timeout) instead of the fixed timeout, so a stressed
+/// 3-shard fleet must come out differently than in `Fixed` mode — and
+/// identically on both drivers, summary, trace and counters alike.
+#[test]
+fn rto_fleet_differs_from_fixed_and_is_driver_invariant() {
+    let fixed = stressed_cfg();
+    let mut rto = fixed.clone();
+    rto.cell.retry.timeout_mode = TimeoutMode::Rto;
+    let kind = ServerKind::NettyLike;
+    let (a, rec_a) = Cluster::new(rto.clone()).run_traced(kind);
+    let b = Cluster::new(fixed).run(kind);
+    assert!(a.fleet.timeouts > 0, "the timeout must actually fire");
+    assert_ne!(a, b, "the RTO estimate must change which attempts time out");
+    for threads in [1usize, 3] {
+        let (c, rec_c) = ParallelCluster::new(rto.clone()).threads(threads).run_traced(kind);
+        assert_eq!(a, c, "RTO fleet diverged at {threads} threads");
+        assert_eq!(trace_state(&rec_a), trace_state(&rec_c), "trace diverged at {threads} threads");
+    }
 }
 
 /// Schedule-race exploration, bounded-exhaustive regime: every enumerated

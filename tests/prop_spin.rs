@@ -3,9 +3,12 @@
 //! each iteration through the event queue — summaries, the full trace
 //! stream, thread names, counters and (bit-compared) gauges. The only
 //! thing allowed to differ is `events_processed`, which must drop
-//! wherever an unbounded spinner waits on a full send buffer.
+//! wherever an unbounded spinner waits on a full send buffer. The
+//! stepwise reference is `Experiment::fast_forward(false)` for one server
+//! and `ParallelCluster` for fleets.
 
 use asyncinv::fault::{ConnSelector, FaultEvent, FaultKind, FaultPlan, ShedConfig, ShedPolicy};
+use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig, ParallelCluster};
 use asyncinv::obs::{Recorder, TraceEvent};
 use asyncinv::prelude::*;
 use asyncinv::substrate::SchedPolicy;
@@ -242,6 +245,44 @@ fn rubbos_fast_forward_is_exact() {
     let (state_b, processed_b) = trace_state(&off.1);
     assert!(state_a == state_b, "RUBBoS trace diverged");
     assert!(processed_a < processed_b, "RUBBoS retired nothing");
+}
+
+/// Interleaved fleets of any size retire spins too: `Cluster` hands every
+/// burst completion the global queue head as its horizon, while
+/// `ParallelCluster`, whose phase workers see only their own shard,
+/// still runs every iteration through the queue. The parallel driver is
+/// therefore the stepwise reference for fleets: summaries, the full trace
+/// stream, thread names, gauges and every counter but `events_processed`
+/// must agree bit for bit, and that one must drop.
+#[test]
+fn fast_forward_is_exact_on_interleaved_fleets() {
+    for kind in SPINNERS {
+        for balancer in [BalancerKind::RoundRobin, BalancerKind::LeastOutstanding] {
+            let mut cfg = FleetConfig::new(cell(6, 100 * 1024, 5_000), 3, balancer);
+            cfg.cell.measure = SimDuration::from_millis(200);
+            cfg.cell.retry = RetryPolicy {
+                timeout: Some(SimDuration::from_millis(60)),
+                max_retries: 2,
+                ..RetryPolicy::default()
+            };
+            let interleaved = Cluster::new(cfg.clone());
+            let parallel = ParallelCluster::new(cfg).threads(2);
+            let label = format!("{kind}/{}", balancer.name());
+            assert_eq!(interleaved.run(kind), parallel.run(kind), "{label}: summary diverged");
+            let (a, rec_a) = interleaved.run_traced(kind);
+            let (b, rec_b) = parallel.run_traced(kind);
+            assert_eq!(a, b, "{label}: traced summary diverged");
+            let (state_a, processed_a) = trace_state(&rec_a);
+            let (state_b, processed_b) = trace_state(&rec_b);
+            assert!(state_a == state_b, "{label}: trace state diverged");
+            // Spinning shards bound each other's horizons, so the drop is
+            // smaller than for one server; it must still be there.
+            assert!(
+                processed_a < processed_b,
+                "{label}: {processed_a} vs {processed_b} events"
+            );
+        }
+    }
 }
 
 proptest! {
