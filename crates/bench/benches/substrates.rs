@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use asyncinv::substrate::{Burst, CpuConfig, CpuModel, SendBufPolicy, TcpConfig, TcpWorld};
 use asyncinv::{Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime};
-use asyncinv_simcore::{AdaptiveQueue, CalendarQueue, EventQueue, QueueBackend, SimRng, Simulation};
+use asyncinv_simcore::{EventQueue, LadderQueue, QueueBackend, SimRng, Simulation};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_1k", |b| {
@@ -23,57 +23,10 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-fn bench_calendar_queue(c: &mut Criterion) {
-    c.bench_function("calendar_queue/push_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = CalendarQueue::new();
-            for i in 0..1024u64 {
-                q.push(SimTime::from_nanos(i * 37 % 1000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((_, v)) = q.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            black_box(acc)
-        })
-    });
-    // The DES steady state: interleaved hold operations (pop one, push one
-    // slightly in the future) over a standing population.
-    for (name, pop) in [("hold_1k", 1_000u64), ("hold_16k", 16_000u64)] {
-        c.bench_function(&format!("calendar_queue/{name}"), |b| {
-            let mut q = CalendarQueue::new();
-            let mut t = 0u64;
-            for i in 0..pop {
-                q.push(SimTime::from_nanos(i * 997), i);
-            }
-            b.iter(|| {
-                let (pt, v) = q.pop().expect("non-empty");
-                t = pt.as_nanos();
-                q.push(SimTime::from_nanos(t + 1 + v % 2048), v);
-                black_box(v)
-            })
-        });
-        c.bench_function(&format!("event_queue/{name}"), |b| {
-            let mut q = EventQueue::new();
-            let mut t = 0u64;
-            for i in 0..pop {
-                q.push(SimTime::from_nanos(i * 997), i);
-            }
-            b.iter(|| {
-                let (pt, v) = q.pop().expect("non-empty");
-                t = pt.as_nanos();
-                q.push(SimTime::from_nanos(t + 1 + v % 2048), v);
-                black_box(v)
-            })
-        });
-    }
-}
-
 /// Hold model (peek + pop-one + push-one over a constant population) for
-/// every kernel backend at the standing populations the paper's cells
+/// both kernel backends at the standing populations the paper's cells
 /// actually see: ~10 (low concurrency), ~100 (paper's headline cells), and
-/// 10k (stress). This is the benchmark that justifies the adaptive
-/// backend's switch thresholds.
+/// 10k (stress), where the ladder overtakes the default heap.
 fn bench_backend_hold(c: &mut Criterion) {
     fn hold<Q: QueueBackend<u64>>(c: &mut Criterion, name: &str, pop: u64) {
         c.bench_function(&format!("hold/{name}/pop{pop}"), |b| {
@@ -91,8 +44,7 @@ fn bench_backend_hold(c: &mut Criterion) {
     }
     for pop in [10u64, 100, 10_000] {
         hold::<EventQueue<u64>>(c, "heap", pop);
-        hold::<CalendarQueue<u64>>(c, "calendar", pop);
-        hold::<AdaptiveQueue<u64>>(c, "adaptive", pop);
+        hold::<LadderQueue<u64>>(c, "ladder", pop);
     }
 }
 
@@ -201,7 +153,6 @@ fn bench_experiment_cells(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
-    bench_calendar_queue,
     bench_backend_hold,
     bench_rng,
     bench_scheduler,

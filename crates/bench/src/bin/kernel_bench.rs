@@ -1,6 +1,7 @@
 //! Self-benchmark of the simulation kernel: raw queue throughput per
-//! backend, full experiment-cell wall-clock per backend, and the parallel
-//! cell runner's speedup over a serial run.
+//! backend, full experiment-cell wall-clock per backend (both as
+//! min/median/max over several runs), and the parallel cell runner's
+//! speedup over a serial run.
 //!
 //! ```sh
 //! cargo run --release -p asyncinv-bench --bin kernel_bench             # full
@@ -23,17 +24,42 @@ use asyncinv::runner::{configured_threads, run_cells};
 use asyncinv::{
     fmt_f64, BackendKind, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table,
 };
-use asyncinv_simcore::{AdaptiveQueue, CalendarQueue, EventQueue, LadderQueue, QueueBackend};
+use asyncinv_simcore::{EventQueue, LadderQueue, QueueBackend};
 use serde::Serialize;
+
+/// Runs behind every hold and grid row; backends alternate within each
+/// run so host drift hits both alike.
+const RUNS: usize = 5;
+
+/// Min/median/max of one measurement over [`RUNS`] runs.
+#[derive(Debug, Serialize)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            min: samples[0],
+            median: samples[samples.len() / 2],
+            max: samples[samples.len() - 1],
+        }
+    }
+}
 
 /// One hold-model measurement: pop-one/push-one over a standing population.
 #[derive(Debug, Serialize)]
 struct HoldRow {
     backend: String,
     population: u64,
+    runs: usize,
+    host_cores: usize,
     /// Queue operations per wall-clock second (each hold = 1 pop + 1 push
     /// + 1 peek, the engine drive loop's per-event pattern).
-    events_per_sec: f64,
+    events_per_sec: Spread,
 }
 
 /// Wall-clock for a fixed Quick cell grid driven end to end on one backend.
@@ -41,7 +67,9 @@ struct HoldRow {
 struct GridRow {
     backend: String,
     cells: usize,
-    wall_ms: f64,
+    runs: usize,
+    host_cores: usize,
+    wall_ms: Spread,
 }
 
 /// Serial vs parallel wall-clock for the same grid through the runner,
@@ -166,8 +194,8 @@ fn hold_events_per_sec<Q: QueueBackend<u64>>(population: u64, holds: u64) -> f64
     for i in 0..population {
         q.push(SimTime::from_nanos(i.wrapping_mul(997)), i);
     }
-    // Warm the structure (lets the calendar settle on a bucket width and
-    // the adaptive queue migrate before the timer starts).
+    // Warm the structure (lets the ladder spawn its rungs before the
+    // timer starts).
     for _ in 0..population * 4 {
         hold_once(&mut q);
     }
@@ -222,67 +250,90 @@ fn time_grid_on(backend: BackendKind, cells: &[(ServerKind, usize, usize)]) -> f
 fn main() {
     asyncinv_bench::banner(
         "kernel_bench — simulation-kernel self-benchmark",
-        "O(1)-peek calendar + adaptive backend >= heap on hold-dominated loads; \
+        "heap default vs ladder opt-in on hold and grid loads; \
          parallel runner cuts grid wall-clock",
     );
     let quick = std::env::args().any(|a| a == "--quick");
     let holds: u64 = if quick { 200_000 } else { 2_000_000 };
 
+    let host_cores = configured_threads();
+
     // --- 1. Hold model: the kernel's steady-state op rate per backend. ---
+    let mut rates: Vec<(u64, BackendKind, Vec<f64>)> = [10u64, 100, 10_000, 100_000]
+        .into_iter()
+        .flat_map(|population| BackendKind::ALL.map(|backend| (population, backend, Vec::new())))
+        .collect();
+    for _ in 0..RUNS {
+        for (population, backend, samples) in &mut rates {
+            samples.push(match backend {
+                BackendKind::Heap => hold_events_per_sec::<EventQueue<u64>>(*population, holds),
+                BackendKind::Ladder => hold_events_per_sec::<LadderQueue<u64>>(*population, holds),
+            });
+        }
+    }
     let mut hold = Vec::new();
     let mut hold_table = Table::new(vec![
         "backend".into(),
         "population".into(),
-        "Mops/s".into(),
+        "min Mops/s".into(),
+        "median".into(),
+        "max".into(),
     ]);
     hold_table.numeric();
-    for &population in &[10u64, 100, 10_000, 100_000] {
-        for backend in BackendKind::ALL {
-            let rate = match backend {
-                BackendKind::Heap => hold_events_per_sec::<EventQueue<u64>>(population, holds),
-                BackendKind::Calendar => {
-                    hold_events_per_sec::<CalendarQueue<u64>>(population, holds)
-                }
-                BackendKind::Adaptive => {
-                    hold_events_per_sec::<AdaptiveQueue<u64>>(population, holds)
-                }
-                BackendKind::Ladder => {
-                    hold_events_per_sec::<LadderQueue<u64>>(population, holds)
-                }
-            };
-            hold_table.row(vec![
-                backend.name().into(),
-                population.to_string(),
-                fmt_f64(rate / 1e6, 2),
-            ]);
-            hold.push(HoldRow {
-                backend: backend.name().into(),
-                population,
-                events_per_sec: rate,
-            });
-        }
+    for (population, backend, samples) in rates {
+        let events_per_sec = Spread::of(samples);
+        hold_table.row(vec![
+            backend.name().into(),
+            population.to_string(),
+            fmt_f64(events_per_sec.min / 1e6, 2),
+            fmt_f64(events_per_sec.median / 1e6, 2),
+            fmt_f64(events_per_sec.max / 1e6, 2),
+        ]);
+        hold.push(HoldRow {
+            backend: backend.name().into(),
+            population,
+            runs: RUNS,
+            host_cores,
+            events_per_sec,
+        });
     }
-    println!("\nhold model (pop-one/push-one, constant population):\n{hold_table}");
+    println!("\nhold model (pop-one/push-one, constant population; {RUNS} runs):\n{hold_table}");
 
     // --- 2. Full experiment cells end to end, per backend. ---
     let cells = grid();
+    let mut walls = BackendKind::ALL.map(|_| Vec::new());
+    for _ in 0..RUNS {
+        for (backend, samples) in BackendKind::ALL.into_iter().zip(&mut walls) {
+            samples.push(time_grid_on(backend, &cells));
+        }
+    }
     let mut grid_rows = Vec::new();
-    let mut grid_table = Table::new(vec!["backend".into(), "cells".into(), "wall[ms]".into()]);
+    let mut grid_table = Table::new(vec![
+        "backend".into(),
+        "cells".into(),
+        "min wall[ms]".into(),
+        "median".into(),
+        "max".into(),
+    ]);
     grid_table.numeric();
-    for backend in BackendKind::ALL {
-        let wall_ms = time_grid_on(backend, &cells);
+    for (backend, samples) in BackendKind::ALL.into_iter().zip(walls) {
+        let wall_ms = Spread::of(samples);
         grid_table.row(vec![
             backend.name().into(),
             cells.len().to_string(),
-            fmt_f64(wall_ms, 0),
+            fmt_f64(wall_ms.min, 0),
+            fmt_f64(wall_ms.median, 0),
+            fmt_f64(wall_ms.max, 0),
         ]);
         grid_rows.push(GridRow {
             backend: backend.name().into(),
             cells: cells.len(),
+            runs: RUNS,
+            host_cores,
             wall_ms,
         });
     }
-    println!("\nfixed Quick cell grid, serial, per backend:\n{grid_table}");
+    println!("\nfixed Quick cell grid, serial, per backend ({RUNS} runs):\n{grid_table}");
 
     // --- 2b. Proactor row: the untraced grid combos on the ring vs Netty. ---
     let combos: Vec<(usize, usize)> = {
@@ -321,7 +372,6 @@ fn main() {
     }
 
     // --- 3. Parallel runner speedup on the same grid, per thread count. ---
-    let host_cores = configured_threads();
     let start = Instant::now();
     let serial = run_cells(Fidelity::Quick, &cells, 1);
     let serial_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -46,7 +46,7 @@ pub mod runner;
 
 pub use asyncinv_metrics::{
     find_knee, fmt_f64, littles_law_residual, Align, Chart, ClassSummary, CpuShare, Histogram,
-    RunSummary, Series, SweepPoint, Table, ThroughputWindow,
+    LogHistogram, RunSummary, Series, SweepPoint, Table, ThroughputWindow,
 };
 pub use asyncinv_fleet::Experiment;
 pub use asyncinv_servers::{

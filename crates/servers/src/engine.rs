@@ -56,7 +56,7 @@ pub struct ExperimentConfig {
     pub trace_sample: u64,
     /// Simulation queue backend. All backends produce identical results
     /// (the ordering contract is property-tested); this only trades
-    /// wall-clock speed. Defaults to [`BackendKind::Adaptive`].
+    /// wall-clock speed. Defaults to [`BackendKind::Heap`].
     #[serde(default)]
     pub backend: BackendKind,
     /// Optional fault-injection schedule. `None` (the default) compiles to

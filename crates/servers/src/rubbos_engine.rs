@@ -22,8 +22,7 @@ use asyncinv_cpu::{CpuConfig, CpuModel, CpuEvent, SchedEvent, ThreadId};
 use asyncinv_metrics::{Histogram, ThroughputWindow};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
 use asyncinv_simcore::{
-    AdaptiveQueue, BackendKind, CalendarQueue, EventQueue, LadderQueue, QueueBackend, SimDuration,
-    SimRng, SimTime, Simulation,
+    BackendKind, EventQueue, LadderQueue, QueueBackend, SimDuration, SimRng, SimTime, Simulation,
 };
 use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::rubbos::{interactions, Interaction, Navigator, RubbosConfig};
@@ -165,8 +164,6 @@ impl RubbosExperiment {
         );
         match self.backend {
             BackendKind::Heap => run_macro::<EventQueue<MEvent>>(self, kind, obs),
-            BackendKind::Calendar => run_macro::<CalendarQueue<MEvent>>(self, kind, obs),
-            BackendKind::Adaptive => run_macro::<AdaptiveQueue<MEvent>>(self, kind, obs),
             BackendKind::Ladder => run_macro::<LadderQueue<MEvent>>(self, kind, obs),
         }
     }

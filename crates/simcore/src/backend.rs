@@ -1,76 +1,69 @@
 //! Pluggable event-queue backends for [`Simulation`](crate::Simulation).
 //!
 //! The kernel's hot loop is "pop the earliest event, maybe push a few
-//! follow-ups". Which priority-queue shape wins depends on the standing
-//! event population: the binary heap ([`EventQueue`](crate::EventQueue))
-//! has the best constants for small populations and bursty
-//! push-all-then-drain phases, while the calendar queue
-//! ([`CalendarQueue`](crate::CalendarQueue)) is O(1) amortized on
-//! steady-state *hold* traffic once the population is large enough to
-//! amortize its bucket bookkeeping.
+//! follow-ups". Two queue shapes implement it behind [`QueueBackend`]:
 //!
-//! [`QueueBackend`] abstracts the queue shape behind the same stable
-//! (time, insertion-order) contract, and [`AdaptiveQueue`] — the default
-//! backend — picks the cheaper shape at runtime, mirroring the source
-//! paper's theme of routing each invocation down its cheapest execution
-//! path. All backends produce byte-identical event orderings; property
-//! tests in `tests/prop_simcore.rs` enforce this.
+//! * the binary heap ([`EventQueue`](crate::EventQueue)), the default: the
+//!   best constants at the standing populations experiment cells hold
+//!   (tens to a few thousand events);
+//! * the ladder queue ([`LadderQueue`](crate::LadderQueue)): a hold cost
+//!   that stays flat from 10k to 100k+ events.
+//!
+//! No input-size rule separates the two on real cells, and a queue that
+//! picks a shape at run time pays its dispatch on every operation, so the
+//! ladder is an explicit opt-in ([`BackendKind::Ladder`], or the type
+//! parameter) rather than a runtime switch. Both deliver byte-identical
+//! event orderings; property tests in `tests/prop_simcore.rs` enforce
+//! this.
 
-use crate::calendar::CalendarQueue;
 use crate::ladder::LadderQueue;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Which queue backend a [`Simulation`](crate::Simulation) should use —
 /// the config-level counterpart of the [`QueueBackend`] type parameter.
 ///
 /// Experiment configs carry one of these (defaulting to
-/// [`BackendKind::Adaptive`]) and engines dispatch their generic drive
-/// loop on it, so a backend can be pinned per run for benchmarking
-/// without changing any code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// [`BackendKind::Heap`]) and engines dispatch their generic drive loop on
+/// it, so a backend can be pinned per run without changing any code.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum BackendKind {
     /// Binary heap ([`EventQueue`](crate::EventQueue)).
-    Heap,
-    /// Calendar queue ([`CalendarQueue`](crate::CalendarQueue)).
-    Calendar,
-    /// Heap that migrates to a calendar under load ([`AdaptiveQueue`]).
     #[default]
-    Adaptive,
+    Heap,
     /// Ladder queue ([`LadderQueue`](crate::LadderQueue)): flat hold cost
     /// at 100k+ event populations.
     Ladder,
 }
 
 impl BackendKind {
-    /// All kinds, in heap → calendar → adaptive → ladder order (bench
-    /// sweeps).
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Heap,
-        BackendKind::Calendar,
-        BackendKind::Adaptive,
-        BackendKind::Ladder,
-    ];
+    /// All kinds, in heap → ladder order (bench sweeps).
+    pub const ALL: [BackendKind; 2] = [BackendKind::Heap, BackendKind::Ladder];
 
-    /// The backend's short name ("heap", "calendar", "adaptive", "ladder").
+    /// The backend's short name ("heap", "ladder").
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Heap => "heap",
-            BackendKind::Calendar => "calendar",
-            BackendKind::Adaptive => "adaptive",
             BackendKind::Ladder => "ladder",
         }
     }
+}
 
-    /// Parses a short name as produced by [`BackendKind::name`].
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "heap" => Some(BackendKind::Heap),
-            "calendar" => Some(BackendKind::Calendar),
-            "adaptive" => Some(BackendKind::Adaptive),
-            "ladder" => Some(BackendKind::Ladder),
-            _ => None,
+impl Deserialize for BackendKind {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Str(s) if s == "Heap" => Ok(BackendKind::Heap),
+            Value::Str(s) if s == "Ladder" => Ok(BackendKind::Ladder),
+            // The retired heap that migrated to a calendar queue under
+            // load. Every backend pops the same event order, so reading it
+            // as the heap changes no result. The arm exists only because
+            // `benchmark/inputs/*.json` still name it; delete it when the
+            // next benchmark change re-pins them to "Heap".
+            Value::Str(s) if s == "Adaptive" => Ok(BackendKind::Heap),
+            _ => Err(Error::custom(format!(
+                "no variant of BackendKind matches {v:?} (expected \"Heap\" or \"Ladder\")"
+            ))),
         }
     }
 }
@@ -85,7 +78,7 @@ impl BackendKind {
 /// reproducibility: swapping backends must never change simulation
 /// results, only wall-clock performance.
 pub trait QueueBackend<E>: Default {
-    /// Short human-readable backend name ("heap", "calendar", "adaptive").
+    /// Short human-readable backend name ("heap", "ladder").
     const NAME: &'static str;
 
     /// Enqueues `event` for delivery at `time`.
@@ -138,34 +131,6 @@ impl<E> QueueBackend<E> for EventQueue<E> {
     }
 }
 
-impl<E> QueueBackend<E> for CalendarQueue<E> {
-    const NAME: &'static str = "calendar";
-
-    #[inline]
-    fn push(&mut self, time: SimTime, event: E) {
-        CalendarQueue::push(self, time, event);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-
-    fn clear(&mut self) {
-        CalendarQueue::clear(self);
-    }
-}
-
 impl<E> QueueBackend<E> for LadderQueue<E> {
     const NAME: &'static str = "ladder";
 
@@ -194,278 +159,22 @@ impl<E> QueueBackend<E> for LadderQueue<E> {
     }
 }
 
-/// Population threshold above which [`AdaptiveQueue`] migrates from the
-/// binary heap to the calendar queue.
-///
-/// Deliberately conservative: on *pure* hold traffic the calendar already
-/// wins near population ~100 (`kernel_bench`), but real experiment cells
-/// interleave holds with bursts and deadline peeks where the heap's
-/// constants win until the population is well into the thousands. The
-/// recorded `BENCH_kernel.json` grid timings are what set this value.
-pub const DEFAULT_SWITCH_UP: usize = 2048;
-
-/// Population threshold below which [`AdaptiveQueue`] migrates back from
-/// the calendar queue to the binary heap. Kept well under
-/// [`DEFAULT_SWITCH_UP`] so a population oscillating around one threshold
-/// cannot thrash migrations.
-pub const DEFAULT_SWITCH_DOWN: usize = 512;
-
-#[derive(Debug)]
-enum Inner<E> {
-    Heap(EventQueue<E>),
-    // Boxed so the enum (and the Simulation embedding it) stays as small
-    // as the bare heap: the calendar's ~12-word struct would otherwise
-    // ride along in every small-population simulation's cache footprint.
-    Calendar(Box<CalendarQueue<E>>),
-}
-
-/// The default [`Simulation`](crate::Simulation) backend: starts on the
-/// binary heap and migrates to a calendar queue once the standing event
-/// population crosses a threshold (and back down under a lower one —
-/// hysteresis prevents thrashing).
-///
-/// Migration drains the old structure in `(time, seq)` order into the new
-/// one, so FIFO tie-breaking — and therefore the exact event ordering —
-/// is preserved across the switch.
-///
-/// ```
-/// use asyncinv_simcore::{AdaptiveQueue, QueueBackend, SimTime};
-///
-/// let mut q = AdaptiveQueue::new();
-/// q.push(SimTime::from_micros(5), "b");
-/// q.push(SimTime::from_micros(1), "a");
-/// assert_eq!(q.pop().unwrap().1, "a");
-/// ```
-#[derive(Debug)]
-pub struct AdaptiveQueue<E> {
-    inner: Inner<E>,
-    switch_up: usize,
-    switch_down: usize,
-    migrations: u64,
-}
-
-impl<E> AdaptiveQueue<E> {
-    /// Creates an empty queue with the default migration thresholds.
-    pub fn new() -> Self {
-        AdaptiveQueue::with_thresholds(DEFAULT_SWITCH_UP, DEFAULT_SWITCH_DOWN)
-    }
-
-    /// Creates an empty queue with custom migration thresholds: migrate to
-    /// the calendar when the population exceeds `switch_up`, back to the
-    /// heap when it falls below `switch_down`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `switch_down < switch_up` (the hysteresis gap must be
-    /// non-empty, or migrations could thrash every operation).
-    pub fn with_thresholds(switch_up: usize, switch_down: usize) -> Self {
-        assert!(
-            switch_down < switch_up,
-            "adaptive thresholds must leave a hysteresis gap: down={switch_down}, up={switch_up}"
-        );
-        AdaptiveQueue {
-            inner: Inner::Heap(EventQueue::new()),
-            switch_up,
-            switch_down,
-            migrations: 0,
-        }
-    }
-
-    /// Which shape currently backs the queue: `"heap"` or `"calendar"`.
-    pub fn active_backend(&self) -> &'static str {
-        match &self.inner {
-            Inner::Heap(_) => "heap",
-            Inner::Calendar(_) => "calendar",
-        }
-    }
-
-    /// How many heap↔calendar migrations have happened so far.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Drains the current structure in (time, seq) order into the other
-    /// shape. Re-inserting in pop order assigns fresh increasing sequence
-    /// numbers, so FIFO tie-breaking is preserved exactly.
-    #[cold]
-    #[inline(never)]
-    fn migrate(&mut self) {
-        self.migrations += 1;
-        match &mut self.inner {
-            Inner::Heap(heap) => {
-                let mut cal = Box::new(CalendarQueue::new());
-                while let Some((t, e)) = heap.pop() {
-                    cal.push(t, e);
-                }
-                self.inner = Inner::Calendar(cal);
-            }
-            Inner::Calendar(cal) => {
-                let mut heap = EventQueue::with_capacity(cal.len());
-                while let Some((t, e)) = cal.pop() {
-                    heap.push(t, e);
-                }
-                self.inner = Inner::Heap(heap);
-            }
-        }
-    }
-
-    /// Enqueues `event` for delivery at `time`, migrating heap → calendar
-    /// when the population crosses the upper threshold.
-    #[inline]
-    pub fn push(&mut self, time: SimTime, event: E) {
-        match &mut self.inner {
-            Inner::Heap(q) => {
-                q.push(time, event);
-                if q.len() > self.switch_up {
-                    self.migrate();
-                }
-            }
-            Inner::Calendar(q) => q.push(time, event),
-        }
-    }
-
-    /// Removes and returns the earliest event, migrating calendar → heap
-    /// when the population falls under the lower threshold.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.inner {
-            Inner::Heap(q) => q.pop(),
-            Inner::Calendar(q) => {
-                let out = q.pop();
-                if q.len() < self.switch_down {
-                    self.migrate();
-                }
-                out
-            }
-        }
-    }
-
-    /// The timestamp of the earliest pending event, if any. O(1).
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Heap(q) => q.peek_time(),
-            Inner::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(q) => q.len(),
-            Inner::Calendar(q) => q.len(),
-        }
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events and falls back to the heap shape.
-    pub fn clear(&mut self) {
-        self.inner = Inner::Heap(EventQueue::new());
-    }
-}
-
-impl<E> Default for AdaptiveQueue<E> {
-    fn default() -> Self {
-        AdaptiveQueue::new()
-    }
-}
-
-impl<E> QueueBackend<E> for AdaptiveQueue<E> {
-    const NAME: &'static str = "adaptive";
-
-    #[inline]
-    fn push(&mut self, time: SimTime, event: E) {
-        AdaptiveQueue::push(self, time, event);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        AdaptiveQueue::pop(self)
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        AdaptiveQueue::peek_time(self)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        AdaptiveQueue::len(self)
-    }
-
-    fn clear(&mut self) {
-        AdaptiveQueue::clear(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn adaptive_orders_like_heap_across_migrations() {
-        // Tight thresholds force both migrations inside a modest schedule.
-        let mut adaptive = AdaptiveQueue::with_thresholds(32, 8);
-        let mut heap = EventQueue::new();
-        let push = |a: &mut AdaptiveQueue<u64>, h: &mut EventQueue<u64>, t: u64, v: u64| {
-            a.push(SimTime::from_nanos(t), v);
-            h.push(SimTime::from_nanos(t), v);
-        };
-        // Grow far past the upper threshold with colliding timestamps.
-        for i in 0..100u64 {
-            push(&mut adaptive, &mut heap, (i * 37) % 40, i);
-        }
-        assert_eq!(adaptive.active_backend(), "calendar");
-        // Drain below the lower threshold, interleaving pushes.
-        for i in 100..120u64 {
-            assert_eq!(adaptive.pop(), heap.pop());
-            assert_eq!(adaptive.peek_time(), heap.peek_time());
-            push(&mut adaptive, &mut heap, (i * 37) % 40 + 50, i);
-        }
-        while let Some(got) = adaptive.pop() {
-            assert_eq!(Some(got), heap.pop());
-        }
-        assert!(heap.pop().is_none());
-        assert_eq!(adaptive.active_backend(), "heap");
-        assert!(adaptive.migrations() >= 2);
-    }
-
-    #[test]
-    fn hysteresis_gap_is_enforced() {
-        let r = std::panic::catch_unwind(|| AdaptiveQueue::<()>::with_thresholds(8, 8));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn clear_resets_to_heap() {
-        let mut q = AdaptiveQueue::with_thresholds(4, 1);
-        for i in 0..10u64 {
-            q.push(SimTime::from_nanos(i), i);
-        }
-        assert_eq!(q.active_backend(), "calendar");
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.active_backend(), "heap");
-        assert_eq!(q.peek_time(), None);
-    }
 
     #[test]
     fn backend_trait_is_object_safe_enough_for_generics() {
         fn drain<Q: QueueBackend<u32>>(mut q: Q) -> Vec<u32> {
             q.push(SimTime::from_nanos(2), 2);
             q.push(SimTime::from_nanos(1), 1);
-            std::iter::from_fn(move || q.pop()).map(|(_, e)| e).collect()
+            std::iter::from_fn(move || q.pop())
+                .map(|(_, e)| e)
+                .collect()
         }
         assert_eq!(drain(EventQueue::new()), [1, 2]);
-        assert_eq!(drain(CalendarQueue::new()), [1, 2]);
-        assert_eq!(drain(AdaptiveQueue::new()), [1, 2]);
+        assert_eq!(drain(LadderQueue::new()), [1, 2]);
         assert_eq!(<EventQueue<u32> as QueueBackend<u32>>::NAME, "heap");
-        assert_eq!(<CalendarQueue<u32> as QueueBackend<u32>>::NAME, "calendar");
-        assert_eq!(<AdaptiveQueue<u32> as QueueBackend<u32>>::NAME, "adaptive");
+        assert_eq!(<LadderQueue<u32> as QueueBackend<u32>>::NAME, "ladder");
     }
 }

@@ -1,10 +1,11 @@
 //! Ladder queue: a multi-tier bucket queue for very large event
 //! populations (Tang, Goh & Thng, ACM TOMACS 2005).
 //!
-//! The calendar queue keeps every future event in per-day buckets that it
-//! must keep *sorted on insert*, which collapses once tens of thousands
-//! of events share the active window (`BENCH_kernel.json` hold rows). The
-//! ladder instead defers all sorting until events are about to be popped:
+//! A binary heap pays O(log n) per hold, and a calendar queue keeps every
+//! future event in per-day buckets that it must keep *sorted on insert*,
+//! which collapses once tens of thousands of events share the active
+//! window. The ladder instead defers all sorting until events are about
+//! to be popped:
 //!
 //! * **Top** — an unsorted append-only spill area for far-future events.
 //!   Pushes are O(1).

@@ -9,11 +9,14 @@
 //! The kernel is deliberately small and dependency-free:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`EventQueue`] / [`CalendarQueue`] / [`AdaptiveQueue`] — stable
-//!   priority queues of timestamped events (ties broken by insertion order
-//!   so runs are reproducible), unified by the [`QueueBackend`] trait.
+//! * [`EventQueue`] / [`LadderQueue`] — stable priority queues of
+//!   timestamped events (ties broken by insertion order so runs are
+//!   reproducible), unified by the [`QueueBackend`] trait and named in
+//!   configs by [`BackendKind`]. The binary heap is the default; the
+//!   ladder is the opt-in for standing populations in the tens of
+//!   thousands.
 //! * [`Simulation`] — clock + pluggable queue backend + scheduling API;
-//!   defaults to the adaptive backend.
+//!   defaults to the binary heap.
 //! * [`SimRng`] — a seedable xoshiro256++ PRNG so experiments are
 //!   deterministic without depending on platform entropy.
 //!
@@ -41,9 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod arena;
 mod backend;
-mod calendar;
 mod ladder;
 mod queue;
 mod rng;
@@ -51,14 +52,10 @@ mod sim;
 mod threads;
 mod time;
 
-pub use arena::{Arena, ArenaIdx, ReqSlot, ReqTable};
-pub use backend::{
-    AdaptiveQueue, BackendKind, QueueBackend, DEFAULT_SWITCH_DOWN, DEFAULT_SWITCH_UP,
-};
-pub use calendar::CalendarQueue;
+pub use backend::{BackendKind, QueueBackend};
 pub use ladder::LadderQueue;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sim::{CalendarSimulation, HeapSimulation, LadderSimulation, Simulation};
+pub use sim::{LadderSimulation, Simulation};
 pub use threads::{configured_threads, THREADS_ENV};
 pub use time::{SimDuration, SimTime};

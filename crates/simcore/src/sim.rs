@@ -2,8 +2,7 @@
 
 use std::marker::PhantomData;
 
-use crate::backend::{AdaptiveQueue, QueueBackend};
-use crate::calendar::CalendarQueue;
+use crate::backend::QueueBackend;
 use crate::ladder::LadderQueue;
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -17,12 +16,10 @@ use crate::time::{SimDuration, SimTime};
 /// the queue and the model.
 ///
 /// The queue shape is a type parameter implementing [`QueueBackend`]; the
-/// default is [`AdaptiveQueue`], which starts on the binary heap and
-/// migrates to a calendar queue under large standing populations. Every
-/// backend delivers the exact same event ordering (stable FIFO on equal
-/// timestamps), so the choice affects wall-clock speed only — use
-/// [`HeapSimulation`] / [`CalendarSimulation`] to pin a shape, e.g. for
-/// benchmarking.
+/// default is the binary heap ([`EventQueue`]). Both backends deliver the
+/// exact same event ordering (stable FIFO on equal timestamps), so the
+/// choice affects wall-clock speed only — use [`LadderSimulation`] for
+/// standing populations in the tens of thousands.
 ///
 /// ```
 /// use asyncinv_simcore::{Simulation, SimDuration};
@@ -38,7 +35,7 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(sim.now().as_micros(), 4);
 /// ```
 #[derive(Debug)]
-pub struct Simulation<E, Q = AdaptiveQueue<E>>
+pub struct Simulation<E, Q = EventQueue<E>>
 where
     Q: QueueBackend<E>,
 {
@@ -48,25 +45,19 @@ where
     _events: PhantomData<fn() -> E>,
 }
 
-/// A [`Simulation`] pinned to the binary-heap backend.
-pub type HeapSimulation<E> = Simulation<E, EventQueue<E>>;
-
-/// A [`Simulation`] pinned to the calendar-queue backend.
-pub type CalendarSimulation<E> = Simulation<E, CalendarQueue<E>>;
-
 /// A [`Simulation`] pinned to the ladder-queue backend.
 pub type LadderSimulation<E> = Simulation<E, LadderQueue<E>>;
 
 impl<E> Simulation<E> {
     /// Creates a simulation with the clock at [`SimTime::ZERO`] and the
-    /// default adaptive queue backend.
+    /// default binary-heap queue backend.
     ///
     /// (Like `HashMap::new`, this constructor is defined only for the
     /// default backend so plain `Simulation::new()` infers; use
     /// [`Simulation::with_backend`] or `Q::default()` via
     /// [`Default::default`] to pick another shape.)
     pub fn new() -> Self {
-        Simulation::with_backend(AdaptiveQueue::new())
+        Simulation::with_backend(EventQueue::new())
     }
 }
 
@@ -82,7 +73,7 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
         }
     }
 
-    /// The backend's short name ("heap", "calendar", "adaptive").
+    /// The backend's short name ("heap", "ladder").
     pub fn backend_name(&self) -> &'static str {
         Q::NAME
     }
@@ -261,17 +252,9 @@ mod tests {
             }
             out
         }
-        let heap = run(HeapSimulation::default());
-        let cal = run(CalendarSimulation::default());
         let ladder = run(LadderSimulation::default());
-        let adaptive = run(Simulation::new());
-        assert_eq!(heap, cal);
-        assert_eq!(heap, ladder);
-        assert_eq!(heap, adaptive);
-        assert_eq!(
-            HeapSimulation::<u32>::default().backend_name(),
-            "heap"
-        );
-        assert_eq!(Simulation::<u32>::new().backend_name(), "adaptive");
+        assert_eq!(run(Simulation::new()), ladder);
+        assert_eq!(Simulation::<u32>::new().backend_name(), "heap");
+        assert_eq!(LadderSimulation::<u32>::default().backend_name(), "ladder");
     }
 }

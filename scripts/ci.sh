@@ -17,6 +17,14 @@ cargo test -q
 echo "== gate: detlint (determinism + coverage + counter conservation) =="
 cargo run --release -p detlint -- check --json results/detlint-report.json
 
+echo "== gate: clippy mirror (deny-level disallowed methods/types: the determinism rules) =="
+cargo clippy -q --workspace --all-targets
+
+# `--workspace`: a bare `cargo bench` builds only the root package, whose
+# benches are not the Criterion targets under crates/bench/benches.
+echo "== gate: benches compile (Criterion targets) =="
+cargo bench --no-run --workspace
+
 echo "== gate: schedule explorer (enumerated + shuffled interleavings, bitwise) =="
 cargo run --release -p asyncinv-bench --bin schedule_explorer -- --quick
 

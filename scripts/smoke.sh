@@ -96,7 +96,7 @@ tail -n 1 "$obs_dir/benchmark.out" | grep -q '^{"correct":true,' \
     || { echo "benchmark goldens: cells failed (see above)"; exit 1; }
 
 echo "== benches compile =="
-cargo bench --no-run
+cargo bench --no-run --workspace
 
 # Opt-in sanitizer lanes: SMOKE_SANITIZERS=1 scripts/smoke.sh. They need
 # the nightly toolchain and add minutes of build time, so they are not

@@ -8,8 +8,9 @@
 //! its input-order slot regardless of worker scheduling.
 
 use asyncinv::figures::Fidelity;
+use asyncinv::rubbos::RubbosExperiment;
 use asyncinv::runner::{parallel_map, run_cells};
-use asyncinv::{BackendKind, Experiment, ServerKind};
+use asyncinv::{BackendKind, Experiment, ServerKind, SimDuration};
 
 /// A small but heterogeneous grid: different server models, sizes, and
 /// concurrencies, so cells finish at different times and worker
@@ -66,7 +67,7 @@ fn parallel_map_handles_unbalanced_work() {
     assert_eq!(parallel_map(&items, 8, f), parallel_map(&items, 1, f));
 }
 
-/// Every queue backend must yield the *same* full `RunSummary` for the same
+/// Both queue backends must yield the *same* full `RunSummary` for the same
 /// experiment cell: the kernel swap is a pure performance change. This is
 /// the end-to-end counterpart of the pop-ordering property test in
 /// `tests/prop_simcore.rs`.
@@ -92,5 +93,30 @@ fn run_summaries_identical_across_backends() {
                 backend.name()
             );
         }
+    }
+}
+
+/// The RUBBoS engine dispatches its own drive loop on the backend: at
+/// 1,500 users both backends must give the same summary and the same
+/// registry counters.
+#[test]
+fn rubbos_runs_identical_across_backends() {
+    for kind in [ServerKind::SyncThread, ServerKind::AsyncPool] {
+        let runs = BackendKind::ALL.map(|backend| {
+            let mut exp = RubbosExperiment::new(1500);
+            exp.warmup = SimDuration::from_secs(2);
+            exp.measure = SimDuration::from_secs(4);
+            exp.backend = backend;
+            let (summary, rec) = exp.run_traced(kind, 1 << 10);
+            let counters: Vec<(String, u64)> = rec
+                .registry()
+                .counters()
+                .map(|(name, v)| (name.to_string(), v))
+                .collect();
+            (summary, counters)
+        });
+        assert!(runs[0].0.completions > 0, "{kind:?}: no completions");
+        assert!(!runs[0].1.is_empty(), "{kind:?}: no counters");
+        assert_eq!(runs[0], runs[1], "{kind:?}: RUBBoS diverged across backends");
     }
 }
