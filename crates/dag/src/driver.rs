@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use asyncinv_fleet::{mix64, Cluster, FleetSummary, HedgeEstimator, ParallelCluster};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
-use asyncinv_simcore::{LadderSimulation, SimDuration, SimRng, SimTime};
+use asyncinv_simcore::{LaneQueue, SimDuration, SimRng, SimTime, Simulation};
 use asyncinv_workload::{RetryBudget, RetryPolicy};
 
 use crate::calibrate::{calibrate_tier, FleetDriver, TierProfile, LATTICE};
@@ -40,7 +40,10 @@ pub struct DagOutcome {
     /// fleet ran verbatim, and this is bit-identical to what the bare
     /// fleet driver reports.
     pub fleet: Option<FleetSummary>,
-    /// One span per root request (composed graphs only).
+    /// One span per root request, for composed graphs run with an
+    /// enabled observer ([`DagRun::run_traced`], or
+    /// [`DagRun::run_observed`] with e.g. a `Recorder`). Empty for
+    /// [`DagRun::run`] and for trivial graphs.
     pub spans: Vec<DagSpan>,
     /// Per-tier calibration profiles (composed graphs only).
     pub profiles: Vec<TierProfile>,
@@ -72,7 +75,10 @@ impl DagRun {
         &self.graph
     }
 
-    /// Runs without observation.
+    /// Runs without observation. A composed graph builds no spans on
+    /// this path (`spans` is empty); use [`DagRun::run_traced`] or
+    /// [`DagRun::run_observed`] for them. The summary is the one an
+    /// observed run reports.
     pub fn run(&self) -> DagOutcome {
         let mut obs = NoopObserver;
         self.run_observed(&mut obs)
@@ -94,7 +100,8 @@ impl DagRun {
     /// straight to the fleet driver (the observer sees the identical
     /// event stream a bare fleet run would produce, and no DAG kinds);
     /// a composed graph calibrates every tier and drives the DAG
-    /// simulation.
+    /// simulation, and builds one span per root request when the
+    /// observer is enabled.
     pub fn run_observed(&self, obs: &mut dyn Observer) -> DagOutcome {
         if self.graph.is_trivial() {
             return self.run_trivial(obs);
@@ -170,32 +177,58 @@ enum DagEvent {
     SlowEnd(u32),
 }
 
-/// Caller-side state of one out-edge of one call instance.
+/// An optional instant in 8 bytes: `u64::MAX` nanoseconds means unset
+/// (no run reaches it).
+#[derive(Debug, Clone, Copy)]
+struct Stamp(u64);
+
+impl Stamp {
+    const NONE: Stamp = Stamp(u64::MAX);
+
+    fn at(t: SimTime) -> Self {
+        Stamp(t.as_nanos())
+    }
+
+    fn get(self) -> Option<SimTime> {
+        (self.0 != u64::MAX).then_some(SimTime::from_nanos(self.0))
+    }
+
+    fn is_set(self) -> bool {
+        self.0 != u64::MAX
+    }
+}
+
+/// Sentinel for "no call instance" in `u32` instance links.
+const NO_INST: u32 = u32::MAX;
+
+/// Caller-side state of one out-edge of one call instance. The engine
+/// keeps every instance's controls in one vector; an instance's slot `s`
+/// lives at `out + s`.
 #[derive(Debug)]
 struct EdgeCtl {
     /// Edge index into the graph.
-    edge: usize,
+    edge: u32,
     /// Dispatch generations so far (initial + retries; hedges excluded).
     attempts: u32,
+    /// The winning instance ([`NO_INST`] until the edge joins).
+    winner: u32,
     /// A hedge duplicate has been fired for this edge call.
     hedged: bool,
     /// When the first generation was dispatched (edge-RTT baseline).
     first_dispatch: SimTime,
     /// When the edge joined, if it has.
-    joined_at: Option<SimTime>,
-    /// The winning instance.
-    winner: Option<u32>,
+    joined_at: Stamp,
 }
 
 impl EdgeCtl {
     fn new(edge: usize) -> Self {
         EdgeCtl {
-            edge,
+            edge: edge as u32,
             attempts: 0,
+            winner: NO_INST,
             hedged: false,
             first_dispatch: SimTime::ZERO,
-            joined_at: None,
-            winner: None,
+            joined_at: Stamp::NONE,
         }
     }
 }
@@ -204,54 +237,64 @@ impl EdgeCtl {
 #[derive(Debug)]
 struct Inst {
     req: u64,
-    node: usize,
-    /// Inbound edge index ([`EDGE_ROOT`] for the root call).
-    edge: u64,
+    dispatch: SimTime,
+    enter: Stamp,
+    exit: Stamp,
+    done: Stamp,
+    reply: Stamp,
+    death: Stamp,
+    node: u32,
+    /// Inbound edge index (`u32::MAX`, i.e. [`EDGE_ROOT`], for the root
+    /// call).
+    edge: u32,
     attempt: u32,
-    hedge: bool,
-    /// `(parent instance, out-edge slot)`; `None` for the root call.
-    parent: Option<(u32, u32)>,
-    dead: bool,
-    won: bool,
+    /// Calling instance ([`NO_INST`] for the root call) and the out-edge
+    /// slot this call serves there.
+    parent: u32,
+    slot: u32,
+    /// Index of this call's first out-edge control (set at local
+    /// service completion of a non-leaf call).
+    out: u32,
     /// Out-edges not yet joined (meaningful after local service).
     pending: u32,
-    out: Vec<EdgeCtl>,
-    dispatch: SimTime,
-    enter: Option<SimTime>,
-    exit: Option<SimTime>,
-    done: Option<SimTime>,
-    reply: Option<SimTime>,
-    death: Option<SimTime>,
+    hedge: bool,
+    dead: bool,
+    won: bool,
 }
 
 impl Inst {
     fn new(
         req: u64,
         node: usize,
-        edge: u64,
+        edge: u32,
         attempt: u32,
         hedge: bool,
-        parent: Option<(u32, u32)>,
+        (parent, slot): (u32, u32),
         dispatch: SimTime,
     ) -> Self {
         Inst {
             req,
-            node,
+            dispatch,
+            enter: Stamp::NONE,
+            exit: Stamp::NONE,
+            done: Stamp::NONE,
+            reply: Stamp::NONE,
+            death: Stamp::NONE,
+            node: node as u32,
             edge,
             attempt,
-            hedge,
             parent,
+            slot,
+            out: 0,
+            pending: 0,
+            hedge,
             dead: false,
             won: false,
-            pending: 0,
-            out: Vec::new(),
-            dispatch,
-            enter: None,
-            exit: None,
-            done: None,
-            reply: None,
-            death: None,
         }
+    }
+
+    fn is_root(&self) -> bool {
+        self.parent == NO_INST
     }
 }
 
@@ -278,13 +321,18 @@ struct Engine<'a> {
     profiles: &'a [TierProfile],
     obs: &'a mut dyn Observer,
     enabled: bool,
-    /// The ladder, not the default heap: retry-storm graphs, whose
-    /// timeouts and retries pile up far-future events, ran 12–13% faster
-    /// on it.
-    sim: LadderSimulation<DagEvent>,
+    /// Edge deliveries, replies and edge timeouts sit at one of the
+    /// graph's fixed per-edge delays, so each goes down its delay's FIFO
+    /// lane; service completions, root arrivals, hedge fires and brownout
+    /// marks go to the heap.
+    sim: Simulation<DagEvent, LaneQueue<DagEvent>>,
+    /// Per edge: the lane of its latency and the lane of its timeout.
+    edge_lanes: Vec<(usize, usize)>,
     rng: SimRng,
     stations: Vec<TierStation>,
     insts: Vec<Inst>,
+    /// Every call's out-edge controls (see [`EdgeCtl`]).
+    ctls: Vec<EdgeCtl>,
     roots: Vec<u32>,
     counters: Vec<TierCounters>,
     budgets: Vec<RetryBudget>,
@@ -325,6 +373,24 @@ impl<'a> Engine<'a> {
             .collect();
         let estimators = g.edges.iter().map(|_| HedgeEstimator::new()).collect();
         let enabled = obs.is_enabled();
+        // One lane per distinct edge latency or timeout.
+        let mut delays: Vec<SimDuration> = g
+            .edges
+            .iter()
+            .flat_map(|e| [e.latency, e.timeout])
+            .collect();
+        delays.sort_unstable();
+        delays.dedup();
+        let lane = |d: SimDuration| {
+            delays
+                .binary_search(&d)
+                .expect("every edge delay has a lane")
+        };
+        let edge_lanes = g
+            .edges
+            .iter()
+            .map(|e| (lane(e.latency), lane(e.timeout)))
+            .collect();
         Engine {
             out_edges: g.out_edges(),
             counters: vec![TierCounters::default(); g.tiers.len()],
@@ -333,9 +399,11 @@ impl<'a> Engine<'a> {
             estimators,
             obs,
             enabled,
-            sim: LadderSimulation::default(),
+            sim: Simulation::with_backend(LaneQueue::new(&delays)),
+            edge_lanes,
             rng: SimRng::new(g.seed),
             insts: Vec::new(),
+            ctls: Vec::new(),
             roots: Vec::new(),
             arrivals: 0,
             requests: 0,
@@ -420,8 +488,15 @@ impl<'a> Engine<'a> {
         }
         let req = self.arrivals - 1;
         let id = self.insts.len() as u32;
-        self.insts
-            .push(Inst::new(req, 0, EDGE_ROOT, 0, false, None, now));
+        self.insts.push(Inst::new(
+            req,
+            0,
+            EDGE_ROOT as u32,
+            0,
+            false,
+            (NO_INST, 0),
+            now,
+        ));
         self.roots.push(id);
         self.emit(
             TraceEvent::new(now, TraceKind::RequestArrive)
@@ -439,7 +514,7 @@ impl<'a> Engine<'a> {
         let now = self.sim.now();
         let (node, req, edge, is_root) = {
             let i = &self.insts[id as usize];
-            (i.node, i.req, i.edge, i.parent.is_none())
+            (i.node as usize, i.req, u64::from(i.edge), i.is_root())
         };
         let st = &mut self.stations[node];
         if st.busy < st.slots {
@@ -447,7 +522,7 @@ impl<'a> Engine<'a> {
             self.start_service(id);
         } else if st.queue.len() < st.cap {
             st.queue.push_back(id);
-            self.insts[id as usize].enter = Some(now);
+            self.insts[id as usize].enter = Stamp::at(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::QueueEnter)
                     .conn(req as usize)
@@ -460,7 +535,7 @@ impl<'a> Engine<'a> {
             // its edge timeout fires — async invocation's silent failure.
             self.counters[node].sheds += 1;
             self.insts[id as usize].dead = true;
-            self.insts[id as usize].death = Some(now);
+            self.insts[id as usize].death = Stamp::at(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::Shed)
                     .conn(req as usize)
@@ -478,12 +553,12 @@ impl<'a> Engine<'a> {
         let now = self.sim.now();
         let (node, req, edge, fresh) = {
             let i = &self.insts[id as usize];
-            (i.node, i.req, i.edge, i.enter.is_none())
+            (i.node as usize, i.req, u64::from(i.edge), !i.enter.is_set())
         };
         if fresh {
             // A free slot served the arrival immediately: the queue
             // episode is zero-length but still balanced in the trace.
-            self.insts[id as usize].enter = Some(now);
+            self.insts[id as usize].enter = Stamp::at(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::QueueEnter)
                     .conn(req as usize)
@@ -492,7 +567,7 @@ impl<'a> Engine<'a> {
                     .arg(edge),
             );
         }
-        self.insts[id as usize].exit = Some(now);
+        self.insts[id as usize].exit = Stamp::at(now);
         self.emit(
             TraceEvent::new(now, TraceKind::QueueExit)
                 .conn(req as usize)
@@ -523,23 +598,27 @@ impl<'a> Engine<'a> {
 
     fn svc_done(&mut self, id: u32) {
         let now = self.sim.now();
-        let node = self.insts[id as usize].node;
+        let node = self.insts[id as usize].node as usize;
         self.counters[node].served += 1;
-        self.insts[id as usize].done = Some(now);
+        self.insts[id as usize].done = Stamp::at(now);
         let st = &mut self.stations[node];
         st.busy -= 1;
         if let Some(next) = st.queue.pop_front() {
             st.busy += 1;
             self.start_service(next);
         }
-        let outs = self.out_edges[node].clone();
-        if outs.is_empty() {
+        let fanout = self.out_edges[node].len();
+        if fanout == 0 {
             self.send_reply(id);
         } else {
-            self.insts[id as usize].pending = outs.len() as u32;
-            self.insts[id as usize].out = outs.iter().map(|&e| EdgeCtl::new(e)).collect();
-            for (slot, &e) in outs.iter().enumerate() {
-                self.budgets[e].deposit();
+            let out = self.ctls.len() as u32;
+            self.ctls
+                .extend(self.out_edges[node].iter().map(|&e| EdgeCtl::new(e)));
+            let inst = &mut self.insts[id as usize];
+            inst.pending = fanout as u32;
+            inst.out = out;
+            for slot in 0..fanout {
+                self.budgets[self.out_edges[node][slot]].deposit();
                 self.dispatch_child(id, slot, 0, false);
             }
         }
@@ -549,24 +628,26 @@ impl<'a> Engine<'a> {
     /// duplicates all flow through here.
     fn dispatch_child(&mut self, parent: u32, slot: usize, attempt: u32, hedge: bool) {
         let now = self.sim.now();
-        let (req, e_idx) = {
+        let (req, c) = {
             let p = &self.insts[parent as usize];
-            (p.req, p.out[slot].edge)
+            (p.req, p.out as usize + slot)
         };
+        let e_idx = self.ctls[c].edge as usize;
         let e = &self.g.edges[e_idx];
-        let (to, latency, timeout, hcfg) = (e.to, e.latency, e.timeout, e.hedge);
+        let (to, hcfg) = (e.to, e.hedge);
+        let (latency_lane, timeout_lane) = self.edge_lanes[e_idx];
         let id = self.insts.len() as u32;
         self.insts.push(Inst::new(
             req,
             to,
-            e_idx as u64,
+            e_idx as u32,
             attempt,
             hedge,
-            Some((parent, slot as u32)),
+            (parent, slot as u32),
             now,
         ));
         {
-            let ctl = &mut self.insts[parent as usize].out[slot];
+            let ctl = &mut self.ctls[c];
             if attempt == 0 && !hedge {
                 ctl.first_dispatch = now;
             }
@@ -582,10 +663,11 @@ impl<'a> Engine<'a> {
                 .class(id as usize)
                 .arg(e_idx as u64),
         );
-        self.sim.schedule(latency, DagEvent::NodeArrive(id));
+        self.sim
+            .schedule_lane(latency_lane, DagEvent::NodeArrive(id));
         if !hedge {
-            self.sim.schedule(
-                timeout,
+            self.sim.schedule_lane(
+                timeout_lane,
                 DagEvent::EdgeTimeout {
                     parent,
                     slot: slot as u32,
@@ -593,7 +675,7 @@ impl<'a> Engine<'a> {
                 },
             );
             if let Some(h) = hcfg {
-                if !self.insts[parent as usize].out[slot].hedged {
+                if !self.ctls[c].hedged {
                     let delay = self.estimators[e_idx].delay(&h);
                     self.sim.schedule(
                         delay,
@@ -615,12 +697,12 @@ impl<'a> Engine<'a> {
             if p.dead {
                 return;
             }
-            let ctl = &p.out[slot];
+            let ctl = &self.ctls[p.out as usize + slot];
             // Joined, or a newer generation owns the edge: stale timer.
-            if ctl.joined_at.is_some() || ctl.attempts != attempt + 1 {
+            if ctl.joined_at.is_set() || ctl.attempts != attempt + 1 {
                 return;
             }
-            (p.req, p.node, ctl.edge)
+            (p.req, p.node as usize, ctl.edge as usize)
         };
         let now = self.sim.now();
         self.counters[pnode].edge_timeouts += 1;
@@ -646,19 +728,20 @@ impl<'a> Engine<'a> {
     }
 
     fn hedge_fire(&mut self, parent: u32, slot: usize, attempt: u32, delay_ns: u64) {
-        let (req, pnode) = {
+        let (req, pnode, c) = {
             let p = &self.insts[parent as usize];
             if p.dead {
                 return;
             }
-            let ctl = &p.out[slot];
-            if ctl.joined_at.is_some() || ctl.attempts != attempt + 1 || ctl.hedged {
+            let c = p.out as usize + slot;
+            let ctl = &self.ctls[c];
+            if ctl.joined_at.is_set() || ctl.attempts != attempt + 1 || ctl.hedged {
                 return;
             }
-            (p.req, p.node)
+            (p.req, p.node as usize, c)
         };
         let now = self.sim.now();
-        self.insts[parent as usize].out[slot].hedged = true;
+        self.ctls[c].hedged = true;
         self.counters[pnode].hedges += 1;
         self.emit(
             TraceEvent::new(now, TraceKind::Hedge)
@@ -676,10 +759,10 @@ impl<'a> Engine<'a> {
         let now = self.sim.now();
         let (node, is_root) = {
             let i = &self.insts[id as usize];
-            (i.node, i.parent.is_none())
+            (i.node as usize, i.is_root())
         };
         self.insts[id as usize].dead = true;
-        self.insts[id as usize].death = Some(now);
+        self.insts[id as usize].death = Stamp::at(now);
         self.counters[node].failed_calls += 1;
         if is_root {
             self.root_abandon(id, attempts);
@@ -702,75 +785,68 @@ impl<'a> Engine<'a> {
 
     fn send_reply(&mut self, id: u32) {
         let now = self.sim.now();
-        let (node, req, edge, parent) = {
+        let (node, req, edge, is_root) = {
             let i = &self.insts[id as usize];
-            (i.node, i.req, i.edge, i.parent)
+            (i.node as usize, i.req, i.edge as usize, i.is_root())
         };
-        self.insts[id as usize].reply = Some(now);
+        self.insts[id as usize].reply = Stamp::at(now);
         self.counters[node].replies += 1;
-        match parent {
-            None => {
-                let rt = now.duration_since(self.insts[id as usize].dispatch);
-                self.emit(
-                    TraceEvent::new(now, TraceKind::Completion)
-                        .conn(req as usize)
-                        .thread(node)
-                        .arg(rt.as_nanos()),
-                );
-                if now >= self.warm_start && now < self.warm_end {
-                    self.completed += 1;
-                    self.rts.push(rt.as_nanos());
-                }
+        if is_root {
+            let rt = now.duration_since(self.insts[id as usize].dispatch);
+            self.emit(
+                TraceEvent::new(now, TraceKind::Completion)
+                    .conn(req as usize)
+                    .thread(node)
+                    .arg(rt.as_nanos()),
+            );
+            if now >= self.warm_start && now < self.warm_end {
+                self.completed += 1;
+                self.rts.push(rt.as_nanos());
             }
-            Some(_) => {
-                let latency = self.g.edges[edge as usize].latency;
-                self.sim.schedule(latency, DagEvent::Reply(id));
-            }
+        } else {
+            let (latency_lane, _) = self.edge_lanes[edge];
+            self.sim.schedule_lane(latency_lane, DagEvent::Reply(id));
         }
     }
 
     fn reply_at_caller(&mut self, child: u32) {
         let now = self.sim.now();
-        let (pid, slot) = {
+        let (pid, slot, cnode, creq, cattempt, chedge) = {
             let c = &self.insts[child as usize];
-            let (p, s) = c.parent.expect("root replies complete at the client");
-            (p, s as usize)
+            debug_assert!(!c.is_root(), "root replies complete at the client");
+            (c.parent, c.slot, c.node as usize, c.req, c.attempt, c.hedge)
         };
-        let (cnode, creq, cattempt, chedge) = {
-            let c = &self.insts[child as usize];
-            (c.node, c.req, c.attempt, c.hedge)
-        };
-        let fate = {
-            let p = &self.insts[pid as usize];
-            if p.dead {
-                ReplyFate::Orphan
-            } else {
-                let ctl = &p.out[slot];
-                match ctl.winner {
-                    None => ReplyFate::Join,
-                    Some(w) => {
-                        let w = &self.insts[w as usize];
-                        // The loser of a hedged pair is cancelled; any
-                        // other late reply (an older or newer retry
-                        // generation) is an orphan.
-                        if w.attempt == cattempt && w.hedge != chedge {
-                            ReplyFate::HedgeLoser
-                        } else {
-                            ReplyFate::Orphan
-                        }
+        let c = (self.insts[pid as usize].out + slot) as usize;
+        let fate = if self.insts[pid as usize].dead {
+            ReplyFate::Orphan
+        } else {
+            match self.ctls[c].winner {
+                NO_INST => ReplyFate::Join,
+                w => {
+                    let w = &self.insts[w as usize];
+                    // The loser of a hedged pair is cancelled; any other
+                    // late reply (an older or newer retry generation) is
+                    // an orphan.
+                    if w.attempt == cattempt && w.hedge != chedge {
+                        ReplyFate::HedgeLoser
+                    } else {
+                        ReplyFate::Orphan
                     }
                 }
             }
         };
         match fate {
             ReplyFate::Join => {
-                let (pnode, e_idx, first_dispatch) = {
+                let (e_idx, first_dispatch) = {
+                    let ctl = &mut self.ctls[c];
+                    ctl.joined_at = Stamp::at(now);
+                    ctl.winner = child;
+                    (ctl.edge as usize, ctl.first_dispatch)
+                };
+                let pnode = {
                     let p = &mut self.insts[pid as usize];
-                    let ctl = &mut p.out[slot];
-                    ctl.joined_at = Some(now);
-                    ctl.winner = Some(child);
                     p.pending -= 1;
-                    (p.node, p.out[slot].edge, p.out[slot].first_dispatch)
+                    p.node as usize
                 };
                 self.insts[child as usize].won = true;
                 self.counters[cnode].joins += 1;
@@ -787,7 +863,7 @@ impl<'a> Engine<'a> {
                 }
             }
             ReplyFate::HedgeLoser => {
-                let e_idx = self.insts[pid as usize].out[slot].edge;
+                let e_idx = self.ctls[c].edge;
                 self.counters[cnode].hedge_cancels += 1;
                 self.emit(
                     TraceEvent::new(now, TraceKind::HedgeCancel)
@@ -831,23 +907,43 @@ impl<'a> Engine<'a> {
             tier_names: self.g.tiers.iter().map(|t| t.name.clone()).collect(),
             per_tier: self.counters,
         };
-        let spans = build_spans(self.g, &self.insts, &self.roots);
+        // Spans are built only for an observer, as a fleet builds its
+        // span forest only from a traced run.
+        let spans = if self.enabled {
+            build_spans(
+                self.g,
+                &self.out_edges,
+                &self.insts,
+                &self.ctls,
+                &self.roots,
+            )
+        } else {
+            Vec::new()
+        };
         (summary, spans)
     }
 }
 
 /// Builds one span per root request from the driver's perfect linkage,
 /// including the critical-path phase decomposition (see [`DagSpan`]).
-fn build_spans(g: &ServiceGraph, insts: &[Inst], roots: &[u32]) -> Vec<DagSpan> {
+fn build_spans(
+    g: &ServiceGraph,
+    out_edges: &[Vec<usize>],
+    insts: &[Inst],
+    ctls: &[EdgeCtl],
+    roots: &[u32],
+) -> Vec<DagSpan> {
     let ntiers = g.tiers.len();
     let mut spans: Vec<DagSpan> = roots
         .iter()
         .map(|&rid| {
             let r = &insts[rid as usize];
-            let (end, status) = match r.reply {
+            let (end, status) = match r.reply.get() {
                 Some(t) => (t, DagSpanStatus::Completed),
                 None => (
-                    r.death.expect("a drained run leaves no unfinished root"),
+                    r.death
+                        .get()
+                        .expect("a drained run leaves no unfinished root"),
                     DagSpanStatus::Failed,
                 ),
             };
@@ -867,15 +963,15 @@ fn build_spans(g: &ServiceGraph, insts: &[Inst], roots: &[u32]) -> Vec<DagSpan> 
     for (id, i) in insts.iter().enumerate() {
         spans[i.req as usize].attempts.push(DagAttempt {
             inst: id as u32,
-            node: i.node,
-            edge: i.edge,
+            node: i.node as usize,
+            edge: u64::from(i.edge),
             attempt: i.attempt,
             hedge: i.hedge,
             dispatch: i.dispatch,
-            enter: i.enter,
-            exit: i.exit,
-            done: i.done,
-            reply: i.reply,
+            enter: i.enter.get(),
+            exit: i.exit.get(),
+            done: i.done.get(),
+            reply: i.reply.get(),
             won: i.won,
         });
     }
@@ -890,21 +986,22 @@ fn build_spans(g: &ServiceGraph, insts: &[Inst], roots: &[u32]) -> Vec<DagSpan> 
         let mut cur = roots[req];
         loop {
             let i = &insts[cur as usize];
-            let enter = i.enter.expect("critical-path calls are never shed");
-            let exit = i.exit.expect("critical-path calls started service");
-            let done = i.done.expect("critical-path calls finished service");
-            span.tier_queue_ns[i.node] += exit.duration_since(enter).as_nanos();
-            span.tier_service_ns[i.node] += done.duration_since(exit).as_nanos();
-            if i.out.is_empty() {
-                break;
-            }
-            let ctl = i
-                .out
+            let node = i.node as usize;
+            let enter = i.enter.get().expect("critical-path calls are never shed");
+            let exit = i.exit.get().expect("critical-path calls started service");
+            let done = i.done.get().expect("critical-path calls finished service");
+            span.tier_queue_ns[node] += exit.duration_since(enter).as_nanos();
+            span.tier_service_ns[node] += done.duration_since(exit).as_nanos();
+            let out = i.out as usize;
+            let Some(ctl) = ctls[out..out + out_edges[node].len()]
                 .iter()
-                .max_by_key(|c| c.joined_at.expect("a replied call joined every edge"))
-                .expect("non-leaf calls have out-edges");
-            let w = ctl.winner.expect("joined edges have a winner");
-            span.network_ns += 2 * g.edges[ctl.edge].latency.as_nanos();
+                .max_by_key(|c| c.joined_at.get().expect("a replied call joined every edge"))
+            else {
+                break;
+            };
+            let w = ctl.winner;
+            debug_assert_ne!(w, NO_INST, "joined edges have a winner");
+            span.network_ns += 2 * g.edges[ctl.edge as usize].latency.as_nanos();
             span.wait_ns += insts[w as usize].dispatch.duration_since(done).as_nanos();
             cur = w;
         }
@@ -954,8 +1051,8 @@ mod tests {
 
     #[test]
     fn spans_conserve_bitwise() {
-        let outcome = DagRun::new(small_graph(), FleetDriver::Interleaved).run();
-        assert!(!outcome.spans.is_empty());
+        let (outcome, _) = DagRun::new(small_graph(), FleetDriver::Interleaved).run_traced();
+        assert_eq!(outcome.spans.len() as u64, outcome.summary.arrivals);
         for s in &outcome.spans {
             assert!(s.conserves(), "span {} does not telescope", s.req);
         }

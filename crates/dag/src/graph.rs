@@ -309,6 +309,12 @@ impl ServiceGraph {
             if t.queue_cap == 0 {
                 return Err(format!("tier {i} ({}) has a zero queue", t.name));
             }
+            // Checked here rather than through every tier's derived fleet
+            // config (only tier 0's is built below): a zero-byte tier
+            // would validate, then panic in its calibration run.
+            if t.response_bytes == 0 {
+                return Err(format!("tier {i} ({}) has a zero response size", t.name));
+            }
         }
         let mut called = vec![false; self.tiers.len()];
         called[0] = true;

@@ -25,6 +25,12 @@
 //! retry storms and metastable collapse *emerge* from the composition;
 //! per-visit service costs are the measured ones.
 //!
+//! The composed simulation runs on a
+//! [`LaneQueue`](asyncinv_simcore::LaneQueue): edge deliveries, replies
+//! and edge timeouts sit at one of the graph's fixed per-edge delays and
+//! go down that delay's FIFO lane, everything else goes to a heap, and
+//! the pop order is the heap's exactly.
+//!
 //! Guarantees:
 //!
 //! - **Determinism** — same graph, same seed, same [`DagSummary`],
@@ -41,7 +47,9 @@
 //!   reconcile bitwise against the per-tier [`TierCounters`] via
 //!   [`dag_audit`], and every completed request's span decomposition
 //!   telescopes bitwise to its end-to-end response time
-//!   ([`dag_span_audit`]).
+//!   ([`dag_span_audit`]). Spans are built by observed runs only
+//!   ([`DagRun::run_traced`], or [`DagRun::run_observed`] with an
+//!   enabled observer); [`DagRun::run`] returns none.
 //!
 //! See `docs/dag.md` for the design discussion and
 //! `bench/bin/dag_study` for the headline artifact: write-spin

@@ -94,6 +94,7 @@ impl FleetConfig {
         }
         self.cell.tcp.validate()?;
         self.cell.retry.validate()?;
+        self.cell.clients.mix.validate()?;
         if let Some(shed) = &self.cell.shed {
             shed.validate()?;
         }

@@ -1,7 +1,8 @@
 //! Pluggable event-queue backends for [`Simulation`](crate::Simulation).
 //!
 //! The kernel's hot loop is "pop the earliest event, maybe push a few
-//! follow-ups". Two queue shapes implement it behind [`QueueBackend`]:
+//! follow-ups". Two queue shapes implement it behind [`QueueBackend`] and
+//! are named in configs by [`BackendKind`]:
 //!
 //! * the binary heap ([`EventQueue`](crate::EventQueue)), the default: the
 //!   best constants at the standing populations experiment cells hold
@@ -12,11 +13,16 @@
 //! No input-size rule separates the two on real cells, and a queue that
 //! picks a shape at run time pays its dispatch on every operation, so the
 //! ladder is an explicit opt-in ([`BackendKind::Ladder`], or the type
-//! parameter) rather than a runtime switch. Both deliver byte-identical
-//! event orderings; property tests in `tests/prop_simcore.rs` enforce
-//! this.
+//! parameter) rather than a runtime switch.
+//!
+//! A third backend, the lane queue ([`LaneQueue`](crate::LaneQueue)), is
+//! a heap plus one FIFO per fixed delay. Its lanes are declared by the
+//! model that owns the simulation, so it is a type parameter only, not a
+//! [`BackendKind`]. All three deliver byte-identical event orderings;
+//! property tests in `tests/prop_simcore.rs` enforce this.
 
 use crate::ladder::LadderQueue;
+use crate::lanes::LaneQueue;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -78,7 +84,7 @@ impl Deserialize for BackendKind {
 /// reproducibility: swapping backends must never change simulation
 /// results, only wall-clock performance.
 pub trait QueueBackend<E>: Default {
-    /// Short human-readable backend name ("heap", "ladder").
+    /// Short human-readable backend name ("heap", "ladder", "lanes").
     const NAME: &'static str;
 
     /// Enqueues `event` for delivery at `time`.
@@ -159,6 +165,37 @@ impl<E> QueueBackend<E> for LadderQueue<E> {
     }
 }
 
+/// The lane queue as a backend. It is not a [`BackendKind`]: its lanes
+/// are declared by the model that owns the simulation, and
+/// `Q::default()` gives a queue with no lanes (a plain heap).
+impl<E> QueueBackend<E> for LaneQueue<E> {
+    const NAME: &'static str = "lanes";
+
+    #[inline]
+    fn push(&mut self, time: SimTime, event: E) {
+        LaneQueue::push(self, time, event);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        LaneQueue::pop(self)
+    }
+
+    #[inline]
+    fn peek_time(&self) -> Option<SimTime> {
+        LaneQueue::peek_time(self)
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        LaneQueue::len(self)
+    }
+
+    fn clear(&mut self) {
+        LaneQueue::clear(self);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +211,9 @@ mod tests {
         }
         assert_eq!(drain(EventQueue::new()), [1, 2]);
         assert_eq!(drain(LadderQueue::new()), [1, 2]);
+        assert_eq!(drain(LaneQueue::default()), [1, 2]);
         assert_eq!(<EventQueue<u32> as QueueBackend<u32>>::NAME, "heap");
         assert_eq!(<LadderQueue<u32> as QueueBackend<u32>>::NAME, "ladder");
+        assert_eq!(<LaneQueue<u32> as QueueBackend<u32>>::NAME, "lanes");
     }
 }

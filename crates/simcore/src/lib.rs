@@ -15,8 +15,13 @@
 //!   configs by [`BackendKind`]. The binary heap is the default; the
 //!   ladder is the opt-in for standing populations in the tens of
 //!   thousands.
+//! * [`LaneQueue`] — a heap plus one FIFO lane per fixed delay, for
+//!   models whose events mostly sit at a few known delays (the service
+//!   graph engine's edge latencies and timeouts). It pops the heap's
+//!   exact order and is a type parameter, not a [`BackendKind`].
 //! * [`Simulation`] — clock + pluggable queue backend + scheduling API;
-//!   defaults to the binary heap.
+//!   defaults to the binary heap; [`Simulation::schedule_lane`] schedules
+//!   on a lane.
 //! * [`SimRng`] — a seedable xoshiro256++ PRNG so experiments are
 //!   deterministic without depending on platform entropy.
 //!
@@ -46,6 +51,7 @@
 
 mod backend;
 mod ladder;
+mod lanes;
 mod queue;
 mod rng;
 mod sim;
@@ -54,8 +60,9 @@ mod time;
 
 pub use backend::{BackendKind, QueueBackend};
 pub use ladder::LadderQueue;
+pub use lanes::LaneQueue;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sim::{LadderSimulation, Simulation};
+pub use sim::Simulation;
 pub use threads::{configured_threads, THREADS_ENV};
 pub use time::{SimDuration, SimTime};

@@ -28,11 +28,14 @@ pub struct EventQueue<E> {
     seq: u64,
 }
 
+/// A queued event with its delivery time and insertion sequence number.
+/// Its ordering is reversed so a `BinaryHeap` (a max-heap) pops the least
+/// `(time, seq)`; the lane queue shares it.
 #[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
+pub(crate) struct Entry<E> {
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) event: E,
 }
 
 impl<E> PartialEq for Entry<E> {

@@ -3,7 +3,7 @@
 use std::marker::PhantomData;
 
 use crate::backend::QueueBackend;
-use crate::ladder::LadderQueue;
+use crate::lanes::LaneQueue;
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
@@ -16,10 +16,13 @@ use crate::time::{SimDuration, SimTime};
 /// the queue and the model.
 ///
 /// The queue shape is a type parameter implementing [`QueueBackend`]; the
-/// default is the binary heap ([`EventQueue`]). Both backends deliver the
+/// default is the binary heap ([`EventQueue`]). Every backend delivers the
 /// exact same event ordering (stable FIFO on equal timestamps), so the
-/// choice affects wall-clock speed only — use [`LadderSimulation`] for
-/// standing populations in the tens of thousands.
+/// choice affects wall-clock speed only: the ladder
+/// ([`LadderQueue`](crate::LadderQueue)) suits standing populations in the
+/// tens of thousands, and the lane queue ([`LaneQueue`]) suits models
+/// whose events mostly sit at a few fixed delays
+/// ([`Simulation::schedule_lane`]).
 ///
 /// ```
 /// use asyncinv_simcore::{Simulation, SimDuration};
@@ -44,9 +47,6 @@ where
     processed: u64,
     _events: PhantomData<fn() -> E>,
 }
-
-/// A [`Simulation`] pinned to the ladder-queue backend.
-pub type LadderSimulation<E> = Simulation<E, LadderQueue<E>>;
 
 impl<E> Simulation<E> {
     /// Creates a simulation with the clock at [`SimTime::ZERO`] and the
@@ -73,7 +73,7 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
         }
     }
 
-    /// The backend's short name ("heap", "ladder").
+    /// The backend's short name ("heap", "ladder", "lanes").
     pub fn backend_name(&self) -> &'static str {
         Q::NAME
     }
@@ -159,6 +159,27 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
     }
 }
 
+impl<E> Simulation<E, LaneQueue<E>> {
+    /// Schedules `event` on `lane` of the [`LaneQueue`], to fire the
+    /// lane's fixed delay after the current time. Because the clock never
+    /// runs backwards, each lane stays sorted without a heap.
+    ///
+    /// ```
+    /// use asyncinv_simcore::{LaneQueue, SimDuration, Simulation};
+    ///
+    /// let hop = SimDuration::from_micros(200);
+    /// let mut sim = Simulation::with_backend(LaneQueue::new(&[hop]));
+    /// sim.schedule_lane(0, "reply");
+    /// sim.schedule(SimDuration::from_micros(50), "service");
+    /// assert_eq!(sim.next_event().unwrap().1, "service");
+    /// let (t, e) = sim.next_event().unwrap();
+    /// assert_eq!((t.as_micros(), e), (200, "reply"));
+    /// ```
+    pub fn schedule_lane(&mut self, lane: usize, event: E) {
+        self.queue.push_lane(lane, self.now, event);
+    }
+}
+
 impl<E, Q: QueueBackend<E>> Default for Simulation<E, Q> {
     fn default() -> Self {
         Simulation::with_backend(Q::default())
@@ -168,6 +189,7 @@ impl<E, Q: QueueBackend<E>> Default for Simulation<E, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ladder::LadderQueue;
 
     #[test]
     fn clock_advances_with_events() {
@@ -252,9 +274,11 @@ mod tests {
             }
             out
         }
-        let ladder = run(LadderSimulation::default());
+        let ladder = run(Simulation::<u32, LadderQueue<u32>>::default());
         assert_eq!(run(Simulation::new()), ladder);
         assert_eq!(Simulation::<u32>::new().backend_name(), "heap");
-        assert_eq!(LadderSimulation::<u32>::default().backend_name(), "ladder");
+        let lanes = Simulation::<u32, LaneQueue<u32>>::default();
+        assert_eq!(lanes.backend_name(), "lanes");
+        assert_eq!(run(lanes), ladder);
     }
 }

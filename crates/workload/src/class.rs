@@ -215,6 +215,40 @@ impl Mix {
         Mix::new(entries)
     }
 
+    /// Checks the mix for what a run relies on. [`Mix::new`] asserts the
+    /// weight rules, but a mix read from JSON bypasses it, so configs
+    /// call this at their validation gate: at least one class, one weight
+    /// per class, finite non-negative weights with a positive finite sum,
+    /// and positive response sizes (the drifted size included).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.classes.is_empty() {
+            return Err("a mix needs at least one class".into());
+        }
+        if self.weights.len() != self.classes.len() {
+            return Err(format!(
+                "a mix of {} classes has {} weights",
+                self.classes.len(),
+                self.weights.len()
+            ));
+        }
+        let total: f64 = self.weights.iter().sum();
+        if !self.weights.iter().all(|w| w.is_finite() && *w >= 0.0)
+            || !total.is_finite()
+            || total <= 0.0
+        {
+            return Err("mix weights must be finite and non-negative with a positive sum".into());
+        }
+        for c in &self.classes {
+            if c.response_bytes == 0 {
+                return Err(format!("class {} has a zero response size", c.name));
+            }
+            if c.drift.is_some_and(|d| d.to == 0) {
+                return Err(format!("class {} drifts to a zero response size", c.name));
+            }
+        }
+        Ok(())
+    }
+
     /// The classes in this mix.
     pub fn classes(&self) -> &[RequestClass] {
         &self.classes
@@ -339,6 +373,17 @@ mod tests {
         assert!(max > 20 * 1024, "the tail must reach large sizes, max {max}");
         // Deterministic per seed.
         assert_eq!(mix, Mix::web_realistic(200, 1.0, 0.7, 100, 200 * 1024, 7));
+    }
+
+    #[test]
+    fn validate_accepts_the_constructors() {
+        for mix in [
+            Mix::single("x", 1),
+            Mix::heavy_light(0.0),
+            Mix::web_realistic(20, 1.0, 0.7, 100, 1024, 3),
+        ] {
+            assert_eq!(mix.validate(), Ok(()));
+        }
     }
 
     #[test]

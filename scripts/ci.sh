@@ -14,6 +14,12 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+# A bare `cargo test` at the root runs only the root package's tests; the
+# workspace members (crates/* and vendor/*, doc tests included) need
+# `--workspace`. The root package is excluded because it just ran.
+echo "== gate: workspace crate tests (unit, integration and doc tests) =="
+cargo test -q --workspace --exclude asyncinv-lab
+
 echo "== gate: detlint (determinism + coverage + counter conservation) =="
 cargo run --release -p detlint -- check --json results/detlint-report.json
 

@@ -23,6 +23,11 @@ cargo clippy -q --workspace --all-targets
 echo "== tests =="
 cargo test -q
 
+# `--workspace`: a bare `cargo test` runs only the root package's tests,
+# not those of crates/* and vendor/*.
+echo "== workspace crate tests =="
+cargo test -q --workspace --exclude asyncinv-lab
+
 echo "== artifact smoke (Quick fidelity, parallel runner) =="
 cargo run --release -p asyncinv-bench --bin repro_all -- --quick
 

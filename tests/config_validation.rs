@@ -1,0 +1,98 @@
+//! Bad request mixes are rejected at the validation gates instead of
+//! panicking inside a drive loop: `FleetConfig::validate` (shared by
+//! `Experiment::new`, `Cluster::new` and `ParallelCluster::new`) checks
+//! the cell's mix, and `ServiceGraph::validate` checks every tier's
+//! response size. Mixes read from JSON bypass `Mix::new`'s asserts, so
+//! several cases arrive that way.
+
+use asyncinv::dag::{FleetDriver, ServiceGraph};
+use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig, ParallelCluster};
+use asyncinv::prelude::*;
+use asyncinv::workload::RequestClass;
+
+fn cell(mix: Mix) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::with_mix(4, mix);
+    cfg.warmup = SimDuration::from_millis(10);
+    cfg.measure = SimDuration::from_millis(50);
+    cfg
+}
+
+fn fleet(mix: Mix) -> FleetConfig {
+    FleetConfig::new(cell(mix), 2, BalancerKind::RoundRobin)
+}
+
+fn mix_json(classes: &[usize], weights: &str) -> Mix {
+    let classes: Vec<String> = classes
+        .iter()
+        .map(|b| {
+            format!(
+                r#"{{"name": "c{b}", "response_bytes": {b}, "request_bytes": 512, "drift": null, "push": null}}"#
+            )
+        })
+        .collect();
+    let json = format!(
+        r#"{{"classes": [{}], "weights": [{weights}]}}"#,
+        classes.join(", ")
+    );
+    serde_json::from_str(&json).expect("mix JSON parses")
+}
+
+#[test]
+#[should_panic(expected = "invalid ExperimentConfig")]
+fn experiment_rejects_a_zero_byte_class() {
+    let _ = Experiment::new(cell(Mix::single("empty", 0)));
+}
+
+#[test]
+#[should_panic(expected = "invalid FleetConfig")]
+fn cluster_rejects_a_zero_byte_class() {
+    let _ = Cluster::new(fleet(Mix::single("empty", 0)));
+}
+
+#[test]
+#[should_panic(expected = "invalid FleetConfig")]
+fn parallel_cluster_rejects_a_zero_byte_class() {
+    let _ = ParallelCluster::new(fleet(Mix::single("empty", 0)));
+}
+
+#[test]
+fn the_gate_rejects_a_drift_to_zero_bytes() {
+    let class = RequestClass::new("page", 100).with_drift(SimTime::from_millis(20), 0);
+    assert!(fleet(Mix::new(vec![(class, 1.0)])).validate().is_err());
+}
+
+#[test]
+fn the_gate_rejects_an_empty_mix_from_json() {
+    assert!(fleet(mix_json(&[], "")).validate().is_err());
+}
+
+#[test]
+fn the_gate_rejects_all_zero_weights_from_json() {
+    assert!(fleet(mix_json(&[100, 200], "0.0, 0.0")).validate().is_err());
+}
+
+#[test]
+fn the_gate_rejects_negative_or_overflowing_weights_from_json() {
+    assert!(fleet(mix_json(&[100, 200], "-1.0, 2.0")).validate().is_err());
+    assert!(fleet(mix_json(&[100, 200], "1e308, 1e308")).validate().is_err());
+}
+
+#[test]
+fn the_gate_rejects_a_missing_weight_from_json() {
+    assert!(fleet(mix_json(&[100, 200], "1.0")).validate().is_err());
+}
+
+#[test]
+#[should_panic(expected = "invalid ServiceGraph")]
+fn a_dag_run_rejects_a_zero_byte_root_tier() {
+    let mut g = ServiceGraph::chain("c", ServerKind::NettyLike, 1, 7);
+    g.tiers[0].response_bytes = 0;
+    let _ = asyncinv::dag::DagRun::new(g, FleetDriver::Interleaved);
+}
+
+#[test]
+fn a_service_graph_rejects_a_zero_byte_tier_past_the_root() {
+    let mut g = ServiceGraph::chain("c", ServerKind::NettyLike, 2, 7);
+    g.tiers[1].response_bytes = 0;
+    assert!(g.validate().is_err());
+}

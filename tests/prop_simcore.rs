@@ -2,7 +2,8 @@
 
 use asyncinv_lab::servers::ExperimentConfig;
 use asyncinv_lab::simcore::{
-    BackendKind, EventQueue, LadderQueue, QueueBackend, SimDuration, SimRng, SimTime, Simulation,
+    BackendKind, EventQueue, LadderQueue, LaneQueue, QueueBackend, SimDuration, SimRng, SimTime,
+    Simulation,
 };
 use proptest::prelude::*;
 
@@ -182,6 +183,63 @@ proptest! {
             if a.is_none() { break; }
         }
         prop_assert_eq!(on_heap.events_processed(), delays.len() as u64);
+    }
+
+    /// The lane queue pops what the heap pops. Random interleavings of
+    /// `schedule_at` (arbitrary future times), `schedule_lane` on 1–6
+    /// lanes (delays of zero, duplicate delays, and delays landing on the
+    /// instants heap events use), pops and clears go to a lane simulation
+    /// and, as plain schedules, to `Simulation::new()`; the popped
+    /// `(time, event)` stream, `peek_time`, `pending` and the clock must
+    /// agree after every call.
+    #[test]
+    fn lane_queue_pops_what_the_heap_pops(
+        delays in prop::collection::vec(0u64..6, 1..7),
+        ops in prop::collection::vec((0u8..32, 0usize..6, 0u64..12), 1..400),
+    ) {
+        // Every time is a multiple of one grain, so lane and heap events
+        // share instants often and only the sequence order separates them.
+        const GRAIN: u64 = 40;
+        let delays: Vec<SimDuration> =
+            delays.iter().map(|&d| SimDuration::from_nanos(d * GRAIN)).collect();
+        let mut lanes = Simulation::with_backend(LaneQueue::new(&delays));
+        let mut heap: Simulation<u64> = Simulation::new();
+        let mut next_id = 0u64;
+        for (op, lane, ahead) in ops {
+            match op {
+                0..=9 => {
+                    let at = lanes.now() + SimDuration::from_nanos(ahead * GRAIN);
+                    lanes.schedule_at(at, next_id);
+                    heap.schedule_at(at, next_id);
+                    next_id += 1;
+                }
+                10..=20 => {
+                    let lane = lane % delays.len();
+                    lanes.schedule_lane(lane, next_id);
+                    heap.schedule(delays[lane], next_id);
+                    next_id += 1;
+                }
+                21..=30 => {
+                    let popped = lanes.next_event();
+                    prop_assert_eq!(popped, heap.next_event());
+                }
+                _ => {
+                    lanes.clear();
+                    heap.clear();
+                    prop_assert_eq!(lanes.pending(), 0);
+                    prop_assert_eq!(lanes.peek_time(), None);
+                }
+            }
+            prop_assert_eq!(lanes.peek_time(), heap.peek_time());
+            prop_assert_eq!(lanes.pending(), heap.pending());
+            prop_assert_eq!(lanes.now(), heap.now());
+        }
+        loop {
+            let popped = lanes.next_event();
+            prop_assert_eq!(popped, heap.next_event(), "drain divergence");
+            if popped.is_none() { break; }
+        }
+        prop_assert_eq!(lanes.events_processed(), heap.events_processed());
     }
 
     /// Uniform range stays in range for arbitrary seeds and bounds.
