@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use asyncinv::figures::Fidelity;
-use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig, ParallelCluster};
+use asyncinv::fleet::{BalancerKind, Cluster};
 use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
 use asyncinv::{
@@ -83,26 +83,6 @@ struct RunnerRow {
     speedup: f64,
 }
 
-/// Interleaved vs parallel-in-time fleet drive of one cluster config.
-#[derive(Debug, Serialize)]
-struct ParallelFleetRow {
-    shards: usize,
-    threads: usize,
-    interleaved_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
-}
-
-/// The conservative-sync fleet driver measured against the interleaved
-/// driver. Speedup is bounded by `min(shards, threads, host_cores)`:
-/// on a single-core host the parallel driver can only break even, so
-/// `host_cores` is recorded to make the committed baseline interpretable.
-#[derive(Debug, Serialize)]
-struct ParallelFleetBench {
-    host_cores: usize,
-    rows: Vec<ParallelFleetRow>,
-}
-
 /// Wall-clock of the untraced (size, concurrency) grid on the proactor
 /// versus the reactor it shadows (NettyLike): the SQ/CQ ring emulation —
 /// staging, flush batching, reap loops — must not make the eighth
@@ -131,9 +111,9 @@ struct ObsRow {
 /// `latency_breakdown` and `span_audit` run) untraced, fully traced, and
 /// with span-tree assembly ([`SpanAssembler::assemble`]) folded over the
 /// resulting trace. The single-cell `observability` row understated the
-/// cost story — the fleet driver routes every event through the
-/// coordinator's replay step, so it is the honest place to measure
-/// tracing. Span assembly carries an aspirational <= 3% budget over the
+/// cost story — a fleet records its routing, hedge and retry events on
+/// top of every shard's, so it is the honest place to measure tracing.
+/// Span assembly carries an aspirational <= 3% budget over the
 /// traced run; the committed baseline measures ~12% steady-state (best
 /// of three folds). A bare iterate-and-classify pass over the same ring
 /// — the floor any faithful per-event fold must pay — is already
@@ -179,7 +159,6 @@ struct KernelBench {
     grid: Vec<GridRow>,
     proactor: ProactorRow,
     runner: Vec<RunnerRow>,
-    parallel_fleet: ParallelFleetBench,
     observability: ObsRow,
     fleet_observability: FleetObsRow,
     fault_plane: FaultRow,
@@ -408,54 +387,6 @@ fn main() {
         cells.len()
     );
 
-    // --- 3b. Parallel-in-time fleet driver vs the interleaved driver. ---
-    let fleet_cell = || {
-        let mut cfg = ExperimentConfig::micro(16, 10 * 1024);
-        cfg.warmup = SimDuration::from_millis(100);
-        cfg.measure = SimDuration::from_millis(if quick { 200 } else { 600 });
-        cfg
-    };
-    let mut fleet_rows = Vec::new();
-    let mut fleet_table = Table::new(vec![
-        "shards".into(),
-        "threads".into(),
-        "interleaved[ms]".into(),
-        "parallel[ms]".into(),
-        "speedup".into(),
-    ]);
-    fleet_table.numeric();
-    for shards in [2usize, 4, 8] {
-        let cfg = FleetConfig::new(fleet_cell(), shards, BalancerKind::RoundRobin);
-        let start = Instant::now();
-        let a = Cluster::new(cfg.clone()).run(ServerKind::NettyLike);
-        let interleaved_ms = start.elapsed().as_secs_f64() * 1e3;
-        let threads = 4usize;
-        let start = Instant::now();
-        let b = ParallelCluster::new(cfg).threads(threads).run(ServerKind::NettyLike);
-        let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(a, b, "parallel fleet drive must be bit-identical");
-        let speedup = interleaved_ms / parallel_ms.max(1e-9);
-        fleet_table.row(vec![
-            shards.to_string(),
-            threads.to_string(),
-            fmt_f64(interleaved_ms, 0),
-            fmt_f64(parallel_ms, 0),
-            fmt_f64(speedup, 2),
-        ]);
-        fleet_rows.push(ParallelFleetRow {
-            shards,
-            threads,
-            interleaved_ms,
-            parallel_ms,
-            speedup,
-        });
-    }
-    let parallel_fleet = ParallelFleetBench { host_cores, rows: fleet_rows };
-    println!(
-        "\nparallel fleet (conservative sync, bit-identical, host reports {host_cores} \
-         core(s); speedup bound = min(shards, threads, cores)):\n{fleet_table}"
-    );
-
     // --- 4. Observability overhead: untraced vs fully traced grid. ---
     let start = Instant::now();
     for &(kind, size, conc) in &cells {
@@ -611,7 +542,6 @@ fn main() {
         grid: grid_rows,
         proactor,
         runner,
-        parallel_fleet,
         observability,
         fleet_observability,
         fault_plane,

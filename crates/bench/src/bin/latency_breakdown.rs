@@ -2,9 +2,9 @@
 //!
 //! Extends the paper's latency figures (Figs 9–11) below the mean: for
 //! every server architecture, runs the stressed 3-shard fleet (retries,
-//! hedging, a mid-run shard slowdown) on the parallel driver, folds the
-//! trace into causal span trees, and attributes every completed request's
-//! end-to-end response time to phases — network one-way, accept wait,
+//! hedging, a mid-run shard slowdown), folds the trace into causal span
+//! trees, and attributes every completed request's end-to-end response
+//! time to phases — network one-way, accept wait,
 //! queue wait, CPU service, write delivery, write spin, retry backoff,
 //! hedge wait. Attribution is **bitwise-conserved**: each request's phase
 //! durations sum to its recorded response time exactly, so the table's
@@ -16,12 +16,8 @@
 //! `--trace-out DIR`, nested Chrome-trace async spans
 //! (`latency_breakdown.spans.trace.json`, loadable in Perfetto) and a
 //! spans JSONL export are also written for the last architecture.
-//!
-//! The parallel-driver health sidecar — conservative-sync window widths,
-//! horizon-limited windows, per-worker busy/idle wall time — is printed
-//! as a second table.
 
-use asyncinv::fleet::{BalancerKind, ParallelCluster};
+use asyncinv::fleet::{BalancerKind, Cluster};
 use asyncinv::obs::{span_audit, spans_chrome_json, spans_jsonl, Phase, SpanAssembler};
 use asyncinv::{fmt_f64, ServerKind, Table};
 use asyncinv_bench::{banner, fidelity_from_args, stressed_span_fleet, TRACE_OUT_ENV};
@@ -73,27 +69,13 @@ fn main() {
     cols.extend(Phase::ALL.iter().map(|p| format!("{}[us]", p.name())));
     let mut t = Table::new(cols);
     t.numeric();
-    let mut health_t = Table::new(vec![
-        "server".into(),
-        "batches".into(),
-        "jobs".into(),
-        "win mean[us]".into(),
-        "win max[us]".into(),
-        "horizon-lim%".into(),
-        "coord busy[ms]".into(),
-        "coord wait[ms]".into(),
-        "worker busy[ms]".into(),
-        "worker idle[ms]".into(),
-    ]);
-    health_t.numeric();
 
     let mut rows: Vec<BreakdownRow> = Vec::new();
     let mut failures = 0usize;
     let mut last_forest = None;
     for kind in ServerKind::ALL {
         let cfg = stressed_span_fleet(BalancerKind::PowerOfTwoChoices { seed: 0x5eed }, quick);
-        let cluster = ParallelCluster::new(cfg);
-        let (summary, rec, health) = cluster.run_traced_health(kind);
+        let (summary, rec) = Cluster::new(cfg).run_traced(kind);
         let forest = SpanAssembler::assemble(&rec);
         let report = span_audit(&summary.fleet.server, &rec, &forest);
         if !report.pass() {
@@ -124,29 +106,6 @@ fn main() {
         row.extend(Phase::ALL.iter().map(|&p| fmt_f64(per_req_us(agg.get(p)), 1)));
         t.row(row);
 
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let wb: u64 = health.workers.iter().map(|w| w.busy_ns).sum();
-        let wi: u64 = health.workers.iter().map(|w| w.idle_ns).sum();
-        health_t.row(vec![
-            summary.fleet.server.clone(),
-            health.batches.to_string(),
-            health.jobs.to_string(),
-            fmt_f64(health.window_ns_mean() / 1000.0, 1),
-            fmt_f64(health.window_ns_max as f64 / 1000.0, 1),
-            fmt_f64(
-                if health.jobs == 0 {
-                    0.0
-                } else {
-                    100.0 * health.horizon_limited as f64 / health.jobs as f64
-                },
-                1,
-            ),
-            fmt_f64(ms(health.coord_busy_ns), 1),
-            fmt_f64(ms(health.coord_wait_ns), 1),
-            fmt_f64(ms(wb), 1),
-            fmt_f64(ms(wi), 1),
-        ]);
-
         rows.push(BreakdownRow {
             server: summary.fleet.server.clone(),
             balancer: "p2c".into(),
@@ -167,8 +126,6 @@ fn main() {
     }
 
     asyncinv_bench::print_and_export("latency_breakdown", &t);
-    println!("\nparallel driver health (wall-clock columns vary run to run):");
-    println!("{health_t}");
 
     if let Some(dir) = std::path::Path::new(&json_out).parent() {
         if !dir.as_os_str().is_empty() {

@@ -7,15 +7,13 @@
 //! exactly one tree per completed request, per-tree phase durations
 //! summing to the recorded response time **bitwise**, hedge losers
 //! attributed to cancellation, and every retry/hedge/cancel event
-//! reconciled against the recorder's exact per-kind totals. The same
-//! configuration is then re-run on the parallel fleet driver and the two
-//! span forests compared for identity, tree for tree.
+//! reconciled against the recorder's exact per-kind totals.
 //!
 //! `--validate-spans <file>` instead schema-checks an exported span
 //! Chrome-trace JSON file (as written by `latency_breakdown`) and reports
 //! its event count.
 
-use asyncinv::fleet::{BalancerKind, Cluster, ParallelCluster};
+use asyncinv::fleet::{BalancerKind, Cluster};
 use asyncinv::obs::{span_audit, validate_span_trace, SpanAssembler};
 use asyncinv::{ServerKind, Table};
 use asyncinv_bench::{banner, fidelity_from_args, stressed_span_fleet};
@@ -50,7 +48,7 @@ fn main() {
         "span audit: causal span trees conserve response time bitwise",
         "every completed request folds into exactly one span tree whose phase \
          durations sum to its recorded response time, across retries, hedges, \
-         faults and shedding, on both fleet drivers",
+         faults and shedding",
     );
     let quick = matches!(fidelity_from_args(), asyncinv::figures::Fidelity::Quick);
 
@@ -62,14 +60,13 @@ fn main() {
         "abandoned".into(),
         "attempts".into(),
         "audit".into(),
-        "par==seq".into(),
     ]);
     t.numeric();
     let mut failures = 0usize;
     for kind in ServerKind::ALL {
         for balancer in BalancerKind::ALL {
             let cfg = stressed_span_fleet(balancer, quick);
-            let (summary, rec) = Cluster::new(cfg.clone()).run_traced(kind);
+            let (summary, rec) = Cluster::new(cfg).run_traced(kind);
             let forest = SpanAssembler::assemble(&rec);
             let label = format!("{}/{}", summary.fleet.server, balancer.name());
             let report = span_audit(&label, &rec, &forest);
@@ -77,13 +74,6 @@ fn main() {
             if !ok {
                 failures += 1;
                 eprintln!("{label} span audit failure:\n{report}");
-            }
-            let (_, rec_p) = ParallelCluster::new(cfg).run_traced(kind);
-            let forest_p = SpanAssembler::assemble(&rec_p);
-            let identical = forest == forest_p;
-            if !identical {
-                failures += 1;
-                eprintln!("{label}: parallel-driver span forest diverged");
             }
             let attempts: usize = forest.trees.iter().map(|tr| tr.attempts.len()).sum();
             t.row(vec![
@@ -94,7 +84,6 @@ fn main() {
                 forest.abandoned().count().to_string(),
                 attempts.to_string(),
                 if ok { "ok".into() } else { "FAIL".into() },
-                if identical { "ok".into() } else { "FAIL".into() },
             ]);
         }
     }

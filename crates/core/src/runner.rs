@@ -29,10 +29,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::figures::Fidelity;
 
-// The thread-count policy is defined once in `asyncinv-simcore` (the
-// lowest layer every parallel driver already depends on) so the cell
-// runner here and the parallel fleet driver resolve it identically.
-pub use asyncinv_simcore::{configured_threads, THREADS_ENV};
+/// Environment variable overriding the worker-thread count.
+pub const THREADS_ENV: &str = "ASYNCINV_THREADS";
+
+/// The worker-thread count to use: `ASYNCINV_THREADS` if set and valid
+/// (values `< 1` are treated as 1), otherwise the machine's available
+/// parallelism, otherwise 1.
+pub fn configured_threads() -> usize {
+    if let Ok(v) = std::env::var(THREADS_ENV) {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            return n.max(1);
+        }
+    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// Runs `f` over `items` on up to `threads` OS threads, returning outputs
 /// in input order.

@@ -3,18 +3,17 @@
 //! The fleet drive loops are sealed deterministic machines — N of them
 //! cannot be interleaved event-by-event inside one kernel without
 //! rebuilding them. So the DAG layer runs each tier's fleet *for real*
-//! (through the exact [`Cluster`]/[`ParallelCluster`] entry points the
-//! single-fleet studies use) under light closed-loop load, and folds the
-//! measured response-time distribution into a fixed-size quantile
-//! lattice the DAG station replays per visit. Per-request architecture
+//! (through the exact [`Cluster`] entry point the single-fleet studies
+//! use) under light closed-loop load, and folds the measured
+//! response-time distribution into a fixed-size quantile lattice the DAG
+//! station replays per visit. Per-request architecture
 //! costs (write-spins, context switches, `socket.write()` calls) ride
 //! along, so the composed study can attribute spin work tier by tier.
 
 use asyncinv_fault::{FaultEvent, FaultKind, FaultPlan};
-use asyncinv_fleet::{Cluster, FleetSummary, ParallelCluster, ShardFault};
+use asyncinv_fleet::{Cluster, FleetSummary, ShardFault};
 use asyncinv_obs::{Observer, TraceEvent, TraceKind};
 use asyncinv_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::graph::ServiceGraph;
 
@@ -23,16 +22,14 @@ use crate::graph::ServiceGraph;
 /// DAG station draws uniformly among them per visit.
 pub const LATTICE: usize = 64;
 
-/// Which fleet drive loop calibrates (and, for trivial graphs, serves)
-/// each tier. The two drivers are bit-identical by construction, so a
-/// [`crate::DagSummary`] must not depend on this choice — the property
-/// suite asserts it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The fleet drive loop that calibrates (and, for trivial graphs,
+/// serves) each tier. There is one, [`Cluster`]; [`calibrate_tier`] and
+/// [`DagRun::new`](crate::DagRun::new) accept this name and ignore it.
+/// It exists only until the next benchmark change removes its callers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetDriver {
-    /// The sequential reference driver ([`Cluster`]).
+    /// The interleaved drive loop ([`Cluster`]).
     Interleaved,
-    /// The lock-free parallel driver ([`ParallelCluster`]).
-    Parallel,
 }
 
 /// One tier's calibrated behavior: its measured service-time quantile
@@ -112,7 +109,6 @@ fn fold_lattice(mut rts: Vec<u64>) -> Vec<u64> {
 fn run_calibration(
     graph: &ServiceGraph,
     tier: usize,
-    driver: FleetDriver,
     slow_factor: Option<f64>,
 ) -> (FleetSummary, Vec<u64>) {
     let mut cfg = graph.tier_fleet_config(tier);
@@ -137,22 +133,19 @@ fn run_calibration(
     }
     let kind = graph.tiers[tier].kind;
     let mut obs = CalObserver::default();
-    let summary = match driver {
-        FleetDriver::Interleaved => Cluster::new(cfg).run_observed(kind, &mut obs),
-        FleetDriver::Parallel => ParallelCluster::new(cfg).run_observed(kind, &mut obs),
-    };
+    let summary = Cluster::new(cfg).run_observed(kind, &mut obs);
     (summary, fold_lattice(obs.rts))
 }
 
 /// Calibrates one tier: runs its fleet (and, when the scenario browns
 /// this tier out, a slowed rerun on the identical workload) and returns
 /// its [`TierProfile`].
-pub fn calibrate_tier(graph: &ServiceGraph, tier: usize, driver: FleetDriver) -> TierProfile {
-    let (summary, lattice) = run_calibration(graph, tier, driver, None);
+pub fn calibrate_tier(graph: &ServiceGraph, tier: usize, _driver: FleetDriver) -> TierProfile {
+    let (summary, lattice) = run_calibration(graph, tier, None);
     let slow_lattice = graph
         .slow
         .filter(|s| s.tier == tier)
-        .map(|s| run_calibration(graph, tier, driver, Some(s.factor)).1);
+        .map(|s| run_calibration(graph, tier, Some(s.factor)).1);
     TierProfile {
         tier,
         spins_per_req: summary.fleet.spins_per_req,
@@ -178,13 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn calibration_is_deterministic_and_driver_invariant() {
+    fn calibration_is_deterministic() {
         let g = ServiceGraph::chain("cal", ServerKind::NettyLike, 1, 11);
         let a = calibrate_tier(&g, 0, FleetDriver::Interleaved);
         let b = calibrate_tier(&g, 0, FleetDriver::Interleaved);
-        let c = calibrate_tier(&g, 0, FleetDriver::Parallel);
         assert_eq!(a.lattice, b.lattice);
-        assert_eq!(a.lattice, c.lattice, "drivers must calibrate identically");
         assert!(a.mean_ns() > 0);
         assert!(a.slow_lattice.is_none());
     }

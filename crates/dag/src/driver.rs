@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use asyncinv_fleet::{mix64, Cluster, FleetSummary, HedgeEstimator, ParallelCluster};
+use asyncinv_fleet::{mix64, Cluster, FleetSummary, HedgeEstimator};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
 use asyncinv_simcore::{LaneQueue, SimDuration, SimRng, SimTime, Simulation};
 use asyncinv_workload::{RetryBudget, RetryPolicy};
@@ -49,25 +49,25 @@ pub struct DagOutcome {
     pub profiles: Vec<TierProfile>,
 }
 
-/// A runnable service graph bound to a fleet driver.
+/// A runnable service graph.
 #[derive(Debug, Clone)]
 pub struct DagRun {
     graph: ServiceGraph,
-    driver: FleetDriver,
 }
 
 impl DagRun {
-    /// Binds a validated graph to a fleet driver.
+    /// Binds a validated graph to the fleet drive loop; the
+    /// [`FleetDriver`] argument is ignored.
     ///
     /// # Panics
     ///
     /// Panics when the graph fails [`ServiceGraph::validate`] (matching
     /// `Cluster::new`).
-    pub fn new(graph: ServiceGraph, driver: FleetDriver) -> Self {
+    pub fn new(graph: ServiceGraph, _driver: FleetDriver) -> Self {
         if let Err(e) = graph.validate() {
             panic!("invalid ServiceGraph: {e}");
         }
-        DagRun { graph, driver }
+        DagRun { graph }
     }
 
     /// The bound graph.
@@ -107,7 +107,7 @@ impl DagRun {
             return self.run_trivial(obs);
         }
         let profiles: Vec<TierProfile> = (0..self.graph.tiers.len())
-            .map(|t| calibrate_tier(&self.graph, t, self.driver))
+            .map(|t| calibrate_tier(&self.graph, t, FleetDriver::Interleaved))
             .collect();
         let (summary, spans) = Engine::new(&self.graph, &profiles, obs).run();
         DagOutcome {
@@ -121,10 +121,7 @@ impl DagRun {
     fn run_trivial(&self, obs: &mut dyn Observer) -> DagOutcome {
         let cfg = self.graph.tier_fleet_config(0);
         let kind = self.graph.tiers[0].kind;
-        let fleet = match self.driver {
-            FleetDriver::Interleaved => Cluster::new(cfg).run_observed(kind, obs),
-            FleetDriver::Parallel => ParallelCluster::new(cfg).run_observed(kind, obs),
-        };
+        let fleet = Cluster::new(cfg).run_observed(kind, obs);
         let f = &fleet.fleet;
         // Projection of the fleet summary into the DAG shape; `arrivals`
         // equals `requests` here because the closed-loop fleet cell has
@@ -1031,13 +1028,6 @@ mod tests {
         let b = run.run();
         assert_eq!(a.summary, b.summary);
         assert!(a.summary.completed > 0, "graph must complete requests");
-    }
-
-    #[test]
-    fn composed_run_is_driver_invariant() {
-        let a = DagRun::new(small_graph(), FleetDriver::Interleaved).run();
-        let b = DagRun::new(small_graph(), FleetDriver::Parallel).run();
-        assert_eq!(a.summary, b.summary);
     }
 
     #[test]

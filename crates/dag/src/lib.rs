@@ -16,14 +16,13 @@
 //! cannot be interleaved event-by-event inside one kernel without
 //! rebuilding them. The DAG layer therefore **calibrates, then
 //! composes** (the `dslab-dag` shape): each tier's fleet is actually run
-//! — via [`Cluster`](asyncinv_fleet::Cluster) or
-//! [`ParallelCluster`](asyncinv_fleet::ParallelCluster), selected by
-//! [`FleetDriver`] — to measure its service-time distribution and
-//! per-request costs (write-spins, context switches, kernel crossings),
-//! and the DAG simulation then models every tier as a finite-slot FIFO
-//! station replaying that calibrated distribution. Queueing, timeouts,
-//! retry storms and metastable collapse *emerge* from the composition;
-//! per-visit service costs are the measured ones.
+//! — via [`Cluster`](asyncinv_fleet::Cluster) — to measure its
+//! service-time distribution and per-request costs (write-spins, context
+//! switches, kernel crossings), and the DAG simulation then models every
+//! tier as a finite-slot FIFO station replaying that calibrated
+//! distribution. Queueing, timeouts, retry storms and metastable collapse
+//! *emerge* from the composition; per-visit service costs are the
+//! measured ones.
 //!
 //! The composed simulation runs on a
 //! [`LaneQueue`](asyncinv_simcore::LaneQueue): edge deliveries, replies
@@ -39,9 +38,6 @@
 //!   *verbatim* to the fleet driver: summary, trace stream and counters
 //!   are bit-identical to the bare fleet run (property-tested across all
 //!   eight architectures), and no DAG-only trace kinds are emitted.
-//! - **Driver transparency** — because the interleaved and parallel
-//!   fleet drivers are bit-identical (PR 6), a DAG run calibrated under
-//!   either produces the identical [`DagSummary`] and trace.
 //! - **Audited tracing** — the DAG trace kinds (`DagDispatch`,
 //!   `DagJoin`, `DagEdgeRetry`, plus the reused client/fleet kinds)
 //!   reconcile bitwise against the per-tier [`TierCounters`] via

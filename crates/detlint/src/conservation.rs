@@ -1,23 +1,20 @@
 //! Counter-conservation dataflow: every counter field is incremented in
-//! exactly one place, consumed by an audit, and folded by both fleet
-//! drivers.
+//! exactly one place, consumed by an audit, and folded by the fleet
+//! driver's epilogue.
 //!
 //! The repo's headline guarantee is bitwise reproducibility of the
 //! Table I–IV counters. That only means something if the counters
 //! themselves obey conservation: a field incremented from two sites can
 //! double-count under refactoring, a field no audit reads can rot
-//! silently, and a per-shard counter one driver sums but the other
-//! drops breaks the drivers' bit-identity contract. This pass
-//! mechanizes those conventions at the token level:
+//! silently, and a per-shard counter the epilogue drops reports zero
+//! forever. This pass mechanizes those conventions at the token level:
 //!
 //! | lint | violation |
 //! |------|-----------|
 //! | `counter-dup-increment` | a counter field has more than one increment site per (file, mode) |
 //! | `counter-dead` | a counter field is defined but never incremented anywhere in scope |
 //! | `counter-unaudited` | no audit surface ever reads the field |
-//! | `counter-unsummed` | a per-shard counter is not folded by every fleet-driver epilogue |
-//! | `registry-parity` | the two fleet drivers emit different metrics-registry name sets |
-//! | `shared-state` | `Atomic*`/`Mutex`/`unsafe`/... inside the schedule-independent driver |
+//! | `counter-unsummed` | a per-shard counter is not folded by the fleet-driver epilogue |
 //! | `forbid-unsafe` | a sim crate root without `#![forbid(unsafe_code)]` |
 //!
 //! Site classification is heuristic but truthful for the patterns the
@@ -32,7 +29,7 @@
 //! * struct-literal fields (`f: expr`, shorthand `f,`) never match.
 //! * a `.f +=` site (through a struct) and a bare `f +=` site (a local
 //!   later folded into the struct) are distinct *modes*; each mode may
-//!   have at most one site per scope file. The interleaved driver
+//!   have at most one site per scope file. The fleet driver
 //!   legitimately keeps both a running local and a per-shard struct
 //!   counter for the same quantity.
 //!
@@ -66,15 +63,7 @@ pub const CONSERVATION_LINTS: &[(&str, &str)] = &[
     ),
     (
         "counter-unsummed",
-        "a per-shard counter one fleet driver folds and the other drops breaks bit-identity",
-    ),
-    (
-        "registry-parity",
-        "the fleet drivers must publish the identical metrics-registry name set",
-    ),
-    (
-        "shared-state",
-        "shared mutable state inside the schedule-independent parallel driver",
+        "a per-shard counter the fleet-driver epilogue drops always reports zero",
     ),
     (
         "forbid-unsafe",
@@ -140,36 +129,19 @@ pub struct CounterSpec {
     pub summed: Vec<AuditSurface>,
 }
 
-/// A pair of functions that must publish the identical set of
-/// statically-named registry counters and gauges.
-#[derive(Debug, Clone)]
-pub struct RegistryParity {
-    /// Human-readable label for diagnostics.
-    pub label: String,
-    /// `(file, fn)` of the reference side.
-    pub left: (PathBuf, String),
-    /// `(file, fn)` of the side checked against it.
-    pub right: (PathBuf, String),
-}
-
 /// Configuration for the whole conservation family.
 #[derive(Debug, Clone)]
 pub struct ConservationConfig {
     /// Counter structs under contract.
     pub specs: Vec<CounterSpec>,
-    /// Registry-parity pairs.
-    pub parity: Vec<RegistryParity>,
-    /// Files where shared-mutable-state constructs are denied.
-    pub shared_state_files: Vec<PathBuf>,
     /// Crate roots that must carry `#![forbid(unsafe_code)]`.
     pub forbid_unsafe_roots: Vec<PathBuf>,
 }
 
 impl ConservationConfig {
     /// The real workspace contract: `RunSummary` (Table I–IV counters),
-    /// the fleet drivers' `Counters`/`ShardSummary`, `UringCounters`,
-    /// driver registry parity, a shared-state-free parallel driver, and
-    /// unsafe-free sim crates.
+    /// the fleet driver's `Counters`/`ShardSummary`, the DAG driver's
+    /// `TierCounters`, `UringCounters`, and unsafe-free sim crates.
     pub fn repo_default() -> Self {
         let disposition = AuditSurface::new(
             "crates/obs/src/audit.rs",
@@ -216,10 +188,7 @@ impl ConservationConfig {
                     .map(|s| s.to_string())
                     .collect(),
                     aliases: vec![("shard_routes".into(), "routes".into())],
-                    scopes: vec![
-                        "crates/fleet/src/cluster.rs".into(),
-                        "crates/fleet/src/parallel.rs".into(),
-                    ],
+                    scopes: vec!["crates/fleet/src/cluster.rs".into()],
                     check_increments: true,
                     audits: vec![disposition.clone(), trace_audit],
                     summed: Vec::new(),
@@ -229,26 +198,15 @@ impl ConservationConfig {
                     def_file: "crates/fleet/src/cluster.rs".into(),
                     exclude: Vec::new(),
                     aliases: Vec::new(),
-                    scopes: vec![
-                        "crates/fleet/src/cluster.rs".into(),
-                        "crates/fleet/src/parallel.rs".into(),
-                    ],
+                    scopes: vec!["crates/fleet/src/cluster.rs".into()],
                     check_increments: true,
                     audits: vec![fleet_audit.clone()],
-                    summed: vec![
-                        AuditSurface::new(
-                            "crates/fleet/src/cluster.rs",
-                            "drive_with",
-                            &["d"],
-                            "interleaved driver epilogue (cluster::drive_with)",
-                        ),
-                        AuditSurface::new(
-                            "crates/fleet/src/parallel.rs",
-                            "drive_parallel",
-                            &["d"],
-                            "parallel driver epilogue (parallel::drive_parallel)",
-                        ),
-                    ],
+                    summed: vec![AuditSurface::new(
+                        "crates/fleet/src/cluster.rs",
+                        "drive_with",
+                        &["d"],
+                        "fleet driver epilogue (cluster::drive_with)",
+                    )],
                 },
                 CounterSpec {
                     strukt: "ShardSummary".into(),
@@ -295,15 +253,6 @@ impl ConservationConfig {
                     summed: Vec::new(),
                 },
             ],
-            parity: vec![RegistryParity {
-                label: "fleet drivers".into(),
-                left: ("crates/fleet/src/cluster.rs".into(), "drive_with".into()),
-                right: (
-                    "crates/fleet/src/parallel.rs".into(),
-                    "drive_parallel".into(),
-                ),
-            }],
-            shared_state_files: vec!["crates/fleet/src/parallel.rs".into()],
             forbid_unsafe_roots,
         }
     }
@@ -439,33 +388,6 @@ fn consumes_field(tokens: &[Token], recv: &[String], field: &str) -> bool {
     })
 }
 
-/// Statically-named registry emissions (`.counter("name"` /
-/// `.gauge("name"`) on source lines `lo..=hi`, as `(kind, name)` pairs.
-/// Dynamically-formatted names (`.counter(&format!(...))`) are
-/// intentionally out of scope — parity is a contract over the static
-/// name set.
-fn registry_names(source: &str, lo: u32, hi: u32) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in source.lines().enumerate() {
-        let ln = idx as u32 + 1;
-        if ln < lo || ln > hi {
-            continue;
-        }
-        for (kind, pat) in [("counter", ".counter(\""), ("gauge", ".gauge(\"")] {
-            let mut rest = line;
-            while let Some(p) = rest.find(pat) {
-                let tail = &rest[p + pat.len()..];
-                let Some(q) = tail.find('"') else { break };
-                out.push((kind.to_string(), tail[..q].to_string()));
-                rest = &tail[q..];
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
 /// Lazily read + lex files relative to a root, each at most once.
 struct FileCache<'a> {
     root: &'a Path,
@@ -509,12 +431,6 @@ pub fn analyze(root: &Path, cfg: &ConservationConfig) -> Vec<Diagnostic> {
 
     for spec in &cfg.specs {
         analyze_spec(spec, &mut cache, &mut diags);
-    }
-    for pair in &cfg.parity {
-        analyze_parity(pair, &mut cache, &mut diags);
-    }
-    for file in &cfg.shared_state_files {
-        analyze_shared_state(file, &mut cache, &mut diags);
     }
     for file in &cfg.forbid_unsafe_roots {
         analyze_forbid_unsafe(file, &mut cache, &mut diags);
@@ -642,8 +558,8 @@ fn analyze_spec(spec: &CounterSpec, cache: &mut FileCache<'_>, diags: &mut Vec<D
                     *def_line,
                     "counter-unsummed",
                     format!(
-                        "{}.{field} is not folded by {}; both fleet drivers \
-                         must sum every per-shard counter identically",
+                        "{}.{field} is not folded by {}; every per-shard \
+                         counter must reach the summary",
                         spec.strukt, surface.label,
                     ),
                 ));
@@ -697,99 +613,6 @@ fn push_once(diags: &mut Vec<Diagnostic>, d: Diagnostic) {
         .any(|e| e.file == d.file && e.line == d.line && e.lint == d.lint && e.message == d.message)
     {
         diags.push(d);
-    }
-}
-
-fn analyze_parity(pair: &RegistryParity, cache: &mut FileCache<'_>, diags: &mut Vec<Diagnostic>) {
-    let mut sides = Vec::new();
-    for (file, func) in [&pair.left, &pair.right] {
-        let file_rel = rel(file);
-        let Some((src, lexed)) = cache.get(file) else {
-            diags.push(Diagnostic::new(
-                &file_rel,
-                0,
-                "registry-parity",
-                format!("cannot read {} for registry parity ({})", file_rel, pair.label),
-            ));
-            return;
-        };
-        let Some((_start, end, decl_line)) = item_body(&lexed.tokens, SurfaceItem::Fn, func) else {
-            diags.push(Diagnostic::new(
-                &file_rel,
-                0,
-                "registry-parity",
-                format!("fn `{func}` not found for registry parity ({})", pair.label),
-            ));
-            return;
-        };
-        let lo = decl_line;
-        let hi = lexed.tokens.get(end).map_or(u32::MAX, |t| t.line);
-        sides.push((
-            file_rel,
-            func.clone(),
-            decl_line,
-            registry_names(src, lo, hi),
-        ));
-    }
-    let (l, r) = (&sides[0], &sides[1]);
-    for (here, there) in [(l, r), (r, l)] {
-        for (kind, name) in &here.3 {
-            if !there.3.contains(&(kind.clone(), name.clone())) {
-                diags.push(Diagnostic::new(
-                    &there.0,
-                    there.2,
-                    "registry-parity",
-                    format!(
-                        "registry {kind} \"{name}\" is published by {}::{} but \
-                         not by {}::{} ({}): the drivers' registry snapshots \
-                         cannot be bit-identical",
-                        here.0, here.1, there.0, there.1, pair.label,
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-fn analyze_shared_state(file: &Path, cache: &mut FileCache<'_>, diags: &mut Vec<Diagnostic>) {
-    let file_rel = rel(file);
-    let Some((_, lexed)) = cache.get(file) else {
-        diags.push(Diagnostic::new(
-            &file_rel,
-            0,
-            "shared-state",
-            "cannot read shared-state-checked file",
-        ));
-        return;
-    };
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        let hit = if id.starts_with("Atomic") && id.len() > "Atomic".len() {
-            Some(format!("{id} (atomic shared state)"))
-        } else if matches!(id, "Mutex" | "RwLock" | "Condvar" | "UnsafeCell" | "OnceLock") {
-            Some(format!("{id} (lock / interior mutability)"))
-        } else if id == "unsafe" {
-            Some("unsafe block/fn".to_string())
-        } else if id == "static"
-            && tokens.get(i + 1).is_some_and(|n| n.is_ident("mut"))
-        {
-            Some("static mut (global mutable state)".to_string())
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            diags.push(Diagnostic::new(
-                &file_rel,
-                t.line,
-                "shared-state",
-                format!(
-                    "{what} in the schedule-independent parallel driver: worker \
-                     results must flow only through the recorded-event protocol \
-                     (channels + deterministic replay), or carry a written waiver",
-                ),
-            ));
-        }
     }
 }
 
@@ -899,46 +722,19 @@ pub struct RunSummary {
     }
 
     #[test]
-    fn registry_names_extract_static_emissions_only() {
-        let src = "fn drive() {\n  obs.counter(\"retries\", r);\n  obs.gauge(\"cpu_user\", u);\n  obs.counter(&format!(\"s{s}/{name}\"), v);\n}\n";
-        let names = registry_names(src, 1, 4);
-        assert_eq!(
-            names,
-            [
-                ("counter".to_string(), "retries".to_string()),
-                ("gauge".to_string(), "cpu_user".to_string()),
-            ]
-            .into_iter()
-            .collect::<Vec<_>>()
-        );
-        // Line-bounded: nothing outside the body range.
-        assert!(registry_names(src, 5, 9).is_empty());
-    }
-
-    #[test]
-    fn shared_state_and_forbid_unsafe_fire() {
+    fn forbid_unsafe_fires() {
         let root = std::env::temp_dir().join(format!("detlint-cons-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).unwrap();
-        std::fs::write(
-            root.join("p.rs"),
-            "use std::sync::Mutex;\nstatic mut X: u64 = 0;\nfn f() { unsafe { X += 1 } }\n",
-        )
-        .unwrap();
         std::fs::write(root.join("lib.rs"), "pub mod p;\n").unwrap();
+        std::fs::write(root.join("safe.rs"), "#![forbid(unsafe_code)]\npub mod p;\n").unwrap();
         let cfg = ConservationConfig {
             specs: Vec::new(),
-            parity: Vec::new(),
-            shared_state_files: vec!["p.rs".into()],
-            forbid_unsafe_roots: vec!["lib.rs".into()],
+            forbid_unsafe_roots: vec!["lib.rs".into(), "safe.rs".into()],
         };
         let diags = analyze(&root, &cfg);
-        assert!(diags.iter().any(|d| d.lint == "shared-state" && d.message.contains("Mutex")));
-        assert!(diags
-            .iter()
-            .any(|d| d.lint == "shared-state" && d.message.contains("static mut")));
-        assert!(diags.iter().any(|d| d.lint == "shared-state" && d.message.contains("unsafe")));
-        assert!(diags.iter().any(|d| d.lint == "forbid-unsafe"));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].lint == "forbid-unsafe" && diags[0].file == "lib.rs");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -13,10 +13,9 @@
 //!   and emitted by at least one engine crate.
 //! * [`conservation`] — counter-conservation dataflow: every counter
 //!   field has exactly one increment site per scope, is consumed by an
-//!   audit (or waived with a reason), is folded by both fleet drivers,
-//!   and the drivers publish identical registry name sets; plus the
-//!   shared-state ban in the parallel driver and the
-//!   `#![forbid(unsafe_code)]` meta-check on sim crate roots.
+//!   audit (or waived with a reason) and is folded by the fleet driver's
+//!   epilogue; plus the `#![forbid(unsafe_code)]` meta-check on sim
+//!   crate roots.
 //!
 //! Run it with `cargo run -p detlint -- check` (wired into
 //! `scripts/smoke.sh`); `--json <path>` writes a machine-readable report.
@@ -50,9 +49,8 @@ pub struct WorkspaceConfig {
     /// analyzer). The repo default checks two schemas: the `TraceKind`
     /// event schema and the span layer's `Phase` schema.
     pub coverage: Vec<CoverageConfig>,
-    /// The counter-conservation family (counter specs, registry parity,
-    /// shared-state files, forbid-unsafe roots). Empty configs disable
-    /// each sub-check.
+    /// The counter-conservation family (counter specs, forbid-unsafe
+    /// roots). Empty configs disable each sub-check.
     pub conservation: ConservationConfig,
 }
 

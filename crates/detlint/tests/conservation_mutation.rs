@@ -1,11 +1,9 @@
 //! Mutation tests for the counter-conservation family: duplicating an
 //! increment site, deleting the sole increment site of a ring counter,
 //! deleting an audit disposition arm, stripping a written waiver,
-//! dropping a registry emission from one fleet driver, un-summing a
-//! per-shard counter, injecting shared mutable state into the parallel
-//! driver, and removing a crate root's `#![forbid(unsafe_code)]` must
-//! each fail the pass. The real workspace files are copied into a
-//! scratch tree and mutated there, PR-4 style.
+//! un-summing a per-shard counter, and removing a crate root's
+//! `#![forbid(unsafe_code)]` must each fail the pass. The real workspace
+//! files are copied into a scratch tree and mutated there.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,7 +17,6 @@ use detlint::{diag, lexer, Diagnostic};
 const FILES: &[&str] = &[
     "crates/metrics/src/summary.rs",
     "crates/fleet/src/cluster.rs",
-    "crates/fleet/src/parallel.rs",
     "crates/obs/src/audit.rs",
     "crates/uring/src/lib.rs",
     "crates/simcore/src/lib.rs",
@@ -125,7 +122,7 @@ fn baseline_scratch_tree_passes() {
 #[test]
 fn duplicating_an_increment_site_fails() {
     let dir = scratch("consmut-dup");
-    mutate(&dir, "crates/fleet/src/parallel.rs", |src| {
+    mutate(&dir, "crates/fleet/src/cluster.rs", |src| {
         format!("{src}\nfn consmut_extra() {{ let mut retries = 0u64; retries += 1; let _ = retries; }}\n")
     });
     let v = violations(&dir);
@@ -242,50 +239,18 @@ fn deleting_a_dag_audit_read_fails() {
     );
 }
 
-/// One driver publishing a registry counter the other does not breaks
-/// the bit-identity of registry snapshots — `registry-parity`.
-#[test]
-fn dropping_a_registry_emission_fails() {
-    let dir = scratch("consmut-parity");
-    mutate(&dir, "crates/fleet/src/parallel.rs", |src| {
-        src.replace("obs.counter(\"retries\", retries - retries_snap);", "")
-    });
-    let v = violations(&dir);
-    assert!(
-        v.iter()
-            .any(|d| d.lint == "registry-parity" && d.message.contains("\"retries\"")),
-        "{v:?}"
-    );
-}
-
-/// A per-shard counter one fleet driver folds into its summary and the
-/// other silently zeroes is flagged by the `counter-unsummed` check.
+/// A per-shard counter the fleet driver's epilogue silently zeroes is
+/// flagged by the `counter-unsummed` check.
 #[test]
 fn unsumming_a_per_shard_counter_fails() {
     let dir = scratch("consmut-unsummed");
-    mutate(&dir, "crates/fleet/src/parallel.rs", |src| {
+    mutate(&dir, "crates/fleet/src/cluster.rs", |src| {
         src.replace("shed_dropped: d.shed_dropped,", "shed_dropped: 0,")
     });
     let v = violations(&dir);
     assert!(
         v.iter()
             .any(|d| d.lint == "counter-unsummed" && d.message.contains("shed_dropped")),
-        "{v:?}"
-    );
-}
-
-/// Shared mutable state inside the schedule-independent parallel driver
-/// — the exact bug class the schedule explorer exists to catch — is
-/// denied statically.
-#[test]
-fn injecting_shared_state_fails() {
-    let dir = scratch("consmut-shared");
-    mutate(&dir, "crates/fleet/src/parallel.rs", |src| {
-        format!("{src}\nfn consmut_shared() {{ let _m = std::sync::Mutex::new(0u64); }}\n")
-    });
-    let v = violations(&dir);
-    assert!(
-        v.iter().any(|d| d.lint == "shared-state" && d.message.contains("Mutex")),
         "{v:?}"
     );
 }

@@ -242,9 +242,9 @@ enum FleetEvent {
     /// per-connection parse state. Scheduled one-way ahead of the matching
     /// [`FleetEvent::Arrive`] (multi-shard runs only): the spec travels
     /// with the bytes instead of teleporting into the target shard at
-    /// route time, which keeps each shard's `conn_info` free of
-    /// cross-shard writes inside a sync window (the parallel driver's
-    /// correctness hinges on this).
+    /// route time, so a shard's `conn_info` changes only at its own
+    /// delivery instants. The DAG fixtures (2-shard tiers) and the
+    /// benchmark's fleet goldens pin the event order this produces.
     SetConn { shard: u32, user: u32, info: ConnInfo },
     /// The client-side timeout for a primary attempt expired.
     Timeout { shard: u32, user: u32, epoch: u32 },
@@ -259,51 +259,49 @@ enum FleetEvent {
 /// The server's in-progress response on one shard connection (staleness
 /// works via attempt identity). Service is serialized per connection: a
 /// retransmitted request waits in `pending_arrival` until the previous
-/// attempt's response finishes. Shared with the parallel driver
-/// (`crate::parallel`), which keeps the same per-connection service state
-/// in its shard cores.
+/// attempt's response finishes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Serving {
-    pub(crate) epoch: u32,
-    pub(crate) remaining: usize,
-    pub(crate) reject: bool,
-    pub(crate) shorted: bool,
+struct Serving {
+    epoch: u32,
+    remaining: usize,
+    reject: bool,
+    shorted: bool,
 }
 
 /// The fleet's view of one user's outstanding request.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FleetReq {
+struct FleetReq {
     /// First-send instant (response time is user-perceived).
-    pub(crate) sent_at: SimTime,
+    sent_at: SimTime,
     /// Send instant of the current primary attempt (hedge delay base).
-    pub(crate) attempt_sent: SimTime,
+    attempt_sent: SimTime,
     /// Retries already made.
-    pub(crate) attempt: u32,
+    attempt: u32,
     /// Primary attempt identity: `(shard, shard-local epoch)`.
-    pub(crate) primary: (usize, u32),
+    primary: (usize, u32),
     /// Outstanding hedged duplicate, if any.
-    pub(crate) hedge: Option<(usize, u32)>,
+    hedge: Option<(usize, u32)>,
     /// Response size of the request spec (travels with every attempt).
-    pub(crate) response_bytes: usize,
+    response_bytes: usize,
     /// Workload-mix class of the request spec.
-    pub(crate) class: usize,
+    class: usize,
 }
 
 /// Fleet counters kept per shard (windowed by snapshot at warm-up end).
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Counters {
-    pub(crate) routes: u64,
-    pub(crate) hedges: u64,
-    pub(crate) hedge_cancels: u64,
-    pub(crate) shard_retries: u64,
-    pub(crate) rejected: u64,
-    pub(crate) shed_dropped: u64,
-    pub(crate) fault_events: u64,
-    pub(crate) completions: u64,
+struct Counters {
+    routes: u64,
+    hedges: u64,
+    hedge_cancels: u64,
+    shard_retries: u64,
+    rejected: u64,
+    shed_dropped: u64,
+    fault_events: u64,
+    completions: u64,
 }
 
 impl Counters {
-    pub(crate) fn delta(&self, snap: &Counters) -> Counters {
+    fn delta(&self, snap: &Counters) -> Counters {
         Counters {
             routes: self.routes - snap.routes,
             hedges: self.hedges - snap.hedges,
@@ -342,9 +340,9 @@ struct Shard<'s> {
 /// Observer adapter that offsets shard-local thread ids into the fleet's
 /// merged thread-id space. Transparent when `base == 0` (shard 0), which
 /// keeps a single-server `Experiment`'s thread ids shard-local.
-pub(crate) struct ShardObs<'a> {
-    pub(crate) inner: &'a mut dyn Observer,
-    pub(crate) base: u32,
+struct ShardObs<'a> {
+    inner: &'a mut dyn Observer,
+    base: u32,
 }
 
 impl Observer for ShardObs<'_> {
@@ -444,9 +442,7 @@ impl Cluster {
     }
 
     /// Builds one architecture instance per shard and runs the loop.
-    /// `pub(crate)` so the parallel driver can delegate degenerate shapes
-    /// (1-shard fleets) to the interleaved loop.
-    pub(crate) fn drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
+    fn drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
         let mut built: Vec<Box<dyn ServerModel>> =
             kinds.iter().map(|k| k.build(&self.cfg.cell)).collect();
         let servers = built.iter_mut().map(|b| &mut **b as &mut dyn ServerModel).collect();
@@ -638,8 +634,8 @@ fn drive_with<Q: QueueBackend<FleetEvent>>(
 
     // Flush order: sched logs (trace only), then every shard's
     // cpu_out, then every shard's tcp_out, then client events. The
-    // parallel driver replays exactly this order to reproduce FIFO
-    // tie-breaks.
+    // order sets FIFO tie-breaks among same-instant events, which the
+    // pinned fixtures and goldens depend on.
     macro_rules! flush {
         () => {
             if obs_on {
@@ -1639,4 +1635,95 @@ fn drive_with<Q: QueueBackend<FleetEvent>>(
     };
 
     FleetSummary { fleet, per_shard }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asyncinv_simcore::SimDuration;
+    use asyncinv_workload::RetryPolicy;
+
+    /// Everything a traced run externalizes except `events_processed`:
+    /// events, thread names, counters and bit-compared gauges.
+    type TraceState = (Vec<TraceEvent>, Vec<String>, Vec<(String, u64)>, Vec<u64>);
+
+    fn trace_state(rec: &Recorder) -> (TraceState, u64) {
+        let events: Vec<TraceEvent> = rec.events().copied().collect();
+        let names = rec.thread_names().to_vec();
+        let mut counters: Vec<(String, u64)> = rec
+            .registry()
+            .counters()
+            .filter(|(n, _)| *n != "events_processed")
+            .map(|(n, v)| (n.to_string(), v))
+            .collect();
+        counters.sort();
+        let mut gauges: Vec<(String, f64)> = rec
+            .registry()
+            .gauges()
+            .map(|(n, v)| (n.to_string(), v))
+            .collect();
+        gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        let gauges = gauges.into_iter().map(|(_, v)| v.to_bits()).collect();
+        let processed = rec.registry().counter("events_processed").unwrap_or(0);
+        ((events, names, counters, gauges), processed)
+    }
+
+    /// Runs a homogeneous fleet with the write-spin fast-forward off.
+    fn stepwise(cfg: &FleetConfig, kind: ServerKind, obs: &mut dyn Observer) -> FleetSummary {
+        let mut built: Vec<Box<dyn ServerModel>> =
+            (0..cfg.shards).map(|_| kind.build(&cfg.cell)).collect();
+        let servers = built.iter_mut().map(|b| &mut **b as &mut dyn ServerModel).collect();
+        drive(cfg, servers, obs, false)
+    }
+
+    /// Fleets of any size retire spins: the loop hands every burst
+    /// completion the global queue head as its horizon. The stepwise
+    /// reference is the same loop with the fast-forward off. Summaries,
+    /// the full trace stream, thread names, gauges and every counter but
+    /// `events_processed` must agree bit for bit, and that one must drop.
+    #[test]
+    fn fast_forward_is_exact_on_interleaved_fleets() {
+        let spinners = [
+            ServerKind::SingleThread,
+            ServerKind::AsyncPool,
+            ServerKind::AsyncPoolFix,
+            ServerKind::Staged,
+        ];
+        for kind in spinners {
+            for balancer in [BalancerKind::RoundRobin, BalancerKind::LeastOutstanding] {
+                let mut cell = ExperimentConfig::micro(6, 100 * 1024)
+                    .with_latency(SimDuration::from_micros(5_000));
+                cell.warmup = SimDuration::from_millis(100);
+                cell.measure = SimDuration::from_millis(200);
+                cell.trace_capacity = 1 << 16;
+                cell.retry = RetryPolicy {
+                    timeout: Some(SimDuration::from_millis(60)),
+                    max_retries: 2,
+                    ..RetryPolicy::default()
+                };
+                let cfg = FleetConfig::new(cell, 3, balancer);
+                let fleet = Cluster::new(cfg.clone());
+                let label = format!("{kind}/{}", balancer.name());
+                assert_eq!(
+                    fleet.run(kind),
+                    stepwise(&cfg, kind, &mut NoopObserver),
+                    "{label}: summary diverged"
+                );
+                let (a, rec_a) = fleet.run_traced(kind);
+                let mut rec_b =
+                    Recorder::with_sampling(cfg.cell.trace_capacity, cfg.cell.trace_sample);
+                let b = stepwise(&cfg, kind, &mut rec_b);
+                assert_eq!(a, b, "{label}: traced summary diverged");
+                let (state_a, processed_a) = trace_state(&rec_a);
+                let (state_b, processed_b) = trace_state(&rec_b);
+                assert!(state_a == state_b, "{label}: trace state diverged");
+                // Spinning shards bound each other's horizons, so the drop
+                // is smaller than for one server; it must still be there.
+                assert!(
+                    processed_a < processed_b,
+                    "{label}: {processed_a} vs {processed_b} events"
+                );
+            }
+        }
+    }
 }

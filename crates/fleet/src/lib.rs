@@ -42,9 +42,7 @@ mod balancer;
 mod cluster;
 mod experiment;
 mod hedge;
-mod parallel;
 mod scenario;
-mod schedule;
 
 pub use balancer::{mix64, Balancer, BalancerKind, ConsistentHashRing};
 pub use cluster::{
@@ -52,6 +50,4 @@ pub use cluster::{
 };
 pub use experiment::Experiment;
 pub use hedge::{HedgeConfig, HedgeEstimator};
-pub use parallel::{ParallelCluster, ParallelHealth, WorkerHealth};
 pub use scenario::{BrownoutSpec, FleetScenario};
-pub use schedule::{SchedulePlan, ScheduleTrace, VirtualSched};

@@ -139,11 +139,32 @@ impl RubbosExperiment {
         }
     }
 
+    /// Checks the configuration, returning the first problem found: the
+    /// Tomcat network ([`TcpConfig::validate`]), and a positive worker
+    /// pool, MySQL tier, core count and measurement window.
+    pub fn validate(&self) -> Result<(), String> {
+        self.tcp.validate()?;
+        if self.pool_workers == 0 {
+            return Err("pool_workers must be positive".into());
+        }
+        if self.workload.db_servers == 0 {
+            return Err("workload.db_servers must be positive".into());
+        }
+        if self.cpu.cores == 0 {
+            return Err("cpu.cores must be positive".into());
+        }
+        if self.measure.is_zero() {
+            return Err("measurement window must be positive".into());
+        }
+        Ok(())
+    }
+
     /// Runs the 3-tier system with the given Tomcat architecture.
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is not one of the two Tomcat architectures the
+    /// Panics if [`RubbosExperiment::validate`] rejects the configuration,
+    /// or if `kind` is not one of the two Tomcat architectures the
     /// paper's macro experiment compares.
     pub fn run(&self, kind: ServerKind) -> RubbosSummary {
         let mut obs = NoopObserver;
@@ -155,9 +176,13 @@ impl RubbosExperiment {
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is not one of the two Tomcat architectures the
+    /// Panics if [`RubbosExperiment::validate`] rejects the configuration,
+    /// or if `kind` is not one of the two Tomcat architectures the
     /// paper's macro experiment compares.
     pub fn run_observed(&self, kind: ServerKind, obs: &mut dyn Observer) -> RubbosSummary {
+        if let Err(e) = self.validate() {
+            panic!("invalid RubbosExperiment: {e}");
+        }
         assert!(
             matches!(kind, ServerKind::SyncThread | ServerKind::AsyncPool),
             "the RUBBoS study compares TomcatSync (SyncThread) and TomcatAsync (AsyncPool)"

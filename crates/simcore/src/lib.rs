@@ -55,7 +55,6 @@ mod lanes;
 mod queue;
 mod rng;
 mod sim;
-mod threads;
 mod time;
 
 pub use backend::{BackendKind, QueueBackend};
@@ -64,5 +63,4 @@ pub use lanes::LaneQueue;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sim::Simulation;
-pub use threads::{configured_threads, THREADS_ENV};
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 contract plus the static-analysis and schedule-race
-# gates, in one short command. This is the subset of scripts/smoke.sh a
+# CI gate: the tier-1 contract plus the static-analysis, scenario and
+# benchmark-golden gates, in one short command. This is the subset of scripts/smoke.sh a
 # PR must keep green before anything else is worth running.
 #
 #   scripts/ci.sh
@@ -31,10 +31,7 @@ cargo clippy -q --workspace --all-targets
 echo "== gate: benches compile (Criterion targets) =="
 cargo bench --no-run --workspace
 
-echo "== gate: schedule explorer (enumerated + shuffled interleavings, bitwise) =="
-cargo run --release -p asyncinv-bench --bin schedule_explorer -- --quick
-
-echo "== gate: dag scenario (drift check + dag/span audits, both drivers) =="
+echo "== gate: dag scenario (drift check + dag/span audits) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
     --quick --scenario scenarios/dag_social.json
 

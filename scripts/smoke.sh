@@ -44,7 +44,7 @@ cargo run --release -p asyncinv-bench --bin trace_audit -- \
 echo "== trace audit (counters vs trace, all architectures) =="
 cargo run --release -p asyncinv-bench --bin trace_audit -- --quick
 
-echo "== span audit (causal span trees, all architectures x balancers, both drivers) =="
+echo "== span audit (causal span trees, all architectures x balancers) =="
 cargo run --release -p asyncinv-bench --bin span_audit -- --quick
 
 echo "== latency breakdown (critical-path phase attribution + span exporter round-trip) =="
@@ -74,20 +74,14 @@ cargo run --release -p asyncinv-bench --bin fleet -- \
     --quick --json results/fleet-sweep.json
 test -s results/fleet-sweep.json
 
-echo "== parallel fleet: conservative-sync driver == interleaved, bitwise =="
-cargo test -q --release --test prop_parallel
-
-echo "== dag: single-node reduction + driver invariance + audits =="
+echo "== dag: single-node reduction + audits =="
 cargo test -q --release --test prop_dag
 
 echo "== dag: checked-in social-network scenario, traced + audited =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
     --quick --scenario scenarios/dag_social.json
 
-echo "== schedule explorer: enumerated + shuffled interleavings, bitwise =="
-cargo run --release -p asyncinv-bench --bin schedule_explorer -- --quick
-
-echo "== kernel bench sweep (quick; asserts runner + parallel-fleet + fault-plane bit-identity) =="
+echo "== kernel bench sweep (quick; asserts runner + fault-plane + spin bit-identity) =="
 ASYNCINV_BENCH_OUT="$obs_dir/BENCH_kernel.quick.json" \
     cargo run --release -p asyncinv-bench --bin kernel_bench -- --quick
 test -s "$obs_dir/BENCH_kernel.quick.json"
@@ -102,34 +96,5 @@ tail -n 1 "$obs_dir/benchmark.out" | grep -q '^{"correct":true,' \
 
 echo "== benches compile =="
 cargo bench --no-run --workspace
-
-# Opt-in sanitizer lanes: SMOKE_SANITIZERS=1 scripts/smoke.sh. They need
-# the nightly toolchain and add minutes of build time, so they are not
-# part of the default lane; the schedule explorer above covers the same
-# race surface deterministically on every run.
-if [[ "${SMOKE_SANITIZERS:-0}" == "1" ]]; then
-    host="$(rustc -vV | sed -n 's/host: //p')"
-    if rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-        echo "== sanitizer lane: ThreadSanitizer on the parallel-driver suite =="
-        # A dedicated target dir keeps the instrumented artifacts out of
-        # the normal cache; the explicit --target makes RUSTFLAGS apply
-        # only to the test crate graph, not build scripts. std itself is
-        # not rebuilt (no rust-src in the container), hence the explicit
-        # ABI-mismatch override and the suppressions for std's own
-        # uninstrumented channel internals (see scripts/tsan.supp).
-        RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer" \
-            TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp" \
-            CARGO_TARGET_DIR=target/tsan \
-            cargo +nightly test --release --target "$host" --test prop_parallel
-    else
-        echo "== sanitizer lane: nightly toolchain not installed, skipping TSan =="
-    fi
-    if cargo +nightly miri --version >/dev/null 2>&1; then
-        echo "== sanitizer lane: Miri on the schedule unit tests =="
-        cargo +nightly miri test -p asyncinv-fleet schedule::
-    else
-        echo "== sanitizer lane: Miri not installed (offline container), skipping =="
-    fi
-fi
 
 echo "smoke OK"

@@ -1,12 +1,13 @@
-//! Bad request mixes are rejected at the validation gates instead of
-//! panicking inside a drive loop: `FleetConfig::validate` (shared by
-//! `Experiment::new`, `Cluster::new` and `ParallelCluster::new`) checks
-//! the cell's mix, and `ServiceGraph::validate` checks every tier's
-//! response size. Mixes read from JSON bypass `Mix::new`'s asserts, so
-//! several cases arrive that way.
+//! Bad configs are rejected at the validation gates instead of panicking
+//! inside a drive loop: `FleetConfig::validate` (shared by
+//! `Experiment::new` and `Cluster::new`) checks the cell's mix,
+//! `ServiceGraph::validate` checks every tier's response size, and
+//! `RubbosExperiment::validate` gates the macro engine's run. Mixes read
+//! from JSON bypass `Mix::new`'s asserts, so several cases arrive that
+//! way.
 
 use asyncinv::dag::{FleetDriver, ServiceGraph};
-use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig, ParallelCluster};
+use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig};
 use asyncinv::prelude::*;
 use asyncinv::workload::RequestClass;
 
@@ -50,12 +51,6 @@ fn cluster_rejects_a_zero_byte_class() {
 }
 
 #[test]
-#[should_panic(expected = "invalid FleetConfig")]
-fn parallel_cluster_rejects_a_zero_byte_class() {
-    let _ = ParallelCluster::new(fleet(Mix::single("empty", 0)));
-}
-
-#[test]
 fn the_gate_rejects_a_drift_to_zero_bytes() {
     let class = RequestClass::new("page", 100).with_drift(SimTime::from_millis(20), 0);
     assert!(fleet(Mix::new(vec![(class, 1.0)])).validate().is_err());
@@ -95,4 +90,59 @@ fn a_service_graph_rejects_a_zero_byte_tier_past_the_root() {
     let mut g = ServiceGraph::chain("c", ServerKind::NettyLike, 2, 7);
     g.tiers[1].response_bytes = 0;
     assert!(g.validate().is_err());
+}
+
+/// A short RUBBoS run: few users, sub-second windows. Each case below
+/// breaks one field, and `run` must refuse it before the engine starts.
+fn rubbos() -> RubbosExperiment {
+    let mut exp = RubbosExperiment::new(20);
+    exp.warmup = SimDuration::from_millis(10);
+    exp.measure = SimDuration::from_millis(50);
+    exp
+}
+
+#[test]
+fn the_rubbos_gate_accepts_the_defaults() {
+    assert_eq!(RubbosExperiment::new(1500).validate(), Ok(()));
+    assert_eq!(rubbos().validate(), Ok(()));
+}
+
+#[test]
+#[should_panic(expected = "invalid RubbosExperiment")]
+fn rubbos_rejects_zero_db_servers() {
+    let mut exp = rubbos();
+    exp.workload.db_servers = 0;
+    let _ = exp.run(ServerKind::SyncThread);
+}
+
+#[test]
+#[should_panic(expected = "invalid RubbosExperiment")]
+fn rubbos_rejects_zero_pool_workers() {
+    let mut exp = rubbos();
+    exp.pool_workers = 0;
+    let _ = exp.run(ServerKind::AsyncPool);
+}
+
+#[test]
+#[should_panic(expected = "invalid RubbosExperiment")]
+fn rubbos_rejects_a_zero_mss() {
+    let mut exp = rubbos();
+    exp.tcp.mss = 0;
+    let _ = exp.run(ServerKind::SyncThread);
+}
+
+#[test]
+#[should_panic(expected = "invalid RubbosExperiment")]
+fn rubbos_rejects_a_zero_initial_cwnd() {
+    let mut exp = rubbos();
+    exp.tcp.init_cwnd_segments = 0;
+    let _ = exp.run(ServerKind::SyncThread);
+}
+
+#[test]
+#[should_panic(expected = "invalid RubbosExperiment")]
+fn rubbos_rejects_a_zero_measurement_window() {
+    let mut exp = rubbos();
+    exp.measure = SimDuration::ZERO;
+    let _ = exp.run(ServerKind::SyncThread);
 }

@@ -1,7 +1,7 @@
 //! Pins the composed DAG engine's output to a committed fixture.
 //!
-//! Every graph below runs traced (`run_traced`) on both fleet drivers and
-//! two seeds. Each run is folded into FNV-1a digests of its parts: the
+//! Every graph below runs traced (`run_traced`) on two seeds. Each run is
+//! folded into FNV-1a digests of its parts: the
 //! `DagSummary`, every `DagSpan`, the full trace state (events, thread
 //! names, registry counters, bit-compared gauges) and the calibrated tier
 //! lattices. The digests are compared with `tests/fixtures/dag_digests.txt`.
@@ -208,26 +208,23 @@ fn graphs() -> Vec<ServiceGraph> {
     out
 }
 
-const DRIVERS: [FleetDriver; 2] = [FleetDriver::Interleaved, FleetDriver::Parallel];
-
-/// One fixture line per (graph, seed, driver, part): `cell part digest`.
+/// One fixture line per (graph, seed, part): `cell part digest`. The
+/// cell names keep the `/Interleaved` suffix they were recorded with.
 fn compute() -> String {
     let mut table = String::new();
     for g in graphs() {
-        for driver in DRIVERS {
-            let name = format!("{}/seed{}/{driver:?}", g.name, g.seed);
-            let run = DagRun::new(g.clone(), driver);
-            let (traced, rec) = run.run_traced();
-            assert_eq!(
-                run.run().summary,
-                traced.summary,
-                "{name}: tracing changed the summary"
-            );
-            let mut parts = outcome_parts(&traced).to_vec();
-            parts.extend(trace_parts(&rec));
-            for (part, digest) in parts {
-                writeln!(table, "{name} {part} {digest:016x}").expect("write to String");
-            }
+        let name = format!("{}/seed{}/Interleaved", g.name, g.seed);
+        let run = DagRun::new(g, FleetDriver::Interleaved);
+        let (traced, rec) = run.run_traced();
+        assert_eq!(
+            run.run().summary,
+            traced.summary,
+            "{name}: tracing changed the summary"
+        );
+        let mut parts = outcome_parts(&traced).to_vec();
+        parts.extend(trace_parts(&rec));
+        for (part, digest) in parts {
+            writeln!(table, "{name} {part} {digest:016x}").expect("write to String");
         }
     }
     table

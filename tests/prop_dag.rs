@@ -1,20 +1,19 @@
 //! Property tests of the service-graph layer (`asyncinv::dag`): the
 //! single-node reduction — a one-tier graph must be **bit-identical** to
-//! the bare fleet it wraps, for every architecture and both fleet
-//! drivers — plus driver invariance, determinism and the two bitwise
-//! audits on composed graphs with the retry/budget/hedge/brownout
-//! planes all engaged.
+//! the bare fleet it wraps, for every architecture — plus determinism and
+//! the two bitwise audits on composed graphs with the
+//! retry/budget/hedge/brownout planes all engaged.
 
 use asyncinv::dag::{
     dag_audit, dag_span_audit, DagRun, DagSpanStatus, FleetDriver, ServiceGraph, SlowTier,
 };
-use asyncinv::fleet::{Cluster, HedgeConfig, ParallelCluster};
+use asyncinv::fleet::{Cluster, HedgeConfig};
 use asyncinv::obs::{Recorder, TraceEvent};
 use asyncinv::prelude::*;
 use proptest::prelude::*;
 
 /// Everything a traced run externalizes: events, thread names, counters,
-/// and gauges (bit-compared as `u64`), as in `prop_parallel`.
+/// and gauges (bit-compared as `u64`).
 type TraceState = (Vec<TraceEvent>, Vec<String>, Vec<(String, u64)>, Vec<u64>);
 
 fn trace_state(rec: &Recorder) -> TraceState {
@@ -71,57 +70,31 @@ fn composed(seed: u64) -> ServiceGraph {
     g
 }
 
-/// The single-node reduction, for all eight architectures and both
-/// fleet drivers: summary and full trace state are bit-identical to the
-/// bare `Cluster`/`ParallelCluster` run on the identical config.
+/// The single-node reduction, for all eight architectures: summary and
+/// full trace state are bit-identical to the bare `Cluster` run on the
+/// identical config.
 #[test]
 fn trivial_graph_reduces_to_the_bare_fleet() {
     for kind in ServerKind::ALL {
         let g = trivial(kind, 11);
-        let cfg = g.tier_fleet_config(0);
-        for driver in [FleetDriver::Interleaved, FleetDriver::Parallel] {
-            let mut dag_rec = Recorder::new(1 << 15);
-            let out = DagRun::new(g.clone(), driver).run_observed(&mut dag_rec);
-            let mut fleet_rec = Recorder::new(1 << 15);
-            let fleet = match driver {
-                FleetDriver::Interleaved => {
-                    Cluster::new(cfg.clone()).run_observed(kind, &mut fleet_rec)
-                }
-                FleetDriver::Parallel => {
-                    ParallelCluster::new(cfg.clone()).run_observed(kind, &mut fleet_rec)
-                }
-            };
-            assert_eq!(
-                out.fleet.as_ref(),
-                Some(&fleet),
-                "{kind:?}/{driver:?}: trivial graph must carry the verbatim fleet summary"
-            );
-            assert_eq!(
-                trace_state(&dag_rec),
-                trace_state(&fleet_rec),
-                "{kind:?}/{driver:?}: trivial graph trace must be the fleet trace, bit for bit"
-            );
-            // The projected DAG summary mirrors the fleet's window.
-            assert_eq!(out.summary.completed, fleet.fleet.completions);
-            assert_eq!(out.summary.per_tier.len(), 1);
-            assert!(out.spans.is_empty(), "trivial runs build no DAG spans");
-        }
-    }
-}
-
-/// A composed run must not depend on which fleet driver calibrates its
-/// tiers: summaries, spans and the full trace agree bit for bit.
-#[test]
-fn composed_dag_is_driver_invariant() {
-    let mut rec_a = Recorder::new(1 << 16);
-    let a = DagRun::new(composed(23), FleetDriver::Interleaved).run_observed(&mut rec_a);
-    let mut rec_b = Recorder::new(1 << 16);
-    let b = DagRun::new(composed(23), FleetDriver::Parallel).run_observed(&mut rec_b);
-    assert_eq!(a.summary, b.summary, "composed summary must be driver-invariant");
-    assert_eq!(trace_state(&rec_a), trace_state(&rec_b));
-    assert_eq!(a.spans.len(), b.spans.len());
-    for (x, y) in a.spans.iter().zip(&b.spans) {
-        assert_eq!((x.req, x.start, x.end, x.attempts.len()), (y.req, y.start, y.end, y.attempts.len()));
+        let mut dag_rec = Recorder::new(1 << 15);
+        let out = DagRun::new(g.clone(), FleetDriver::Interleaved).run_observed(&mut dag_rec);
+        let mut fleet_rec = Recorder::new(1 << 15);
+        let fleet = Cluster::new(g.tier_fleet_config(0)).run_observed(kind, &mut fleet_rec);
+        assert_eq!(
+            out.fleet.as_ref(),
+            Some(&fleet),
+            "{kind:?}: trivial graph must carry the verbatim fleet summary"
+        );
+        assert_eq!(
+            trace_state(&dag_rec),
+            trace_state(&fleet_rec),
+            "{kind:?}: trivial graph trace must be the fleet trace, bit for bit"
+        );
+        // The projected DAG summary mirrors the fleet's window.
+        assert_eq!(out.summary.completed, fleet.fleet.completions);
+        assert_eq!(out.summary.per_tier.len(), 1);
+        assert!(out.spans.is_empty(), "trivial runs build no DAG spans");
     }
 }
 

@@ -4,12 +4,12 @@
 //! reconciles bitwise with the fleet and per-shard counters under
 //! arbitrary per-shard fault plans.
 
-use asyncinv::fault::{FaultEvent, FaultKind, FaultPlan};
+use asyncinv::fault::{FaultEvent, FaultKind, FaultPlan, ShedConfig, ShedPolicy};
 use asyncinv::fleet::{
-    fleet_audit, BalancerKind, Cluster, FleetConfig, HedgeConfig, ShardFault,
+    fleet_audit, BalancerKind, Cluster, FleetConfig, HedgeConfig, ShardFault, ShardShed,
 };
 use asyncinv::prelude::*;
-use asyncinv::workload::RetryPolicy;
+use asyncinv::workload::{RetryPolicy, TimeoutMode};
 use proptest::prelude::*;
 
 const CONC: usize = 8;
@@ -137,6 +137,84 @@ fn per_shard_hedging_diverges_from_pooled_under_asymmetry() {
         pooled, keyed,
         "per-shard estimators must change hedge timing under an asymmetric fleet"
     );
+}
+
+/// A stressed 3-shard fleet with every plane engaged: retries, hedging,
+/// a mid-run slowdown on shard 1 and a shed override on shard 2.
+fn stressed() -> FleetConfig {
+    let mut cfg = FleetConfig::new(retrying_cell(), 3, BalancerKind::PowerOfTwoChoices {
+        seed: 0x5eed,
+    });
+    cfg.cell.trace_capacity = 1 << 16;
+    cfg.hedge = Some(HedgeConfig { min_samples: 16, ..HedgeConfig::default() });
+    cfg.shard_faults = vec![ShardFault {
+        shard: 1,
+        plan: FaultPlan {
+            seed: 5,
+            events: vec![FaultEvent {
+                at: SimDuration::from_millis(200),
+                fault: FaultKind::Slowdown {
+                    factor: 16.0,
+                    duration: Some(SimDuration::from_millis(150)),
+                },
+            }],
+        },
+    }];
+    cfg.shard_shed = vec![ShardShed {
+        shard: 2,
+        shed: ShedConfig {
+            max_concurrent: 1,
+            queue_cap: 1,
+            policy: ShedPolicy::DropOldest,
+            reject_bytes: 256,
+        },
+    }];
+    cfg
+}
+
+/// The stressed fleet really engages every plane — the fault fires,
+/// hedges fire, the shed override sheds — and its trace passes the
+/// fleet audit.
+#[test]
+fn stressed_fleet_engages_every_plane_and_passes_the_audit() {
+    let (a, rec) = Cluster::new(stressed()).run_traced(ServerKind::NettyLike);
+    let report = fleet_audit(&a, &rec);
+    assert!(report.pass(), "stressed fleet audit failed:\n{report}");
+    assert!(a.fleet.fault_events > 0, "the fault must actually fire");
+    assert!(a.fleet.hedges > 0, "hedging must actually fire");
+    assert!(a.fleet.shed_dropped > 0, "the shed override must actually shed");
+}
+
+/// `TimeoutMode::Rto` reaches fleets: the loop arms the client-wide RTO
+/// estimate (seeded from the fixed timeout, fed every response time and
+/// backed off on timeout) instead of the fixed timeout, so a stressed
+/// 3-shard fleet must come out differently than in `Fixed` mode.
+#[test]
+fn rto_fleet_differs_from_fixed() {
+    let fixed = stressed();
+    let mut rto = fixed.clone();
+    rto.cell.retry.timeout_mode = TimeoutMode::Rto;
+    let kind = ServerKind::NettyLike;
+    let (a, rec) = Cluster::new(rto).run_traced(kind);
+    let b = Cluster::new(fixed).run(kind);
+    assert!(a.fleet.timeouts > 0, "the timeout must actually fire");
+    assert_ne!(a, b, "the RTO estimate must change which attempts time out");
+    let report = fleet_audit(&a, &rec);
+    assert!(report.pass(), "RTO fleet audit failed:\n{report}");
+}
+
+/// Heterogeneous fleets, one architecture per shard, are deterministic,
+/// and each shard reports its own architecture.
+#[test]
+fn mixed_fleet_runs_are_deterministic() {
+    let kinds = [ServerKind::NettyLike, ServerKind::SyncThread, ServerKind::SingleThread];
+    let fleet = Cluster::new(FleetConfig::new(cell(), 3, BalancerKind::LeastOutstanding));
+    let a = fleet.run_mixed(&kinds);
+    assert_eq!(a, fleet.run_mixed(&kinds), "mixed fleet must be bitwise identical");
+    for (shard, kind) in a.per_shard.iter().zip(kinds) {
+        assert_eq!(shard.server, kind.to_string());
+        assert!(shard.completions > 0, "shard {} completed nothing", shard.shard);
+    }
 }
 
 proptest! {

@@ -1,15 +1,10 @@
 //! Property tests of the span layer: every run — any architecture,
 //! balancer, fleet shape, with retries/hedging/faults engaged — must
 //! assemble into exactly one span tree per logical request whose phase
-//! durations sum to the recorded response time **bitwise**, and the
-//! interleaved and parallel fleet drivers must produce **identical**
-//! forests (the span layer is a pure fold over the trace, which the
-//! drivers already reproduce bit-for-bit).
+//! durations sum to the recorded response time **bitwise**.
 
 use asyncinv::fault::{FaultEvent, FaultKind, FaultPlan, ShedConfig, ShedPolicy};
-use asyncinv::fleet::{
-    BalancerKind, Cluster, FleetConfig, HedgeConfig, ParallelCluster, ShardFault, ShardShed,
-};
+use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig, HedgeConfig, ShardFault, ShardShed};
 use asyncinv::obs::{span_audit, SpanAssembler, TraceKind};
 use asyncinv::prelude::*;
 use asyncinv::workload::RetryPolicy;
@@ -123,35 +118,14 @@ fn span_audit_passes_for_bare_engine_with_faults() {
     }
 }
 
-/// The interleaved and parallel drivers yield *identical* span forests —
-/// tree for tree, attempt for attempt, segment for segment.
-#[test]
-fn parallel_driver_produces_identical_span_forest() {
-    let cfg = stressed_fleet(BalancerKind::PowerOfTwoChoices { seed: 0x5eed });
-    let (_, rec_a) = Cluster::new(cfg.clone()).run_traced(ServerKind::NettyLike);
-    let forest_a = SpanAssembler::assemble(&rec_a);
-    assert!(rec_a.total(TraceKind::Hedge) > 0, "hedging must engage");
-    for threads in [1usize, 2, 4] {
-        let (_, rec_b) = ParallelCluster::new(cfg.clone())
-            .threads(threads)
-            .run_traced(ServerKind::NettyLike);
-        let forest_b = SpanAssembler::assemble(&rec_b);
-        assert_eq!(
-            forest_a, forest_b,
-            "span forest diverged at {threads} worker threads"
-        );
-    }
-}
-
 proptest! {
-    // Each case runs one interleaved and one parallel multi-shard traced
-    // simulation; keep the count low.
+    // Each case runs one multi-shard traced simulation; keep the count
+    // low.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Arbitrary fleets: shard count, balancer, hedging on/off, an
-    /// arbitrary slowdown fault, arbitrary seed and worker count. The
-    /// forest must reconcile exactly and the parallel driver must
-    /// assemble the identical forest.
+    /// arbitrary slowdown fault and arbitrary seed. The forest must
+    /// reconcile exactly.
     #[test]
     fn span_conservation_for_arbitrary_fleets(
         kind in prop::sample::select(vec![
@@ -165,7 +139,6 @@ proptest! {
         fault_shard in 0usize..4,
         factor in 2.0f64..20.0,
         seed in 0u64..1_000,
-        threads in 1usize..6,
     ) {
         let mut cfg = FleetConfig::new(retrying_cell(), shards, BalancerKind::ALL[bal_idx]);
         cfg.cell.clients.seed = seed;
@@ -185,22 +158,18 @@ proptest! {
                 }],
             },
         }];
-        let (a, rec_a) = Cluster::new(cfg.clone()).run_traced(kind);
-        let forest = SpanAssembler::assemble(&rec_a);
-        let report = span_audit("arbitrary", &rec_a, &forest);
+        let (a, rec) = Cluster::new(cfg).run_traced(kind);
+        let forest = SpanAssembler::assemble(&rec);
+        let report = span_audit("arbitrary", &rec, &forest);
         prop_assert!(report.pass(), "span audit failed:\n{report}");
         prop_assert_eq!(
             forest.completed().count() as u64,
-            rec_a.total(TraceKind::Completion),
+            rec.total(TraceKind::Completion),
             "one tree per completed request"
         );
         for tree in &forest.trees {
             prop_assert_eq!(tree.phases.total(), tree.rt_ns, "phase sums conserve rt");
         }
-        let (b, rec_b) = ParallelCluster::new(cfg).threads(threads).run_traced(kind);
-        prop_assert_eq!(&a, &b, "parallel summary diverged");
-        let forest_b = SpanAssembler::assemble(&rec_b);
-        prop_assert_eq!(&forest, &forest_b, "parallel span forest diverged");
         prop_assert!(a.fleet.completions > 0);
     }
 }
