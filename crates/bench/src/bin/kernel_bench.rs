@@ -1,7 +1,7 @@
-//! Self-benchmark of the simulation kernel: raw queue throughput per
-//! backend, full experiment-cell wall-clock per backend (both as
-//! min/median/max over several runs), and the parallel cell runner's
-//! speedup over a serial run.
+//! Self-benchmark of the simulation kernel: raw queue throughput of the
+//! heap and the ladder, full experiment-cell wall-clock on the fleet
+//! loop (which runs on the heap; both as min/median/max over several
+//! runs), and the parallel cell runner's speedup over a serial run.
 //!
 //! ```sh
 //! cargo run --release -p asyncinv-bench --bin kernel_bench             # full
@@ -21,14 +21,12 @@ use asyncinv::figures::Fidelity;
 use asyncinv::fleet::{BalancerKind, Cluster};
 use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
-use asyncinv::{
-    fmt_f64, BackendKind, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table,
-};
+use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table};
 use asyncinv_simcore::{EventQueue, LadderQueue, QueueBackend};
 use serde::Serialize;
 
-/// Runs behind every hold and grid row; backends alternate within each
-/// run so host drift hits both alike.
+/// Runs behind every hold and grid row; queue types alternate within
+/// each hold run so host drift hits both alike.
 const RUNS: usize = 5;
 
 /// Min/median/max of one measurement over [`RUNS`] runs.
@@ -62,9 +60,10 @@ struct HoldRow {
     events_per_sec: Spread,
 }
 
-/// Wall-clock for a fixed Quick cell grid driven end to end on one backend.
+/// Wall-clock for a fixed Quick cell grid driven end to end.
 #[derive(Debug, Serialize)]
 struct GridRow {
+    /// The fleet loop's queue, the binary heap.
     backend: String,
     cells: usize,
     runs: usize,
@@ -197,7 +196,7 @@ fn hold_once<Q: QueueBackend<u64>>(q: &mut Q) -> u64 {
     v
 }
 
-/// The fixed grid timed per backend and through the runner: heterogeneous
+/// The fixed grid timed serially and through the runner: heterogeneous
 /// server models, sizes and concurrencies, Quick windows.
 fn grid() -> Vec<(ServerKind, usize, usize)> {
     let mut cells = Vec::new();
@@ -216,20 +215,22 @@ fn grid() -> Vec<(ServerKind, usize, usize)> {
     cells
 }
 
-fn time_grid_on(backend: BackendKind, cells: &[(ServerKind, usize, usize)]) -> f64 {
+fn time_grid(cells: &[(ServerKind, usize, usize)]) -> f64 {
     let start = Instant::now();
     for &(kind, size, conc) in cells {
-        let mut cfg = Fidelity::Quick.micro(conc, size);
-        cfg.backend = backend;
-        std::hint::black_box(Experiment::new(cfg).run(kind));
+        std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
     }
     start.elapsed().as_secs_f64() * 1e3
 }
 
+/// A queue type's hold measurement: population and hold count in,
+/// operations per second out.
+type HoldProbe = fn(u64, u64) -> f64;
+
 fn main() {
     asyncinv_bench::banner(
         "kernel_bench — simulation-kernel self-benchmark",
-        "heap default vs ladder opt-in on hold and grid loads; \
+        "heap vs ladder on hold loads; the cell grid on the fleet loop's heap; \
          parallel runner cuts grid wall-clock",
     );
     let quick = std::env::args().any(|a| a == "--quick");
@@ -237,17 +238,24 @@ fn main() {
 
     let host_cores = configured_threads();
 
-    // --- 1. Hold model: the kernel's steady-state op rate per backend. ---
-    let mut rates: Vec<(u64, BackendKind, Vec<f64>)> = [10u64, 100, 10_000, 100_000]
+    // --- 1. Hold model: the kernel's steady-state op rate per queue type. ---
+    let queues: [(&str, HoldProbe); 2] = [
+        (
+            EventQueue::<u64>::NAME,
+            hold_events_per_sec::<EventQueue<u64>>,
+        ),
+        (
+            LadderQueue::<u64>::NAME,
+            hold_events_per_sec::<LadderQueue<u64>>,
+        ),
+    ];
+    let mut rates: Vec<(u64, &str, HoldProbe, Vec<f64>)> = [10u64, 100, 10_000, 100_000]
         .into_iter()
-        .flat_map(|population| BackendKind::ALL.map(|backend| (population, backend, Vec::new())))
+        .flat_map(|population| queues.map(|(name, probe)| (population, name, probe, Vec::new())))
         .collect();
     for _ in 0..RUNS {
-        for (population, backend, samples) in &mut rates {
-            samples.push(match backend {
-                BackendKind::Heap => hold_events_per_sec::<EventQueue<u64>>(*population, holds),
-                BackendKind::Ladder => hold_events_per_sec::<LadderQueue<u64>>(*population, holds),
-            });
+        for (population, _, probe, samples) in &mut rates {
+            samples.push(probe(*population, holds));
         }
     }
     let mut hold = Vec::new();
@@ -259,17 +267,17 @@ fn main() {
         "max".into(),
     ]);
     hold_table.numeric();
-    for (population, backend, samples) in rates {
+    for (population, backend, _, samples) in rates {
         let events_per_sec = Spread::of(samples);
         hold_table.row(vec![
-            backend.name().into(),
+            backend.into(),
             population.to_string(),
             fmt_f64(events_per_sec.min / 1e6, 2),
             fmt_f64(events_per_sec.median / 1e6, 2),
             fmt_f64(events_per_sec.max / 1e6, 2),
         ]);
         hold.push(HoldRow {
-            backend: backend.name().into(),
+            backend: backend.into(),
             population,
             runs: RUNS,
             host_cores,
@@ -278,41 +286,23 @@ fn main() {
     }
     println!("\nhold model (pop-one/push-one, constant population; {RUNS} runs):\n{hold_table}");
 
-    // --- 2. Full experiment cells end to end, per backend. ---
+    // --- 2. Full experiment cells end to end on the fleet loop. ---
     let cells = grid();
-    let mut walls = BackendKind::ALL.map(|_| Vec::new());
-    for _ in 0..RUNS {
-        for (backend, samples) in BackendKind::ALL.into_iter().zip(&mut walls) {
-            samples.push(time_grid_on(backend, &cells));
-        }
-    }
-    let mut grid_rows = Vec::new();
-    let mut grid_table = Table::new(vec![
-        "backend".into(),
-        "cells".into(),
-        "min wall[ms]".into(),
-        "median".into(),
-        "max".into(),
-    ]);
-    grid_table.numeric();
-    for (backend, samples) in BackendKind::ALL.into_iter().zip(walls) {
-        let wall_ms = Spread::of(samples);
-        grid_table.row(vec![
-            backend.name().into(),
-            cells.len().to_string(),
-            fmt_f64(wall_ms.min, 0),
-            fmt_f64(wall_ms.median, 0),
-            fmt_f64(wall_ms.max, 0),
-        ]);
-        grid_rows.push(GridRow {
-            backend: backend.name().into(),
-            cells: cells.len(),
-            runs: RUNS,
-            host_cores,
-            wall_ms,
-        });
-    }
-    println!("\nfixed Quick cell grid, serial, per backend ({RUNS} runs):\n{grid_table}");
+    let wall_ms = Spread::of((0..RUNS).map(|_| time_grid(&cells)).collect());
+    println!(
+        "\nfixed Quick cell grid, serial ({RUNS} runs): {} cells  min {} ms  median {}  max {}",
+        cells.len(),
+        fmt_f64(wall_ms.min, 0),
+        fmt_f64(wall_ms.median, 0),
+        fmt_f64(wall_ms.max, 0),
+    );
+    let grid_rows = vec![GridRow {
+        backend: EventQueue::<u64>::NAME.into(),
+        cells: cells.len(),
+        runs: RUNS,
+        host_cores,
+        wall_ms,
+    }];
 
     // --- 2b. Proactor row: the untraced grid combos on the ring vs Netty. ---
     let combos: Vec<(usize, usize)> = {

@@ -53,7 +53,12 @@ pub use asyncinv_servers::{
     Ctx, ExperimentConfig, HybridPath, ServerKind, ServerModel, ServiceProfile, ShedConfig,
     ShedPolicy,
 };
-pub use asyncinv_simcore::{BackendKind, SimDuration, SimRng, SimTime};
+pub use asyncinv_simcore::{SimDuration, SimRng, SimTime};
+
+/// The type of the ignored `RubbosExperiment::backend` field, kept for the
+/// frozen benchmark's inputs until the next benchmark change deletes both.
+#[doc(hidden)]
+pub use asyncinv_servers::rubbos_engine::BackendKind;
 
 /// Deterministic fault injection and client resilience (see
 /// `docs/resilience.md`).

@@ -79,6 +79,25 @@ impl CpuConfig {
         }
     }
 
+    /// Checks the machine, returning the first problem found: at least
+    /// one core, a positive time slice, and a finite, non-negative
+    /// switch-cost alpha.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("cpu.cores must be positive".into());
+        }
+        if self.time_slice.is_zero() {
+            return Err("cpu.time_slice must be positive".into());
+        }
+        let alpha = self.cs_cost_log_alpha;
+        if !(alpha.is_finite() && alpha >= 0.0) {
+            return Err(format!(
+                "cpu.cs_cost_log_alpha must be finite and non-negative, got {alpha}"
+            ));
+        }
+        Ok(())
+    }
+
     /// The effective switch cost with `runnable` threads waiting to run.
     pub fn effective_cs_cost(&self, runnable: usize) -> SimDuration {
         if self.cs_cost_log_alpha == 0.0 {
@@ -116,6 +135,12 @@ mod tests {
         };
         assert_eq!(cfg.effective_cs_cost(0), cfg.cs_cost);
         assert_eq!(cfg.effective_cs_cost(1000), cfg.cs_cost);
+    }
+
+    #[test]
+    fn validate_accepts_the_constructors() {
+        assert_eq!(CpuConfig::single_core().validate(), Ok(()));
+        assert_eq!(CpuConfig::multi_core(4).validate(), Ok(()));
     }
 
     #[test]

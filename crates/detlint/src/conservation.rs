@@ -203,9 +203,9 @@ impl ConservationConfig {
                     audits: vec![fleet_audit.clone()],
                     summed: vec![AuditSurface::new(
                         "crates/fleet/src/cluster.rs",
-                        "drive_with",
+                        "drive",
                         &["d"],
-                        "fleet driver epilogue (cluster::drive_with)",
+                        "fleet driver epilogue (cluster::drive)",
                     )],
                 },
                 CounterSpec {

@@ -21,7 +21,7 @@ use asyncinv_servers::{
     spin_horizon, trace_codes, ConnInfo, Ctx, ExperimentConfig, ServerKind, ServerModel,
     ShedConfig, ShedPolicy,
 };
-use asyncinv_simcore::{BackendKind, EventQueue, LadderQueue, QueueBackend, SimTime, Simulation};
+use asyncinv_simcore::{EventQueue, SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::{
     ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId,
@@ -87,20 +87,14 @@ impl FleetConfig {
         }
     }
 
-    /// Checks the configuration, returning the first problem found.
+    /// Checks the configuration, returning the first problem found: the
+    /// cell ([`ExperimentConfig::validate`]), then the fleet topology,
+    /// hedging and per-shard fault and shed planes.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
             return Err("a fleet needs at least one shard".into());
         }
-        self.cell.tcp.validate()?;
-        self.cell.retry.validate()?;
-        self.cell.clients.mix.validate()?;
-        if let Some(shed) = &self.cell.shed {
-            shed.validate()?;
-        }
-        if self.cell.measure.is_zero() {
-            return Err("measurement window must be positive".into());
-        }
+        self.cell.validate()?;
         if self.cell.faults.is_some() {
             return Err("cell.faults must be None in a fleet; use shard_faults".into());
         }
@@ -424,7 +418,7 @@ impl Cluster {
     /// Panics if `kinds.len() != shards`.
     pub fn run_mixed(&self, kinds: &[ServerKind]) -> FleetSummary {
         let mut obs = NoopObserver;
-        self.drive(kinds, &mut obs)
+        self.build_and_drive(kinds, &mut obs)
     }
 
     /// Runs with structured tracing (ring sized by the cell's
@@ -438,11 +432,11 @@ impl Cluster {
 
     /// Runs a homogeneous fleet reporting into a caller-supplied observer.
     pub fn run_observed(&self, kind: ServerKind, obs: &mut dyn Observer) -> FleetSummary {
-        self.drive(&vec![kind; self.cfg.shards], obs)
+        self.build_and_drive(&vec![kind; self.cfg.shards], obs)
     }
 
     /// Builds one architecture instance per shard and runs the loop.
-    fn drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
+    fn build_and_drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
         let mut built: Vec<Box<dyn ServerModel>> =
             kinds.iter().map(|k| k.build(&self.cfg.cell)).collect();
         let servers = built.iter_mut().map(|b| &mut **b as &mut dyn ServerModel).collect();
@@ -466,9 +460,15 @@ fn trace(obs: &mut dyn Observer, ev: TraceEvent) {
 }
 
 /// Runs the drive loop over caller-owned architecture instances, one per
-/// shard, monomorphized for the configured queue backend. With
-/// `fast_forward` off, write-spin iterations run through the event queue
-/// instead of being retired inline; results are identical either way.
+/// shard. With `fast_forward` off, write-spin iterations run through the
+/// event queue instead of being retired inline; results are identical
+/// either way.
+///
+/// The loop runs on the binary heap ([`EventQueue`]). Its cells keep
+/// tens to a few thousand events pending, where the heap has the best
+/// constants: the ladder lost every micro cell it was timed on
+/// (DESIGN.md §7).
+#[allow(clippy::too_many_lines)]
 pub(crate) fn drive(
     cfg: &FleetConfig,
     servers: Vec<&mut dyn ServerModel>,
@@ -476,21 +476,6 @@ pub(crate) fn drive(
     fast_forward: bool,
 ) -> FleetSummary {
     assert_eq!(servers.len(), cfg.shards, "one architecture per shard");
-    match cfg.cell.backend {
-        BackendKind::Heap => drive_with::<EventQueue<FleetEvent>>(cfg, servers, obs, fast_forward),
-        BackendKind::Ladder => {
-            drive_with::<LadderQueue<FleetEvent>>(cfg, servers, obs, fast_forward)
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn drive_with<Q: QueueBackend<FleetEvent>>(
-    cfg: &FleetConfig,
-    servers: Vec<&mut dyn ServerModel>,
-    obs: &mut dyn Observer,
-    fast_forward: bool,
-) -> FleetSummary {
     let cell = &cfg.cell;
     let n = cell.clients.concurrency;
     let n_shards = cfg.shards;
@@ -498,7 +483,7 @@ fn drive_with<Q: QueueBackend<FleetEvent>>(
     let warm_end = SimTime::ZERO + cell.warmup;
     let end = warm_end + cell.measure;
 
-    let mut sim: Simulation<FleetEvent, Q> = Simulation::default();
+    let mut sim: Simulation<FleetEvent, EventQueue<FleetEvent>> = Simulation::new();
     let mut clients = ClientPool::new(cell.clients.clone());
     let mut bal = cfg.balancer.build(n_shards);
 

@@ -36,19 +36,20 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid: the checks of
-    /// [`FleetConfig::validate`] (TCP, retry, shed and fault settings, a
-    /// positive measurement window).
+    /// Panics if [`ExperimentConfig::validate`] rejects the configuration
+    /// (machine, network, clients, mix, retry policy, fault plan, shed
+    /// limits, ring geometry, thread counts, write-spin limit, or the
+    /// measurement window).
     pub fn new(cfg: ExperimentConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid ExperimentConfig: {e}");
+        }
         let mut cell = cfg.clone();
         let shard_faults = cell.faults.take().map(|plan| ShardFault { shard: 0, plan });
         let fleet = FleetConfig {
             shard_faults: shard_faults.into_iter().collect(),
             ..FleetConfig::new(cell, 1, BalancerKind::RoundRobin)
         };
-        if let Err(e) = fleet.validate() {
-            panic!("invalid ExperimentConfig: {e}");
-        }
         Experiment {
             cfg,
             fleet,

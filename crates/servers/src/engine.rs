@@ -9,9 +9,9 @@
 use asyncinv_cpu::{Burst, CpuConfig, CpuEvent, CpuModel, ThreadId};
 use asyncinv_fault::FaultPlan;
 use asyncinv_obs::{Observer, TraceEvent, TraceKind};
-use asyncinv_simcore::{BackendKind, SimDuration, SimTime};
+use asyncinv_simcore::{SimDuration, SimTime};
 use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpWorld};
-use asyncinv_workload::{ClientConfig, Mix, RetryPolicy, ThinkTime};
+use asyncinv_workload::{ArrivalMode, ClientConfig, Mix, RetryPolicy, ThinkTime};
 
 use serde::{Deserialize, Serialize};
 use crate::profile::ServiceProfile;
@@ -54,11 +54,6 @@ pub struct ExperimentConfig {
     /// both mean "keep all"). Counts are taken before sampling.
     #[serde(default)]
     pub trace_sample: u64,
-    /// Simulation queue backend. All backends produce identical results
-    /// (the ordering contract is property-tested); this only trades
-    /// wall-clock speed. Defaults to [`BackendKind::Heap`].
-    #[serde(default)]
-    pub backend: BackendKind,
     /// Optional fault-injection schedule. `None` (the default) compiles to
     /// nothing: no fault state is consulted anywhere in the hot path and
     /// runs are bit-identical to builds without the fault plane.
@@ -156,7 +151,7 @@ impl ExperimentConfig {
                 think: ThinkTime::Zero,
                 mix,
                 seed: 42,
-                arrivals: asyncinv_workload::ArrivalMode::Closed,
+                arrivals: ArrivalMode::Closed,
             },
             profile: ServiceProfile::default(),
             warmup: SimDuration::from_secs(2),
@@ -168,7 +163,6 @@ impl ExperimentConfig {
             tomcat_real_nio: false,
             trace_capacity: 0,
             trace_sample: 0,
-            backend: BackendKind::default(),
             faults: None,
             shed: None,
             retry: RetryPolicy::default(),
@@ -181,6 +175,51 @@ impl ExperimentConfig {
     pub fn with_latency(mut self, one_way: SimDuration) -> Self {
         self.tcp.added_latency = one_way;
         self
+    }
+
+    /// Checks the cell, returning the first problem found: the machine
+    /// ([`CpuConfig::validate`]), network, client pool and mix, retry
+    /// policy, fault plan, shed limits and ring geometry, every
+    /// architecture's thread counts and write-spin limit, and a positive
+    /// measurement window.
+    pub fn validate(&self) -> Result<(), String> {
+        self.cpu.validate()?;
+        self.tcp.validate()?;
+        if self.clients.concurrency == 0 {
+            return Err("clients.concurrency must be positive".into());
+        }
+        if let ArrivalMode::Open { rate_per_sec } = self.clients.arrivals {
+            if !(rate_per_sec.is_finite() && rate_per_sec > 0.0) {
+                return Err(format!(
+                    "clients.arrivals rate_per_sec must be finite and positive, got {rate_per_sec}"
+                ));
+            }
+        }
+        self.clients.mix.validate()?;
+        self.retry.validate()?;
+        if let Some(plan) = &self.faults {
+            plan.validate()?;
+        }
+        if let Some(shed) = &self.shed {
+            shed.validate()?;
+        }
+        self.uring.validate()?;
+        for (name, workers) in [
+            ("pool_workers", self.pool_workers),
+            ("netty_workers", self.netty_workers),
+            ("staged_workers", self.staged_workers),
+        ] {
+            if workers == 0 {
+                return Err(format!("{name} must be positive"));
+            }
+        }
+        if self.write_spin_limit == 0 {
+            return Err("write_spin_limit must be positive".into());
+        }
+        if self.measure.is_zero() {
+            return Err("measurement window must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -203,27 +242,27 @@ pub struct ConnInfo {
 /// substrates produce are flushed to the simulation queue by the drive
 /// loop after the callback returns.
 pub struct Ctx<'a> {
-    pub(crate) now: SimTime,
-    pub(crate) cpu: &'a mut CpuModel,
-    pub(crate) tcp: &'a mut TcpWorld,
-    pub(crate) profile: &'a ServiceProfile,
-    pub(crate) conn_info: &'a [ConnInfo],
-    pub(crate) cpu_out: &'a mut Vec<(SimTime, CpuEvent)>,
-    pub(crate) tcp_out: &'a mut Vec<(SimTime, TcpEvent)>,
-    pub(crate) obs: &'a mut dyn Observer,
+    now: SimTime,
+    cpu: &'a mut CpuModel,
+    tcp: &'a mut TcpWorld,
+    profile: &'a ServiceProfile,
+    conn_info: &'a [ConnInfo],
+    cpu_out: &'a mut Vec<(SimTime, CpuEvent)>,
+    tcp_out: &'a mut Vec<(SimTime, TcpEvent)>,
+    obs: &'a mut dyn Observer,
     /// Cached `obs.is_enabled()` so the disabled path is one local branch.
-    pub(crate) obs_on: bool,
+    obs_on: bool,
     /// `true` while the driver's load shedder is saturated (service slots
     /// exhausted or arrivals parked in the accept queue). Architectures
     /// with adaptive policies (the hybrid router's reclassification) freeze
     /// learning while this holds so overload transients don't poison the
     /// learned state.
-    pub(crate) shed_active: bool,
+    shed_active: bool,
     /// Earliest instant of any event the driver has pending ([`spin_horizon`]):
     /// write-spin iterations that complete strictly before it may be
     /// retired inline ([`Ctx::spin_write`]). Equal to `now`, so nothing is
     /// retired, when the driver cannot see the next pending event.
-    pub(crate) horizon: SimTime,
+    horizon: SimTime,
 }
 
 impl std::fmt::Debug for Ctx<'_> {
@@ -236,11 +275,11 @@ impl std::fmt::Debug for Ctx<'_> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Builds a context for a drive loop hosting a [`ServerModel`]
-    /// (`asyncinv-fleet` drives one machine, network and architecture per
-    /// shard). Drivers must construct a fresh `Ctx` per callback and flush
-    /// `cpu_out` / `tcp_out` into the simulation queue after the callback
-    /// returns.
+    /// Builds a context for a drive loop hosting a [`ServerModel`]: the
+    /// fleet loop in `asyncinv-fleet` (one machine, network and
+    /// architecture per shard) and the RUBBoS engine's Tomcat tier. Drivers
+    /// must construct a fresh `Ctx` per callback and flush `cpu_out` /
+    /// `tcp_out` into the simulation queue after the callback returns.
     ///
     /// `horizon` is the earliest instant of any event the driver still has
     /// pending ([`spin_horizon`]); write-spin iterations completing strictly
@@ -405,14 +444,16 @@ impl<'a> Ctx<'a> {
 
     /// `true` while the driver's server-side load shedder is actively
     /// degrading (service cap reached or arrivals queued). Always `false`
-    /// when no [`ShedConfig`] is set.
+    /// when no [`ShedConfig`] is set, and in the RUBBoS engine, which has
+    /// no shedder.
     ///
-    /// Contract: architectures must sample this during
+    /// Contract: architectures sample this during
     /// [`ServerModel::on_request`](crate::ServerModel::on_request) (the
-    /// admission dispatch) and carry the bit per-request. Fleet drivers
-    /// only guarantee the value there — the parallel-in-time driver
-    /// replays burst/writable callbacks in phase workers, where live
-    /// shedder state does not exist.
+    /// admission dispatch) and carry the bit with the request. The fleet
+    /// loop passes live shedder state to every callback, but the state
+    /// that matters for a request is the one at its admission: by the
+    /// time its bursts complete, the shedder may have drained or filled
+    /// for other requests.
     pub fn shed_active(&self) -> bool {
         self.shed_active
     }

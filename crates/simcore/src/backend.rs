@@ -1,78 +1,30 @@
 //! Pluggable event-queue backends for [`Simulation`](crate::Simulation).
 //!
 //! The kernel's hot loop is "pop the earliest event, maybe push a few
-//! follow-ups". Two queue shapes implement it behind [`QueueBackend`] and
-//! are named in configs by [`BackendKind`]:
+//! follow-ups". Three queue shapes implement it behind [`QueueBackend`],
+//! and each engine names the one that suits its standing population in
+//! code, as the `Q` type parameter of its `Simulation`; no config picks
+//! one:
 //!
-//! * the binary heap ([`EventQueue`](crate::EventQueue)), the default: the
-//!   best constants at the standing populations experiment cells hold
-//!   (tens to a few thousand events);
+//! * the binary heap ([`EventQueue`](crate::EventQueue)), the default:
+//!   the best constants at the standing populations experiment cells hold
+//!   (tens to a few thousand events). The fleet drive loop runs on it.
 //! * the ladder queue ([`LadderQueue`](crate::LadderQueue)): a hold cost
-//!   that stays flat from 10k to 100k+ events.
+//!   that stays flat from 10k to 100k+ events. The RUBBoS engine runs on
+//!   it, because its users' random think times keep a wide spread of
+//!   timestamps pending.
+//! * the lane queue ([`LaneQueue`](crate::LaneQueue)): a heap plus one
+//!   FIFO per fixed delay, declared by the model that owns the simulation.
+//!   The service-graph engine runs on it.
 //!
-//! No input-size rule separates the two on real cells, and a queue that
-//! picks a shape at run time pays its dispatch on every operation, so the
-//! ladder is an explicit opt-in ([`BackendKind::Ladder`], or the type
-//! parameter) rather than a runtime switch.
-//!
-//! A third backend, the lane queue ([`LaneQueue`](crate::LaneQueue)), is
-//! a heap plus one FIFO per fixed delay. Its lanes are declared by the
-//! model that owns the simulation, so it is a type parameter only, not a
-//! [`BackendKind`]. All three deliver byte-identical event orderings;
-//! property tests in `tests/prop_simcore.rs` enforce this.
+//! A queue that picks a shape at run time pays its dispatch on every
+//! operation, so none does. All three deliver byte-identical event
+//! orderings; property tests in `tests/prop_simcore.rs` enforce this.
 
 use crate::ladder::LadderQueue;
 use crate::lanes::LaneQueue;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
-use serde::{Deserialize, Error, Serialize, Value};
-
-/// Which queue backend a [`Simulation`](crate::Simulation) should use —
-/// the config-level counterpart of the [`QueueBackend`] type parameter.
-///
-/// Experiment configs carry one of these (defaulting to
-/// [`BackendKind::Heap`]) and engines dispatch their generic drive loop on
-/// it, so a backend can be pinned per run without changing any code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub enum BackendKind {
-    /// Binary heap ([`EventQueue`](crate::EventQueue)).
-    #[default]
-    Heap,
-    /// Ladder queue ([`LadderQueue`](crate::LadderQueue)): flat hold cost
-    /// at 100k+ event populations.
-    Ladder,
-}
-
-impl BackendKind {
-    /// All kinds, in heap → ladder order (bench sweeps).
-    pub const ALL: [BackendKind; 2] = [BackendKind::Heap, BackendKind::Ladder];
-
-    /// The backend's short name ("heap", "ladder").
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Heap => "heap",
-            BackendKind::Ladder => "ladder",
-        }
-    }
-}
-
-impl Deserialize for BackendKind {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s == "Heap" => Ok(BackendKind::Heap),
-            Value::Str(s) if s == "Ladder" => Ok(BackendKind::Ladder),
-            // The retired heap that migrated to a calendar queue under
-            // load. Every backend pops the same event order, so reading it
-            // as the heap changes no result. The arm exists only because
-            // `benchmark/inputs/*.json` still name it; delete it when the
-            // next benchmark change re-pins them to "Heap".
-            Value::Str(s) if s == "Adaptive" => Ok(BackendKind::Heap),
-            _ => Err(Error::custom(format!(
-                "no variant of BackendKind matches {v:?} (expected \"Heap\" or \"Ladder\")"
-            ))),
-        }
-    }
-}
 
 /// A stable min-priority queue of timestamped events, usable as the
 /// backing store of a [`Simulation`](crate::Simulation).
@@ -165,9 +117,9 @@ impl<E> QueueBackend<E> for LadderQueue<E> {
     }
 }
 
-/// The lane queue as a backend. It is not a [`BackendKind`]: its lanes
-/// are declared by the model that owns the simulation, and
-/// `Q::default()` gives a queue with no lanes (a plain heap).
+/// The lane queue as a backend. Its lanes are declared by the model that
+/// owns the simulation, and `Q::default()` gives a queue with no lanes (a
+/// plain heap).
 impl<E> QueueBackend<E> for LaneQueue<E> {
     const NAME: &'static str = "lanes";
 

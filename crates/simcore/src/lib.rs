@@ -11,14 +11,18 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! * [`EventQueue`] / [`LadderQueue`] — stable priority queues of
 //!   timestamped events (ties broken by insertion order so runs are
-//!   reproducible), unified by the [`QueueBackend`] trait and named in
-//!   configs by [`BackendKind`]. The binary heap is the default; the
-//!   ladder is the opt-in for standing populations in the tens of
-//!   thousands.
+//!   reproducible), unified by the [`QueueBackend`] trait. The binary
+//!   heap is the default; the ladder suits standing populations in the
+//!   tens of thousands.
 //! * [`LaneQueue`] — a heap plus one FIFO lane per fixed delay, for
 //!   models whose events mostly sit at a few known delays (the service
 //!   graph engine's edge latencies and timeouts). It pops the heap's
-//!   exact order and is a type parameter, not a [`BackendKind`].
+//!   exact order.
+//!
+//!   Each engine names its queue in code, as its `Simulation`'s type
+//!   parameter; configs never name one. The fleet drive loop runs on the
+//!   heap, the RUBBoS engine on the ladder and the service-graph engine
+//!   on lanes.
 //! * [`Simulation`] — clock + pluggable queue backend + scheduling API;
 //!   defaults to the binary heap; [`Simulation::schedule_lane`] schedules
 //!   on a lane.
@@ -57,7 +61,7 @@ mod rng;
 mod sim;
 mod time;
 
-pub use backend::{BackendKind, QueueBackend};
+pub use backend::QueueBackend;
 pub use ladder::LadderQueue;
 pub use lanes::LaneQueue;
 pub use queue::EventQueue;

@@ -18,11 +18,11 @@ use crate::time::{SimDuration, SimTime};
 /// The queue shape is a type parameter implementing [`QueueBackend`]; the
 /// default is the binary heap ([`EventQueue`]). Every backend delivers the
 /// exact same event ordering (stable FIFO on equal timestamps), so the
-/// choice affects wall-clock speed only: the ladder
-/// ([`LadderQueue`](crate::LadderQueue)) suits standing populations in the
-/// tens of thousands, and the lane queue ([`LaneQueue`]) suits models
-/// whose events mostly sit at a few fixed delays
-/// ([`Simulation::schedule_lane`]).
+/// choice affects wall-clock speed only, and each engine makes it in code:
+/// the ladder ([`LadderQueue`](crate::LadderQueue)) suits standing
+/// populations in the tens of thousands, and the lane queue
+/// ([`LaneQueue`]) suits models whose events mostly sit at a few fixed
+/// delays ([`Simulation::schedule_lane`]).
 ///
 /// ```
 /// use asyncinv_simcore::{Simulation, SimDuration};

@@ -1,15 +1,15 @@
 //! Bad configs are rejected at the validation gates instead of panicking
-//! inside a drive loop: `FleetConfig::validate` (shared by
-//! `Experiment::new` and `Cluster::new`) checks the cell's mix,
-//! `ServiceGraph::validate` checks every tier's response size, and
-//! `RubbosExperiment::validate` gates the macro engine's run. Mixes read
-//! from JSON bypass `Mix::new`'s asserts, so several cases arrive that
-//! way.
+//! inside a drive loop: `ExperimentConfig::validate` (the gate of
+//! `Experiment::new`, and called by `FleetConfig::validate`, the gate of
+//! `Cluster::new`) checks the cell, `ServiceGraph::validate` checks every
+//! tier's response size, and `RubbosExperiment::validate` gates the macro
+//! engine's run. Mixes read from JSON bypass `Mix::new`'s asserts, so
+//! several cases arrive that way.
 
 use asyncinv::dag::{FleetDriver, ServiceGraph};
 use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig};
 use asyncinv::prelude::*;
-use asyncinv::workload::RequestClass;
+use asyncinv::workload::{ArrivalMode, RequestClass};
 
 fn cell(mix: Mix) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::with_mix(4, mix);
@@ -92,6 +92,105 @@ fn a_service_graph_rejects_a_zero_byte_tier_past_the_root() {
     assert!(g.validate().is_err());
 }
 
+/// Asserts that `Experiment::new` refuses `cfg` at its gate, with a
+/// message naming `field`, before any run starts. Each field below once
+/// passed the gate and then panicked inside the drive loop.
+fn assert_refused(cfg: ExperimentConfig, field: &str) {
+    let Err(panic) = std::panic::catch_unwind(|| Experiment::new(cfg)) else {
+        panic!("the gate accepted the config");
+    };
+    let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(
+        msg.starts_with("invalid ExperimentConfig") && msg.contains(field),
+        "{msg}"
+    );
+}
+
+fn micro() -> ExperimentConfig {
+    cell(Mix::single("page", 1024))
+}
+
+#[test]
+fn the_gate_rejects_zero_cores() {
+    let mut cfg = micro();
+    cfg.cpu.cores = 0;
+    assert_refused(cfg, "cpu.cores");
+}
+
+#[test]
+fn the_gate_rejects_a_zero_time_slice() {
+    let mut cfg = micro();
+    cfg.cpu.time_slice = SimDuration::ZERO;
+    assert_refused(cfg, "cpu.time_slice");
+}
+
+#[test]
+fn the_gate_rejects_a_nan_or_negative_switch_cost_alpha() {
+    for alpha in [f64::NAN, -0.5, f64::INFINITY] {
+        let mut cfg = micro();
+        cfg.cpu.cs_cost_log_alpha = alpha;
+        assert_refused(cfg, "cpu.cs_cost_log_alpha");
+    }
+}
+
+#[test]
+fn the_gate_rejects_zero_concurrency() {
+    let mut cfg = micro();
+    cfg.clients.concurrency = 0;
+    assert_refused(cfg, "clients.concurrency");
+}
+
+#[test]
+fn the_gate_rejects_a_zero_negative_or_nan_open_loop_rate() {
+    for rate_per_sec in [0.0, -100.0, f64::NAN] {
+        let mut cfg = micro();
+        cfg.clients.arrivals = ArrivalMode::Open { rate_per_sec };
+        assert_refused(cfg, "rate_per_sec");
+    }
+}
+
+#[test]
+fn the_gate_rejects_zero_pool_workers() {
+    let mut cfg = micro();
+    cfg.pool_workers = 0;
+    assert_refused(cfg, "pool_workers");
+}
+
+#[test]
+fn the_gate_rejects_zero_netty_workers() {
+    let mut cfg = micro();
+    cfg.netty_workers = 0;
+    assert_refused(cfg, "netty_workers");
+}
+
+#[test]
+fn the_gate_rejects_zero_staged_workers() {
+    let mut cfg = micro();
+    cfg.staged_workers = 0;
+    assert_refused(cfg, "staged_workers");
+}
+
+#[test]
+fn the_gate_rejects_a_zero_write_spin_limit() {
+    let mut cfg = micro();
+    cfg.write_spin_limit = 0;
+    assert_refused(cfg, "write_spin_limit");
+}
+
+#[test]
+fn the_gate_rejects_a_zero_submission_ring() {
+    let mut cfg = micro();
+    cfg.uring.sq_depth = 0;
+    assert_refused(cfg, "sq_depth");
+}
+
+#[test]
+fn the_gate_rejects_a_zero_completion_ring() {
+    let mut cfg = micro();
+    cfg.uring.cq_depth = 0;
+    assert_refused(cfg, "cq_depth");
+}
+
 /// A short RUBBoS run: few users, sub-second windows. Each case below
 /// breaks one field, and `run` must refuse it before the engine starts.
 fn rubbos() -> RubbosExperiment {
@@ -144,5 +243,13 @@ fn rubbos_rejects_a_zero_initial_cwnd() {
 fn rubbos_rejects_a_zero_measurement_window() {
     let mut exp = rubbos();
     exp.measure = SimDuration::ZERO;
+    let _ = exp.run(ServerKind::SyncThread);
+}
+
+#[test]
+#[should_panic(expected = "invalid RubbosExperiment")]
+fn rubbos_rejects_a_zero_time_slice() {
+    let mut exp = rubbos();
+    exp.cpu.time_slice = SimDuration::ZERO;
     let _ = exp.run(ServerKind::SyncThread);
 }
