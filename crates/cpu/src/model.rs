@@ -101,8 +101,6 @@ struct Thread {
     remaining: SimDuration,
     kind: BurstKind,
     tag: u64,
-    user_time: SimDuration,
-    sys_time: SimDuration,
 }
 
 #[derive(Debug)]
@@ -216,8 +214,6 @@ impl CpuModel {
             remaining: SimDuration::ZERO,
             kind: BurstKind::User,
             tag: 0,
-            user_time: SimDuration::ZERO,
-            sys_time: SimDuration::ZERO,
         });
         self.stats.threads_spawned += 1;
         id
@@ -296,16 +292,6 @@ impl CpuModel {
     /// `true` if the thread has no pending or running burst.
     pub fn is_blocked(&self, tid: ThreadId) -> bool {
         self.threads[tid.0].state == ThreadState::Blocked
-    }
-
-    /// Total user CPU time consumed by `tid` so far.
-    pub fn thread_user_time(&self, tid: ThreadId) -> SimDuration {
-        self.threads[tid.0].user_time
-    }
-
-    /// Total system CPU time consumed by `tid` so far.
-    pub fn thread_sys_time(&self, tid: ThreadId) -> SimDuration {
-        self.threads[tid.0].sys_time
     }
 
     /// Submits a burst of CPU work on behalf of `tid`.
@@ -453,14 +439,9 @@ impl CpuModel {
         };
         for b in cycle {
             let d = self.scaled(b.duration) * cycles;
-            let th = &mut self.threads[tid.0];
             match b.kind {
-                BurstKind::User => {
-                    th.user_time += d;
-                    self.stats.user_time += d;
-                }
+                BurstKind::User => self.stats.user_time += d,
                 BurstKind::Syscall => {
-                    th.sys_time += d;
                     self.stats.sys_time += d;
                     self.stats.syscall_bursts += cycles;
                 }
@@ -731,16 +712,9 @@ impl CpuModel {
     }
 
     fn charge(&mut self, tid: ThreadId, seg: SimDuration) {
-        let th = &mut self.threads[tid.0];
-        match th.kind {
-            BurstKind::User => {
-                th.user_time += seg;
-                self.stats.user_time += seg;
-            }
-            BurstKind::Syscall => {
-                th.sys_time += seg;
-                self.stats.sys_time += seg;
-            }
+        match self.threads[tid.0].kind {
+            BurstKind::User => self.stats.user_time += seg,
+            BurstKind::Syscall => self.stats.sys_time += seg,
         }
     }
 }
@@ -966,10 +940,8 @@ mod tests {
         d.next_completion().unwrap();
         d.submit(t, Burst::syscall(us(3)), 1);
         d.next_completion().unwrap();
-        assert_eq!(d.cpu.thread_user_time(t), us(7));
-        assert_eq!(d.cpu.thread_sys_time(t), us(3));
         let s = d.cpu.stats();
-        assert_eq!(s.user_time + s.sys_time, us(10));
+        assert_eq!((s.user_time, s.sys_time), (us(7), us(3)));
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl CpuTimeBreakdown {
     pub fn user_share_of_busy(&self) -> f64 {
         ratio(self.user, self.busy())
     }
-
-    /// System share of busy time (complement of
-    /// [`CpuTimeBreakdown::user_share_of_busy`]).
-    pub fn sys_share_of_busy(&self) -> f64 {
-        ratio(self.sys + self.switch, self.busy())
-    }
 }
 
 fn ratio(num: SimDuration, den: SimDuration) -> f64 {
@@ -191,7 +185,6 @@ mod tests {
         assert!((b.user_pct() - 30.0).abs() < 1e-9);
         assert!((b.sys_pct() - 20.0).abs() < 1e-9);
         assert!((b.user_share_of_busy() - 0.6).abs() < 1e-12);
-        assert!((b.sys_share_of_busy() - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::graph::ServiceGraph;
 /// DAG station draws uniformly among them per visit.
 pub const LATTICE: usize = 64;
 
-/// The fleet drive loop that calibrates (and, for trivial graphs,
-/// serves) each tier. There is one, [`Cluster`]; [`calibrate_tier`] and
+/// The fleet drive loop that calibrates each tier. There is one,
+/// [`Cluster`]; [`calibrate_tier`] and
 /// [`DagRun::new`](crate::DagRun::new) accept this name and ignore it.
 /// It exists only until the next benchmark change removes its callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,13 +11,12 @@
 //! lets unbudgeted retries compound across tiers into metastable
 //! collapse.
 //!
-//! A trivial graph (one tier, no edges) does not run this driver at all:
-//! it delegates verbatim to the fleet driver, so its summary and trace
-//! are bit-identical to the bare fleet run.
+//! A one-tier graph is composed like any other; one fleet on its own
+//! runs through `asyncinv_fleet::Cluster`.
 
 use std::collections::VecDeque;
 
-use asyncinv_fleet::{mix64, Cluster, FleetSummary, HedgeEstimator};
+use asyncinv_fleet::{mix64, HedgeEstimator};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
 use asyncinv_simcore::{LaneQueue, SimDuration, SimRng, SimTime, Simulation};
 use asyncinv_workload::{RetryBudget, RetryPolicy};
@@ -27,8 +26,7 @@ use crate::graph::{ServiceGraph, EDGE_ROOT};
 use crate::span::{DagAttempt, DagSpan, DagSpanStatus};
 use crate::summary::{DagSummary, TierCounters};
 
-/// Ring capacity for [`DagRun::run_traced`] on composed graphs (trivial
-/// graphs mirror the fleet cell's own trace settings instead).
+/// Ring capacity for [`DagRun::run_traced`].
 const DAG_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Everything a DAG run produces.
@@ -36,16 +34,11 @@ const DAG_TRACE_CAPACITY: usize = 1 << 20;
 pub struct DagOutcome {
     /// The DAG summary (window counters + whole-run per-tier counters).
     pub summary: DagSummary,
-    /// The fleet summary, for trivial graphs only: the single tier's
-    /// fleet ran verbatim, and this is bit-identical to what the bare
-    /// fleet driver reports.
-    pub fleet: Option<FleetSummary>,
-    /// One span per root request, for composed graphs run with an
-    /// enabled observer ([`DagRun::run_traced`], or
-    /// [`DagRun::run_observed`] with e.g. a `Recorder`). Empty for
-    /// [`DagRun::run`] and for trivial graphs.
+    /// One span per root request, for runs with an enabled observer
+    /// ([`DagRun::run_traced`], or [`DagRun::run_observed`] with e.g. a
+    /// `Recorder`). Empty for [`DagRun::run`].
     pub spans: Vec<DagSpan>,
-    /// Per-tier calibration profiles (composed graphs only).
+    /// Per-tier calibration profiles.
     pub profiles: Vec<TierProfile>,
 }
 
@@ -75,8 +68,8 @@ impl DagRun {
         &self.graph
     }
 
-    /// Runs without observation. A composed graph builds no spans on
-    /// this path (`spans` is empty); use [`DagRun::run_traced`] or
+    /// Runs without observation. No spans are built on this path
+    /// (`spans` is empty); use [`DagRun::run_traced`] or
     /// [`DagRun::run_observed`] for them. The summary is the one an
     /// observed run reports.
     pub fn run(&self) -> DagOutcome {
@@ -86,64 +79,23 @@ impl DagRun {
 
     /// Runs with a recording observer and returns the trace.
     pub fn run_traced(&self) -> (DagOutcome, Recorder) {
-        let mut rec = if self.graph.is_trivial() {
-            let cell = &self.graph.tier_fleet_config(0).cell;
-            Recorder::with_sampling(cell.trace_capacity, cell.trace_sample)
-        } else {
-            Recorder::new(DAG_TRACE_CAPACITY)
-        };
+        let mut rec = Recorder::new(DAG_TRACE_CAPACITY);
         let outcome = self.run_observed(&mut rec);
         (outcome, rec)
     }
 
-    /// Runs with an arbitrary observer. A trivial graph delegates
-    /// straight to the fleet driver (the observer sees the identical
-    /// event stream a bare fleet run would produce, and no DAG kinds);
-    /// a composed graph calibrates every tier and drives the DAG
-    /// simulation, and builds one span per root request when the
-    /// observer is enabled.
+    /// Runs with an arbitrary observer: calibrates every tier, drives
+    /// the DAG simulation, and builds one span per root request when
+    /// the observer is enabled.
     pub fn run_observed(&self, obs: &mut dyn Observer) -> DagOutcome {
-        if self.graph.is_trivial() {
-            return self.run_trivial(obs);
-        }
         let profiles: Vec<TierProfile> = (0..self.graph.tiers.len())
             .map(|t| calibrate_tier(&self.graph, t, FleetDriver::Interleaved))
             .collect();
         let (summary, spans) = Engine::new(&self.graph, &profiles, obs).run();
         DagOutcome {
             summary,
-            fleet: None,
             spans,
             profiles,
-        }
-    }
-
-    fn run_trivial(&self, obs: &mut dyn Observer) -> DagOutcome {
-        let cfg = self.graph.tier_fleet_config(0);
-        let kind = self.graph.tiers[0].kind;
-        let fleet = Cluster::new(cfg).run_observed(kind, obs);
-        let f = &fleet.fleet;
-        // Projection of the fleet summary into the DAG shape; `arrivals`
-        // equals `requests` here because the closed-loop fleet cell has
-        // no separate whole-run arrival count.
-        let summary = DagSummary {
-            name: self.graph.name.clone(),
-            requests: f.completions + f.abandoned,
-            completed: f.completions,
-            failed: f.abandoned,
-            arrivals: f.completions + f.abandoned,
-            goodput: f.throughput,
-            mean_rt_us: f.mean_rt_us,
-            p50_rt_us: f.p50_rt_us,
-            p99_rt_us: f.p99_rt_us,
-            tier_names: vec![self.graph.tiers[0].name.clone()],
-            per_tier: vec![TierCounters::default()],
-        };
-        DagOutcome {
-            summary,
-            fleet: Some(fleet),
-            spans: Vec::new(),
-            profiles: Vec::new(),
         }
     }
 }
@@ -1046,18 +998,6 @@ mod tests {
         for s in &outcome.spans {
             assert!(s.conserves(), "span {} does not telescope", s.req);
         }
-    }
-
-    #[test]
-    fn trivial_graph_delegates_to_the_fleet() {
-        let g = ServiceGraph::tree("triv", ServerKind::Proactor, 0, 1, 5);
-        let run = DagRun::new(g.clone(), FleetDriver::Interleaved);
-        let outcome = run.run();
-        let fleet = outcome.fleet.expect("trivial runs report the fleet summary");
-        let bare = Cluster::new(g.tier_fleet_config(0)).run(g.tiers[0].kind);
-        assert_eq!(fleet, bare, "trivial DAG must be bit-identical to the bare fleet");
-        assert!(outcome.spans.is_empty());
-        assert_eq!(outcome.summary.completed, bare.fleet.completions);
     }
 
     #[test]

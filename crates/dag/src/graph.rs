@@ -212,8 +212,8 @@ impl ServiceGraph {
     }
 
     /// A full `fanout`-ary tree of the given depth (every non-leaf tier
-    /// calls `fanout` children), homogeneous in `kind`. Depth 0 is the
-    /// trivial single-tier graph.
+    /// calls `fanout` children), homogeneous in `kind`. Depth 0 is a
+    /// single tier.
     pub fn tree(name: &str, kind: ServerKind, depth: usize, fanout: usize, seed: u64) -> Self {
         assert!(fanout >= 1, "fan-out must be at least 1");
         let mut g = ServiceGraph::empty(name, seed);
@@ -270,8 +270,10 @@ impl ServiceGraph {
         g
     }
 
-    /// `true` when the graph is a single tier with no edges — the case
-    /// that delegates verbatim to the fleet driver.
+    /// `true` when the graph is a single tier with no edges. The library
+    /// does not read it; the benchmark's input check
+    /// (`benchmark/src/inputs.rs`) does, and it goes when that caller does.
+    #[doc(hidden)]
     pub fn is_trivial(&self) -> bool {
         self.tiers.len() == 1 && self.edges.is_empty()
     }
@@ -285,8 +287,9 @@ impl ServiceGraph {
         out
     }
 
-    /// The fleet configuration a tier's calibration run uses (also the
-    /// exact configuration the trivial graph delegates to).
+    /// The fleet configuration a tier's calibration run uses. A one-tier
+    /// graph is composed like any other; to run that tier's fleet on its
+    /// own, hand this configuration to `Cluster`.
     pub fn tier_fleet_config(&self, tier: usize) -> FleetConfig {
         let t = &self.tiers[tier];
         let mut cell =
@@ -387,10 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn tree_depth_zero_is_trivial() {
+    fn tree_depth_zero_is_one_valid_tier() {
         let g = ServiceGraph::tree("t", ServerKind::NettyLike, 0, 2, 1);
-        assert!(g.is_trivial());
-        g.validate().expect("trivial graph validates");
+        assert_eq!((g.tiers.len(), g.edges.len()), (1, 0));
+        g.validate().expect("a one-tier graph validates");
     }
 
     #[test]

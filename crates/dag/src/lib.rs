@@ -34,10 +34,10 @@
 //!
 //! - **Determinism** — same graph, same seed, same [`DagSummary`],
 //!   bitwise, on any OS thread.
-//! - **Single-node reduction** — a 1-tier graph with no edges delegates
-//!   *verbatim* to the fleet driver: summary, trace stream and counters
-//!   are bit-identical to the bare fleet run (property-tested across all
-//!   eight architectures), and no DAG-only trace kinds are emitted.
+//! - **One composition path** — a 1-tier graph with no edges is
+//!   calibrated and composed like any other graph, and passes both
+//!   audits below on all eight architectures (property-tested). One
+//!   fleet on its own runs through [`Cluster`](asyncinv_fleet::Cluster).
 //! - **Audited tracing** — the DAG trace kinds (`DagDispatch`,
 //!   `DagJoin`, `DagEdgeRetry`, plus the reused client/fleet kinds)
 //!   reconcile bitwise against the per-tier [`TierCounters`] via

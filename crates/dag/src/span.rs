@@ -117,10 +117,6 @@ impl DagSpan {
 /// - every retained `Completion` event matches its span's length;
 /// - every retained `QueueExit` event matches its attempt's service
 ///   start (the `class` field carries the call-instance id).
-///
-/// Applies to composed (non-trivial) DAG runs; a trivial run delegates
-/// to the fleet driver, produces no spans, and is audited by
-/// `fleet_audit` instead.
 pub fn dag_span_audit(spans: &[DagSpan], rec: &Recorder) -> AuditReport {
     let mut by_req: BTreeMap<u64, &DagSpan> = BTreeMap::new();
     let mut exit_by_inst: BTreeMap<u32, SimTime> = BTreeMap::new();

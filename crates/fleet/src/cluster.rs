@@ -9,7 +9,8 @@
 //! a single-server [`Experiment`](crate::Experiment) is its one-shard
 //! case. At one shard balancers draw no randomness, request specs land in
 //! the shard at route time, and no fleet-only trace events or counters
-//! exist (those are emitted only when `shards > 1`).
+//! exist (those are emitted only when `shards > 1`). On more shards each
+//! attempt is one `Arrive` event, and its spec lands when its bytes do.
 
 use asyncinv_cpu::{CpuEvent, CpuModel, SchedEvent, ThreadId};
 use asyncinv_fault::CompiledPlan;
@@ -230,16 +231,12 @@ enum FleetEvent {
     Tcp { shard: u32, ev: TcpEvent },
     /// Shared client-pool event.
     Client(ClientEvent),
-    /// An attempt's bytes reached a shard's socket.
-    Arrive { shard: u32, user: u32, epoch: u32 },
-    /// The request spec carried by an attempt's bytes lands in a shard's
-    /// per-connection parse state. Scheduled one-way ahead of the matching
-    /// [`FleetEvent::Arrive`] (multi-shard runs only): the spec travels
-    /// with the bytes instead of teleporting into the target shard at
-    /// route time, so a shard's `conn_info` changes only at its own
-    /// delivery instants. The DAG fixtures (2-shard tiers) and the
-    /// benchmark's fleet goldens pin the event order this produces.
-    SetConn { shard: u32, user: u32, info: ConnInfo },
+    /// An attempt's bytes reached a shard's socket, carrying the request
+    /// spec. On multi-shard runs the spec lands in the shard's
+    /// per-connection parse state here, stale attempts included, so a
+    /// shard's `conn_info` changes only at its own delivery instants; one
+    /// shard writes it at route time and ignores `info`.
+    Arrive { shard: u32, user: u32, epoch: u32, info: ConnInfo },
     /// The client-side timeout for a primary attempt expired.
     Timeout { shard: u32, user: u32, epoch: u32 },
     /// A backed-off retry fires against its (possibly new) shard.
@@ -249,6 +246,9 @@ enum FleetEvent {
     /// A compiled fault-plan operation fires on one shard.
     Fault { shard: u32, idx: u32 },
 }
+
+// The spec rides in `Arrive` without growing the queue's entries.
+const _: () = assert!(std::mem::size_of::<FleetEvent>() == 32);
 
 /// The server's in-progress response on one shard connection (staleness
 /// works via attempt identity). Service is serialized per connection: a
@@ -275,10 +275,8 @@ struct FleetReq {
     primary: (usize, u32),
     /// Outstanding hedged duplicate, if any.
     hedge: Option<(usize, u32)>,
-    /// Response size of the request spec (travels with every attempt).
-    response_bytes: usize,
-    /// Workload-mix class of the request spec.
-    class: usize,
+    /// The request spec (travels with every attempt).
+    spec: ConnInfo,
 }
 
 /// Fleet counters kept per shard (windowed by snapshot at warm-up end).
@@ -705,7 +703,7 @@ pub(crate) fn drive(
         ($now:expr, $u:expr) => {{
             if let Some(t) = req[$u].as_mut() {
                 if let Some((hs, _he)) = t.hedge.take() {
-                    let cls = t.class;
+                    let cls = t.spec.class;
                     hedge_cancelled!($now, $u, hs, cls);
                 }
             }
@@ -726,7 +724,7 @@ pub(crate) fn drive(
                         obs,
                         TraceEvent::new($now, TraceKind::Abandon)
                             .conn($u)
-                            .class(t.class)
+                            .class(t.spec.class)
                             .arg($attempts as u64),
                     );
                 }
@@ -749,7 +747,7 @@ pub(crate) fn drive(
             if retry_on && attempt < policy.max_retries && budget.try_withdraw() {
                 let backoff = clients.retry_backoff(&policy, attempt);
                 retries += 1;
-                let cls = req[$u].as_ref().map_or(0, |t| t.class);
+                let cls = req[$u].as_ref().map_or(0, |t| t.spec.class);
                 if obs_on {
                     trace(
                         obs,
@@ -766,10 +764,8 @@ pub(crate) fn drive(
                 };
                 outstanding[$fs] -= 1;
                 outstanding[target] += 1;
-                // The spec reaches `target` with the retried attempt's
-                // bytes: the Retry arm schedules a SetConn one-way
-                // ahead of the re-sent Arrive (multi-shard runs only;
-                // at one shard `target == $fs` and `conn_info` already
+                // The spec reaches `target` in the re-sent Arrive (at
+                // one shard `target == $fs` and `conn_info` already
                 // holds this request's spec).
                 shards[target].epoch[$u] += 1;
                 let ne = shards[target].epoch[$u];
@@ -1036,7 +1032,7 @@ pub(crate) fn drive(
                         // The hedge won the race; the primary attempt
                         // is the cancelled side of the pair.
                         let (ps, _pe) = track.primary;
-                        hedge_cancelled!($now, $conn, ps, track.class);
+                        hedge_cancelled!($now, $conn, ps, track.spec.class);
                     }
                     outstanding[$s] -= 1;
                     req[$conn] = None;
@@ -1057,6 +1053,29 @@ pub(crate) fn drive(
         }};
     }
 
+    // Sends a primary attempt of user `$u`'s request to shard `$s`: its
+    // bytes (and spec) arrive one way later, and its timeout and hedge
+    // are armed when those planes are on. Shared by fresh routes and
+    // retries.
+    macro_rules! send_primary {
+        ($now:expr, $s:expr, $u:expr, $ep:expr, $info:expr) => {{
+            let (shard, user, epoch) = ($s as u32, $u as u32, $ep);
+            sim.schedule_at($now + one_way, FleetEvent::Arrive { shard, user, epoch, info: $info });
+            if retry_on {
+                sim.schedule_at(
+                    $now + rto.as_ref().map_or(timeout, |e| e.current()),
+                    FleetEvent::Timeout { shard, user, epoch },
+                );
+            }
+            if hedge_on {
+                sim.schedule_at(
+                    $now + hest!($s).delay(&hcfg),
+                    FleetEvent::HedgeFire { shard, user, epoch },
+                );
+            }
+        }};
+    }
+
     // Routes a fresh request from the shared client pool to a shard.
     macro_rules! route_new {
         ($now:expr, $spec:expr) => {{
@@ -1067,15 +1086,7 @@ pub(crate) fn drive(
                 response_bytes: $spec.response_bytes,
                 class: $spec.class,
             };
-            if multi {
-                // The spec travels with the bytes: it lands just before
-                // the Arrive scheduled below (same instant, earlier
-                // insertion, so FIFO applies it first).
-                sim.schedule_at(
-                    $now + one_way,
-                    FleetEvent::SetConn { shard: s as u32, user: u as u32, info },
-                );
-            } else {
+            if !multi {
                 shards[s].conn_info[u] = info;
             }
             shards[s].epoch[u] += 1;
@@ -1086,8 +1097,7 @@ pub(crate) fn drive(
                 attempt: 0,
                 primary: (s, ep),
                 hedge: None,
-                response_bytes: $spec.response_bytes,
-                class: $spec.class,
+                spec: info,
             });
             outstanding[s] += 1;
             if multi {
@@ -1103,23 +1113,10 @@ pub(crate) fn drive(
                     );
                 }
             }
-            sim.schedule_at(
-                $now + one_way,
-                FleetEvent::Arrive { shard: s as u32, user: u as u32, epoch: ep },
-            );
             if retry_on {
                 budget.deposit();
-                sim.schedule_at(
-                    $now + rto.as_ref().map_or(timeout, |e| e.current()),
-                    FleetEvent::Timeout { shard: s as u32, user: u as u32, epoch: ep },
-                );
             }
-            if hedge_on {
-                sim.schedule_at(
-                    $now + hest!(s).delay(&hcfg),
-                    FleetEvent::HedgeFire { shard: s as u32, user: u as u32, epoch: ep },
-                );
-            }
+            send_primary!($now, s, u, ep, info);
         }};
     }
 
@@ -1133,6 +1130,8 @@ pub(crate) fn drive(
         dispatch!(SimTime::ZERO, s, init, n);
         base += shards[s].cpu.thread_count() as u32;
     }
+    // Architectures spawn every thread in `init`, so one naming pass
+    // covers the run.
     if obs_on {
         for (s, sh) in shards.iter().enumerate() {
             for i in 0..sh.cpu.thread_count() {
@@ -1207,8 +1206,15 @@ pub(crate) fn drive(
                     route_new!(now, spec);
                 }
             }
-            FleetEvent::Arrive { shard, user, epoch } => {
+            FleetEvent::Arrive { shard, user, epoch, info } => {
                 let (s, u) = (shard as usize, user as usize);
+                if multi {
+                    // Every attempt of one logical request carries the
+                    // same spec, and a new request's attempt always lands
+                    // strictly after the old one's (later send, same one
+                    // way), so the last writer is the newest attempt.
+                    shards[s].conn_info[u] = info;
+                }
                 if attempt_current!(u, s, epoch) {
                     if obs_on {
                         trace(
@@ -1232,7 +1238,7 @@ pub(crate) fn drive(
                     }
                     if obs_on {
                         let (attempt, cls) =
-                            req[u].as_ref().map_or((0, 0), |t| (t.attempt, t.class));
+                            req[u].as_ref().map_or((0, 0), |t| (t.attempt, t.spec.class));
                         trace(
                             obs,
                             TraceEvent::new(now, TraceKind::ClientTimeout)
@@ -1246,31 +1252,10 @@ pub(crate) fn drive(
             }
             FleetEvent::Retry { shard, user, epoch } => {
                 let (s, u) = (shard as usize, user as usize);
-                if req[u].as_ref().is_some_and(|t| t.primary == (s, epoch)) {
-                    if let Some(t) = req[u].as_mut() {
-                        t.attempt_sent = now;
-                    }
-                    if multi {
-                        let info = req[u].as_ref().map_or(ConnInfo::default(), |t| ConnInfo {
-                            response_bytes: t.response_bytes,
-                            class: t.class,
-                        });
-                        sim.schedule_at(
-                            now + one_way,
-                            FleetEvent::SetConn { shard, user, info },
-                        );
-                    }
-                    sim.schedule_at(now + one_way, FleetEvent::Arrive { shard, user, epoch });
-                    sim.schedule_at(
-                        now + rto.as_ref().map_or(timeout, |e| e.current()),
-                        FleetEvent::Timeout { shard, user, epoch },
-                    );
-                    if hedge_on {
-                        sim.schedule_at(
-                            now + hest!(s).delay(&hcfg),
-                            FleetEvent::HedgeFire { shard, user, epoch },
-                        );
-                    }
+                if let Some(t) = req[u].as_mut().filter(|t| t.primary == (s, epoch)) {
+                    t.attempt_sent = now;
+                    let info = t.spec;
+                    send_primary!(now, s, u, epoch, info);
                 }
             }
             FleetEvent::HedgeFire { shard, user, epoch } => {
@@ -1279,23 +1264,9 @@ pub(crate) fn drive(
                     .as_ref()
                     .is_some_and(|t| t.primary == (ps, epoch) && t.hedge.is_none());
                 if live {
-                    let (cls, info) = req[u].as_ref().map_or((0, ConnInfo::default()), |t| {
-                        (
-                            t.class,
-                            ConnInfo {
-                                response_bytes: t.response_bytes,
-                                class: t.class,
-                            },
-                        )
-                    });
-                    let h = bal.pick_excluding(u, cls, &outstanding, ps);
+                    let info = req[u].as_ref().map_or(ConnInfo::default(), |t| t.spec);
+                    let h = bal.pick_excluding(u, info.class, &outstanding, ps);
                     if h != ps {
-                        // Hedge implies ≥ 2 shards: the duplicate's spec
-                        // rides with its bytes like every other attempt.
-                        sim.schedule_at(
-                            now + one_way,
-                            FleetEvent::SetConn { shard: h as u32, user, info },
-                        );
                         shards[h].epoch[u] += 1;
                         let he = shards[h].epoch[u];
                         if let Some(t) = req[u].as_mut() {
@@ -1312,24 +1283,16 @@ pub(crate) fn drive(
                                 obs,
                                 TraceEvent::new(now, TraceKind::Hedge)
                                     .conn(u)
-                                    .class(cls)
+                                    .class(info.class)
                                     .arg(waited),
                             );
                         }
                         sim.schedule_at(
                             now + one_way,
-                            FleetEvent::Arrive { shard: h as u32, user, epoch: he },
+                            FleetEvent::Arrive { shard: h as u32, user, epoch: he, info },
                         );
                     }
                 }
-            }
-            FleetEvent::SetConn { shard, user, info } => {
-                // Applied unconditionally: every attempt of one logical
-                // request carries the same spec, and a new request's
-                // SetConn always lands strictly after the old one's
-                // (later send + same one-way), so the last writer is
-                // always the newest attempt.
-                shards[shard as usize].conn_info[user as usize] = info;
             }
             FleetEvent::Fault { shard, idx } => {
                 cold();
@@ -1559,16 +1522,6 @@ pub(crate) fn drive(
             obs.counter("hedges", hedges - hedges_snap);
             obs.counter("hedge_cancels", hedge_cancels - hedge_cancels_snap);
             obs.counter("shard_retries", shard_retries - shard_retries_snap);
-        }
-        for (s, sh) in shards.iter().enumerate() {
-            for i in 0..sh.cpu.thread_count() {
-                let name = sh.cpu.thread_name(ThreadId(i));
-                if multi {
-                    obs.thread_name(sh.thread_base as usize + i, &format!("s{s}/{name}"));
-                } else {
-                    obs.thread_name(i, name);
-                }
-            }
         }
     }
 

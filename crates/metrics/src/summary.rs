@@ -172,17 +172,6 @@ impl RunSummary {
     pub fn mean_rt(&self) -> SimDuration {
         SimDuration::from_micros(self.mean_rt_us)
     }
-
-    /// Relative throughput versus a baseline run (`self / base`).
-    ///
-    /// Returns 0 when the baseline throughput is zero.
-    pub fn speedup_over(&self, base: &RunSummary) -> f64 {
-        if base.throughput == 0.0 {
-            0.0
-        } else {
-            self.throughput / base.throughput
-        }
-    }
 }
 
 /// Relative residual of Little's law `N = X * R` for a closed system with
@@ -226,20 +215,6 @@ mod tests {
     fn idle_cpu_share_no_nan() {
         let s = CpuShare::default();
         assert_eq!(s.user_share_of_busy(), 0.0);
-    }
-
-    #[test]
-    fn speedup() {
-        let a = RunSummary {
-            throughput: 120.0,
-            ..RunSummary::default()
-        };
-        let b = RunSummary {
-            throughput: 100.0,
-            ..RunSummary::default()
-        };
-        assert!((a.speedup_over(&b) - 1.2).abs() < 1e-12);
-        assert_eq!(a.speedup_over(&RunSummary::default()), 0.0);
     }
 
     #[test]

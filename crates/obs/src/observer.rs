@@ -164,11 +164,6 @@ impl Recorder {
         &self.registry
     }
 
-    /// Mutable access to the metrics registry.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// The trace as Chrome trace-event JSON (see [`crate::export`]).
     pub fn chrome_trace_json(&self) -> String {
         crate::export::chrome_trace_json(self)

@@ -23,17 +23,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `v` to counter `name` (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, v: u64) {
-        // Look up before allocating: the common case is an existing key,
-        // and `entry` would clone `name` on every call.
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += v;
-        } else {
-            self.counters.insert(name.to_string(), v);
-        }
-    }
-
     /// Sets counter `name` to `v`.
     pub fn counter_set(&mut self, name: &str, v: u64) {
         self.counters.insert(name.to_string(), v);
@@ -137,10 +126,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_set() {
+    fn counters_set_and_read() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("x", 2);
-        r.counter_add("x", 3);
+        r.counter_set("x", 2);
+        r.counter_set("x", 5);
         r.counter_set("y", 7);
         assert_eq!(r.counter("x"), Some(5));
         assert_eq!(r.counter("y"), Some(7));
@@ -150,7 +139,7 @@ mod tests {
     #[test]
     fn json_roundtrips_through_vendored_parser() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("completions", 100);
+        r.counter_set("completions", 100);
         r.gauge_set("throughput", 123.5);
         for v in 1..=100 {
             r.hist_record("rt_ns", v * 1000);
@@ -171,8 +160,8 @@ mod tests {
     #[test]
     fn deterministic_key_order() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("zeta", 1);
-        r.counter_add("alpha", 1);
+        r.counter_set("zeta", 1);
+        r.counter_set("alpha", 1);
         let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
         assert_eq!(names, ["alpha", "zeta"]);
     }

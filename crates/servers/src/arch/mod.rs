@@ -45,8 +45,9 @@ pub trait ServerModel: Send {
     /// Display name used in result tables (matches the paper's names).
     fn name(&self) -> &'static str;
 
-    /// Called once before any traffic; spawn threads here. `conns` is the
-    /// number of pre-opened client connections.
+    /// Called once before any traffic; spawn every thread here (drive
+    /// loops name threads in traces once, right after `init`). `conns`
+    /// is the number of pre-opened client connections.
     fn init(&mut self, ctx: &mut Ctx<'_>, conns: usize);
 
     /// A complete request arrived on `conn` (socket readable).

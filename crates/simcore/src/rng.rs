@@ -76,16 +76,6 @@ impl SimRng {
         }
     }
 
-    /// A value uniformly distributed in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "gen_range_in: lo ({lo}) must be < hi ({hi})");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// An exponentially distributed value with the given mean.
     ///
     /// Used for think times and service-time jitter.
@@ -153,11 +143,6 @@ impl SimRng {
         }
         weights.len() - 1
     }
-
-    /// Derives an independent child generator (for per-component streams).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -195,10 +180,6 @@ mod tests {
         let mut r = SimRng::new(11);
         for _ in 0..10_000 {
             assert!(r.gen_range(7) < 7);
-        }
-        for _ in 0..1_000 {
-            let v = r.gen_range_in(10, 20);
-            assert!((10..20).contains(&v));
         }
     }
 
@@ -271,15 +252,6 @@ mod tests {
             .count();
         // expect 75%
         assert!((28_000..32_000).contains(&ones), "ones {ones}");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = SimRng::new(31);
-        let mut child = a.fork();
-        // The child stream must not mirror the parent.
-        let same = (0..64).filter(|_| a.next_u64() == child.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
         }
     }
 
-    /// The backend's short name ("heap", "ladder", "lanes").
-    pub fn backend_name(&self) -> &'static str {
-        Q::NAME
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -111,12 +106,6 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
             self.now
         );
         self.queue.push(at, event);
-    }
-
-    /// Schedules `event` to fire immediately (at the current time, after any
-    /// events already queued for this instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.queue.push(self.now, event);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -207,15 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_runs_after_existing_same_instant_events() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimDuration::ZERO, 1);
-        sim.schedule_now(2);
-        assert_eq!(sim.next_event().unwrap().1, 1);
-        assert_eq!(sim.next_event().unwrap().1, 2);
-    }
-
-    #[test]
     fn relative_scheduling_is_from_current_time() {
         let mut sim = Simulation::new();
         sim.schedule(SimDuration::from_micros(5), ());
@@ -276,9 +256,6 @@ mod tests {
         }
         let ladder = run(Simulation::<u32, LadderQueue<u32>>::default());
         assert_eq!(run(Simulation::new()), ladder);
-        assert_eq!(Simulation::<u32>::new().backend_name(), "heap");
-        let lanes = Simulation::<u32, LaneQueue<u32>>::default();
-        assert_eq!(lanes.backend_name(), "lanes");
-        assert_eq!(run(lanes), ladder);
+        assert_eq!(run(Simulation::<u32, LaneQueue<u32>>::default()), ladder);
     }
 }

@@ -92,17 +92,6 @@ impl TcpWorld {
         id
     }
 
-    /// Opens a connection with a per-connection configuration override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`TcpConfig::validate`].
-    pub fn open_with(&mut self, now: SimTime, cfg: TcpConfig) -> ConnId {
-        let id = ConnId(self.conns.len());
-        self.conns.push(Connection::new(now, cfg));
-        id
-    }
-
     /// Number of connections opened.
     pub fn len(&self) -> usize {
         self.conns.len()
@@ -217,7 +206,6 @@ impl TcpWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SendBufPolicy;
     use asyncinv_simcore::SimDuration;
 
     const KB: usize = 1024;
@@ -260,20 +248,6 @@ mod tests {
                 TcpNotice::Delivered { .. } => {}
             }
         }
-    }
-
-    #[test]
-    fn per_connection_config_override() {
-        let mut w = TcpWorld::new(TcpConfig::default());
-        let big = w.open_with(
-            SimTime::ZERO,
-            TcpConfig {
-                send_buf: SendBufPolicy::Fixed(100 * KB),
-                ..TcpConfig::default()
-            },
-        );
-        let mut out = Vec::new();
-        assert_eq!(w.write(SimTime::ZERO, big, 100 * KB, &mut out), 100 * KB);
     }
 
     #[test]

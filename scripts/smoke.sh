@@ -74,7 +74,7 @@ cargo run --release -p asyncinv-bench --bin fleet -- \
     --quick --json results/fleet-sweep.json
 test -s results/fleet-sweep.json
 
-echo "== dag: single-node reduction + audits =="
+echo "== dag: one-tier composition + audits =="
 cargo test -q --release --test prop_dag
 
 echo "== dag: checked-in social-network scenario, traced + audited =="

@@ -1,42 +1,16 @@
-//! Property tests of the service-graph layer (`asyncinv::dag`): the
-//! single-node reduction — a one-tier graph must be **bit-identical** to
-//! the bare fleet it wraps, for every architecture — plus determinism and
-//! the two bitwise audits on composed graphs with the
-//! retry/budget/hedge/brownout planes all engaged.
+//! Property tests of the service-graph layer (`asyncinv::dag`): a
+//! one-tier graph is composed like any other and passes both bitwise
+//! audits on every architecture, plus determinism and the two audits on
+//! composed graphs with the retry/budget/hedge/brownout planes all
+//! engaged. One fleet on its own runs through `Cluster`, whose output
+//! `tests/fleet_fixture.rs` and `tests/engine_fixture.rs` pin.
 
 use asyncinv::dag::{
     dag_audit, dag_span_audit, DagRun, DagSpanStatus, FleetDriver, ServiceGraph, SlowTier,
 };
-use asyncinv::fleet::{Cluster, HedgeConfig};
-use asyncinv::obs::{Recorder, TraceEvent};
+use asyncinv::fleet::HedgeConfig;
 use asyncinv::prelude::*;
 use proptest::prelude::*;
-
-/// Everything a traced run externalizes: events, thread names, counters,
-/// and gauges (bit-compared as `u64`).
-type TraceState = (Vec<TraceEvent>, Vec<String>, Vec<(String, u64)>, Vec<u64>);
-
-fn trace_state(rec: &Recorder) -> TraceState {
-    let events: Vec<TraceEvent> = rec.events().copied().collect();
-    let names = rec.thread_names().to_vec();
-    let mut counters: Vec<(String, u64)> =
-        rec.registry().counters().map(|(n, v)| (n.to_string(), v)).collect();
-    counters.sort();
-    let gauges: Vec<u64> = {
-        let mut g: Vec<(String, f64)> =
-            rec.registry().gauges().map(|(n, v)| (n.to_string(), v)).collect();
-        g.sort_by(|a, b| a.0.cmp(&b.0));
-        g.into_iter().map(|(_, v)| v.to_bits()).collect()
-    };
-    (events, names, counters, gauges)
-}
-
-/// A one-tier graph: the case that must delegate verbatim to the fleet.
-fn trivial(kind: ServerKind, seed: u64) -> ServiceGraph {
-    let mut g = ServiceGraph::tree("trivial", kind, 0, 1, seed);
-    g.cal.measure = SimDuration::from_millis(200);
-    g
-}
 
 /// A composed graph with every policy plane engaged: fan-out and a
 /// shared leaf (diamond), edge budgets, hedging, and a mid-run brownout
@@ -70,31 +44,23 @@ fn composed(seed: u64) -> ServiceGraph {
     g
 }
 
-/// The single-node reduction, for all eight architectures: summary and
-/// full trace state are bit-identical to the bare `Cluster` run on the
-/// identical config.
+/// A one-tier graph runs the composed engine like any other graph: on
+/// all eight architectures it completes requests, passes both bitwise
+/// audits, and `run` reports the summary `run_traced` does.
 #[test]
-fn trivial_graph_reduces_to_the_bare_fleet() {
+fn one_tier_graph_is_composed_and_passes_both_audits() {
     for kind in ServerKind::ALL {
-        let g = trivial(kind, 11);
-        let mut dag_rec = Recorder::new(1 << 15);
-        let out = DagRun::new(g.clone(), FleetDriver::Interleaved).run_observed(&mut dag_rec);
-        let mut fleet_rec = Recorder::new(1 << 15);
-        let fleet = Cluster::new(g.tier_fleet_config(0)).run_observed(kind, &mut fleet_rec);
-        assert_eq!(
-            out.fleet.as_ref(),
-            Some(&fleet),
-            "{kind:?}: trivial graph must carry the verbatim fleet summary"
-        );
-        assert_eq!(
-            trace_state(&dag_rec),
-            trace_state(&fleet_rec),
-            "{kind:?}: trivial graph trace must be the fleet trace, bit for bit"
-        );
-        // The projected DAG summary mirrors the fleet's window.
-        assert_eq!(out.summary.completed, fleet.fleet.completions);
-        assert_eq!(out.summary.per_tier.len(), 1);
-        assert!(out.spans.is_empty(), "trivial runs build no DAG spans");
+        let mut g = ServiceGraph::tree("one", kind, 0, 1, 11);
+        g.cal.measure = SimDuration::from_millis(200);
+        let run = DagRun::new(g, FleetDriver::Interleaved);
+        let (traced, rec) = run.run_traced();
+        let report = dag_audit(&traced.summary, &rec);
+        assert!(report.pass(), "{kind:?}: dag audit failed:\n{report}");
+        let spans = dag_span_audit(&traced.spans, &rec);
+        assert!(spans.pass(), "{kind:?}: span audit failed:\n{spans}");
+        assert!(traced.summary.completed > 0, "{kind:?}: the tier must serve requests");
+        assert_eq!(traced.summary.per_tier.len(), 1);
+        assert_eq!(run.run().summary, traced.summary, "{kind:?}: tracing moved the summary");
     }
 }
 
@@ -141,16 +107,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Composed runs are deterministic in the seed: same seed, same
-    /// bits; and the trivial reduction holds for arbitrary seeds.
+    /// bits.
     #[test]
     fn dag_runs_are_deterministic(seed in 0u64..1000) {
         let a = DagRun::new(composed(seed), FleetDriver::Interleaved).run();
         let b = DagRun::new(composed(seed), FleetDriver::Interleaved).run();
         prop_assert_eq!(a.summary, b.summary);
-
-        let g = trivial(ServerKind::NettyLike, seed);
-        let out = DagRun::new(g.clone(), FleetDriver::Interleaved).run();
-        let fleet = Cluster::new(g.tier_fleet_config(0)).run(ServerKind::NettyLike);
-        prop_assert_eq!(out.fleet, Some(fleet));
     }
 }
