@@ -11,7 +11,7 @@
 //!
 //! | lint | violation |
 //! |------|-----------|
-//! | `counter-dup-increment` | a counter field has more than one increment site per (file, mode) |
+//! | `counter-dup-increment` | a counter field has more than one increment site per file |
 //! | `counter-dead` | a counter field is defined but never incremented anywhere in scope |
 //! | `counter-unaudited` | no audit surface ever reads the field |
 //! | `counter-unsummed` | a per-shard counter is not folded by the fleet-driver epilogue |
@@ -27,11 +27,10 @@
 //!   mentions `f` exactly once and calls `max` (`hw = hw.max(x)`);
 //!   two mentions (`self.hw = self.hw.max(other.hw)`) is aggregation.
 //! * struct-literal fields (`f: expr`, shorthand `f,`) never match.
-//! * a `.f +=` site (through a struct) and a bare `f +=` site (a local
-//!   later folded into the struct) are distinct *modes*; each mode may
-//!   have at most one site per scope file. The fleet driver
-//!   legitimately keeps both a running local and a per-shard struct
-//!   counter for the same quantity.
+//! * a site counts in any form: through a struct (`cnt.f += 1`) or as
+//!   a bare local (`f += 1`). Each counter may have one site per scope
+//!   file, so a running local that shadows a struct counter is a second
+//!   owner of the same quantity and fails.
 //!
 //! Every finding can be waived with
 //! `// detlint::allow(<lint>, reason = "...")` at the reported line —
@@ -113,7 +112,7 @@ pub struct CounterSpec {
     /// as percentile latencies that happen to share the type).
     pub exclude: Vec<String>,
     /// `(field, site_name)` pairs: the field's increment sites use a
-    /// different local name (`shard_routes` accumulates via `routes`).
+    /// different name (`shard_routes` is counted per shard as `routes`).
     pub aliases: Vec<(String, String)>,
     /// Files scanned for increment sites.
     pub scopes: Vec<PathBuf>,
@@ -258,23 +257,6 @@ impl ConservationConfig {
     }
 }
 
-/// How a site touches the counter: through a struct field access
-/// (`cnt.f += 1`) or as a bare local (`f += 1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SiteMode {
-    Field,
-    Local,
-}
-
-impl SiteMode {
-    fn label(self) -> &'static str {
-        match self {
-            SiteMode::Field => "field",
-            SiteMode::Local => "local",
-        }
-    }
-}
-
 /// `tokens[j..)` up to (exclusive) the end of the current expression:
 /// the first `;` or `,` at delimiter depth zero, or an unmatched
 /// closing delimiter.
@@ -338,19 +320,14 @@ fn struct_u64_fields(tokens: &[Token], name: &str) -> Option<Vec<(String, u32)>>
     None
 }
 
-/// Finds every increment site for counter `name` in a token stream,
-/// per the classification rules in the module docs.
-fn increment_sites(tokens: &[Token], name: &str) -> Vec<(SiteMode, u32)> {
+/// Finds the line of every increment site for counter `name` in a
+/// token stream, per the classification rules in the module docs.
+fn increment_sites(tokens: &[Token], name: &str) -> Vec<u32> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {
         if !tokens[i].is_ident(name) {
             continue;
         }
-        let mode = if i > 0 && tokens[i - 1].is_punct('.') {
-            SiteMode::Field
-        } else {
-            SiteMode::Local
-        };
         // `name += rhs`
         if tokens.get(i + 1).is_some_and(|t| t.is_punct('+'))
             && tokens.get(i + 2).is_some_and(|t| t.is_punct('='))
@@ -358,7 +335,7 @@ fn increment_sites(tokens: &[Token], name: &str) -> Vec<(SiteMode, u32)> {
             let end = expr_end(tokens, i + 3);
             let aggregates = tokens[i + 3..end].iter().any(|t| t.is_ident(name));
             if !aggregates {
-                out.push((mode, tokens[i].line));
+                out.push(tokens[i].line);
             }
             continue;
         }
@@ -371,7 +348,7 @@ fn increment_sites(tokens: &[Token], name: &str) -> Vec<(SiteMode, u32)> {
             let mentions = rhs.iter().filter(|t| t.is_ident(name)).count();
             let has_max = rhs.iter().any(|t| t.is_ident("max"));
             if mentions == 1 && has_max {
-                out.push((mode, tokens[i].line));
+                out.push(tokens[i].line);
             }
         }
     }
@@ -485,27 +462,18 @@ fn analyze_spec(spec: &CounterSpec, cache: &mut FileCache<'_>, diags: &mut Vec<D
                 };
                 let sites = increment_sites(&lexed.tokens, site_name);
                 total += sites.len();
-                for mode in [SiteMode::Field, SiteMode::Local] {
-                    let in_mode: Vec<u32> = sites
-                        .iter()
-                        .filter(|(m, _)| *m == mode)
-                        .map(|(_, l)| *l)
-                        .collect();
-                    for extra in in_mode.iter().skip(1) {
-                        diags.push(Diagnostic::new(
-                            &scope_rel,
-                            *extra,
-                            "counter-dup-increment",
-                            format!(
-                                "{}.{field} has a second {} increment site here \
-                                 (first at {scope_rel}:{}); a counter must be \
-                                 incremented from exactly one place per scope",
-                                spec.strukt,
-                                mode.label(),
-                                in_mode[0],
-                            ),
-                        ));
-                    }
+                for extra in sites.iter().skip(1) {
+                    diags.push(Diagnostic::new(
+                        &scope_rel,
+                        *extra,
+                        "counter-dup-increment",
+                        format!(
+                            "{}.{field} has a second increment site here \
+                             (first at {scope_rel}:{}); a counter must be \
+                             incremented from exactly one place per scope",
+                            spec.strukt, sites[0],
+                        ),
+                    ));
                 }
             }
             if total == 0 {
@@ -653,19 +621,18 @@ fn analyze_forbid_unsafe(file: &Path, cache: &mut FileCache<'_>, diags: &mut Vec
 mod tests {
     use super::*;
 
-    fn sites(src: &str, name: &str) -> Vec<(SiteMode, u32)> {
+    fn sites(src: &str, name: &str) -> Vec<u32> {
         increment_sites(&lex(src).tokens, name)
     }
 
     #[test]
-    fn plain_increments_classify_by_mode() {
+    fn plain_increments_count_in_any_form() {
+        assert_eq!(sites("fn f() { retries += 1; }", "retries"), [1]);
+        assert_eq!(sites("fn f() { ctls[s].cnt.retries += 1; }", "retries"), [1]);
+        // A local beside a struct counter is two sites of one counter.
         assert_eq!(
-            sites("fn f() { retries += 1; }", "retries"),
-            [(SiteMode::Local, 1)]
-        );
-        assert_eq!(
-            sites("fn f() { ctls[s].cnt.retries += 1; }", "retries"),
-            [(SiteMode::Field, 1)]
+            sites("fn f() {\n retries += 1;\n cnt.retries += 1; }", "retries"),
+            [2, 3]
         );
     }
 
@@ -683,10 +650,7 @@ mod tests {
 
     #[test]
     fn high_water_updates_are_single_sites() {
-        assert_eq!(
-            sites("self.c.hw = self.c.hw.max(self.used as u64);", "hw"),
-            [(SiteMode::Field, 1)]
-        );
+        assert_eq!(sites("self.c.hw = self.c.hw.max(self.used as u64);", "hw"), [1]);
     }
 
     #[test]

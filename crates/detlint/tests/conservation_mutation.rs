@@ -1,5 +1,6 @@
 //! Mutation tests for the counter-conservation family: duplicating an
-//! increment site, deleting the sole increment site of a ring counter,
+//! increment site (a bare local beside a struct counter included),
+//! deleting the sole increment site of a ring counter,
 //! deleting an audit disposition arm, stripping a written waiver,
 //! un-summing a per-shard counter, and removing a crate root's
 //! `#![forbid(unsafe_code)]` must each fail the pass. The real workspace
@@ -129,6 +130,24 @@ fn duplicating_an_increment_site_fails() {
     assert!(
         v.iter()
             .any(|d| d.lint == "counter-dup-increment" && d.message.contains("retries")),
+        "{v:?}"
+    );
+}
+
+/// A bare local beside a struct counter is a second increment site of
+/// the same quantity: `rejected`'s only site in the fleet driver is the
+/// per-shard `shards[$s].cnt.rejected += 1`, and a running local next
+/// to it is flagged.
+#[test]
+fn a_local_beside_a_struct_counter_fails() {
+    let dir = scratch("consmut-dup-local");
+    mutate(&dir, "crates/fleet/src/cluster.rs", |src| {
+        format!("{src}\nfn consmut_extra() {{ let mut rejected = 0u64; rejected += 1; let _ = rejected; }}\n")
+    });
+    let v = violations(&dir);
+    assert!(
+        v.iter()
+            .any(|d| d.lint == "counter-dup-increment" && d.message.contains("rejected")),
         "{v:?}"
     );
 }

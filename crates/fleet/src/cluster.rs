@@ -7,10 +7,12 @@
 //! shared client pool routes every request attempt through a
 //! [`Balancer`](crate::Balancer). This is the simulator's one drive loop:
 //! a single-server [`Experiment`](crate::Experiment) is its one-shard
-//! case. At one shard balancers draw no randomness, request specs land in
-//! the shard at route time, and no fleet-only trace events or counters
-//! exist (those are emitted only when `shards > 1`). On more shards each
-//! attempt is one `Arrive` event, and its spec lands when its bytes do.
+//! case. At one shard balancers draw no randomness, and no fleet-only
+//! trace events or counters exist (those are emitted only when
+//! `shards > 1`). Each attempt is one `Arrive` event. The request owns
+//! its spec, and a connection takes an attempt's spec when that attempt
+//! starts service, so a response in service always reads its own size
+//! and class.
 
 use asyncinv_cpu::{CpuEvent, CpuModel, SchedEvent, ThreadId};
 use asyncinv_fault::CompiledPlan;
@@ -231,12 +233,10 @@ enum FleetEvent {
     Tcp { shard: u32, ev: TcpEvent },
     /// Shared client-pool event.
     Client(ClientEvent),
-    /// An attempt's bytes reached a shard's socket, carrying the request
-    /// spec. On multi-shard runs the spec lands in the shard's
-    /// per-connection parse state here, stale attempts included, so a
-    /// shard's `conn_info` changes only at its own delivery instants; one
-    /// shard writes it at route time and ignores `info`.
-    Arrive { shard: u32, user: u32, epoch: u32, info: ConnInfo },
+    /// An attempt's bytes reached a shard's socket. The spec stays with
+    /// the request: a connection takes an attempt's spec when that
+    /// attempt starts service, never on arrival.
+    Arrive { shard: u32, user: u32, epoch: u32 },
     /// The client-side timeout for a primary attempt expired.
     Timeout { shard: u32, user: u32, epoch: u32 },
     /// A backed-off retry fires against its (possibly new) shard.
@@ -247,7 +247,8 @@ enum FleetEvent {
     Fault { shard: u32, idx: u32 },
 }
 
-// The spec rides in `Arrive` without growing the queue's entries.
+// The `Tcp` variant holds the enum at this size; no other variant may
+// grow the queue's entries past it.
 const _: () = assert!(std::mem::size_of::<FleetEvent>() == 32);
 
 /// The server's in-progress response on one shard connection (staleness
@@ -275,7 +276,8 @@ struct FleetReq {
     primary: (usize, u32),
     /// Outstanding hedged duplicate, if any.
     hedge: Option<(usize, u32)>,
-    /// The request spec (travels with every attempt).
+    /// The request spec, owned here. Every attempt reads it; a shard
+    /// connection takes a copy when one of them starts service.
     spec: ConnInfo,
 }
 
@@ -312,6 +314,9 @@ struct Shard<'s> {
     server: &'s mut dyn ServerModel,
     cpu: CpuModel,
     tcp: TcpWorld,
+    /// The spec of the attempt in service on each connection (or of the
+    /// last one served), as `Ctx` shows it to the architecture. Written
+    /// only where an attempt takes the connection.
     conn_info: Vec<ConnInfo>,
     cpu_out: Vec<(SimTime, CpuEvent)>,
     tcp_out: Vec<(SimTime, TcpEvent)>,
@@ -320,7 +325,8 @@ struct Shard<'s> {
     epoch: Vec<u32>,
     serving: Vec<Option<Serving>>,
     pending_arrival: Vec<Option<u32>>,
-    accept_q: VecDeque<(usize, u32)>,
+    /// Arrivals waiting for a service slot: `(conn, epoch, class)`.
+    accept_q: VecDeque<(usize, u32, usize)>,
     serving_count: usize,
     shed: Option<ShedConfig>,
     compiled: CompiledPlan,
@@ -559,10 +565,6 @@ pub(crate) fn drive(
     let mut outstanding: Vec<u32> = vec![0; n_shards];
     let mut timeouts: u64 = 0;
     let mut retries: u64 = 0;
-    let mut routes: u64 = 0;
-    let mut hedges: u64 = 0;
-    let mut hedge_cancels: u64 = 0;
-    let mut shard_retries: u64 = 0;
 
     let mut cl_out: Vec<(SimTime, ClientEvent)> = Vec::new();
 
@@ -665,13 +667,15 @@ pub(crate) fn drive(
         };
     }
 
-    // `true` while `(shard $s, epoch $e)` is the user's live primary or
-    // hedge attempt; all staleness filtering goes through this.
-    macro_rules! attempt_current {
+    // The request's spec while `(shard $s, epoch $e)` is the user's live
+    // primary or hedge attempt, else `None`; all staleness filtering
+    // goes through this.
+    macro_rules! live_spec {
         ($u:expr, $s:expr, $e:expr) => {
             req[$u]
                 .as_ref()
-                .is_some_and(|t| t.primary == ($s, $e) || t.hedge == Some(($s, $e)))
+                .filter(|t| t.primary == ($s, $e) || t.hedge == Some(($s, $e)))
+                .map(|t| t.spec)
         };
     }
 
@@ -683,7 +687,6 @@ pub(crate) fn drive(
     macro_rules! hedge_cancelled {
         ($now:expr, $u:expr, $cs:expr, $cls:expr) => {{
             outstanding[$cs] -= 1;
-            hedge_cancels += 1;
             shards[$cs].cnt.hedge_cancels += 1;
             if obs_on {
                 trace(
@@ -764,17 +767,14 @@ pub(crate) fn drive(
                 };
                 outstanding[$fs] -= 1;
                 outstanding[target] += 1;
-                // The spec reaches `target` in the re-sent Arrive (at
-                // one shard `target == $fs` and `conn_info` already
-                // holds this request's spec).
                 shards[target].epoch[$u] += 1;
                 let ne = shards[target].epoch[$u];
                 if let Some(t) = req[$u].as_mut() {
                     t.primary = (target, ne);
                     t.attempt += 1;
                 }
-                if multi && target != $fs {
-                    shard_retries += 1;
+                // At one shard `target == $fs` always.
+                if target != $fs {
                     shards[target].cnt.shard_retries += 1;
                     if obs_on {
                         trace(
@@ -800,14 +800,17 @@ pub(crate) fn drive(
         }};
     }
 
-    // Starts serving attempt `$ep` on shard `$s`, connection `$conn`.
+    // Starts serving attempt `$ep` (spec `$spec`) on shard `$s`,
+    // connection `$conn`: the connection takes the attempt's spec here.
     macro_rules! start_serving {
-        ($now:expr, $s:expr, $conn:expr, $ep:expr) => {{
+        ($now:expr, $s:expr, $conn:expr, $ep:expr, $spec:expr) => {{
             {
+                let spec: ConnInfo = $spec;
                 let sh = &mut shards[$s];
+                sh.conn_info[$conn] = spec;
                 sh.serving[$conn] = Some(Serving {
                     epoch: $ep,
-                    remaining: sh.conn_info[$conn].response_bytes,
+                    remaining: spec.response_bytes,
                     reject: false,
                     shorted: false,
                 });
@@ -821,75 +824,76 @@ pub(crate) fn drive(
     // shed disposition (drop-new, evict, evict-fallback) funnels here so
     // the counter stays conserved across policies.
     macro_rules! shed_drop {
-        ($now:expr, $s:expr, $conn:expr, $code:expr) => {{
+        ($now:expr, $s:expr, $conn:expr, $cls:expr, $code:expr) => {{
             shards[$s].cnt.shed_dropped += 1;
             if obs_on {
                 trace(
                     obs,
                     TraceEvent::new($now, TraceKind::Shed)
                         .conn($conn)
-                        .class(shards[$s].conn_info[$conn].class)
+                        .class($cls)
                         .arg($code),
                 );
             }
         }};
     }
 
-    // Admission control for a valid arrival on shard `$s`:
-    // per-connection serialization first (a retransmission of a
-    // request whose previous response is still being produced parks
-    // in `pending_arrival`), then the shed limits, then dispatch to
-    // the architecture.
+    // Admission control for a valid arrival of attempt `$ep` (spec
+    // `$spec`) on shard `$s`: per-connection serialization first (a
+    // retransmission of a request whose previous response is still
+    // being produced parks in `pending_arrival`), then the shed limits,
+    // then dispatch to the architecture.
     macro_rules! admit {
-        ($now:expr, $s:expr, $conn:expr, $ep:expr) => {{
+        ($now:expr, $s:expr, $conn:expr, $ep:expr, $spec:expr) => {{
+            let spec: ConnInfo = $spec;
             if shards[$s].serving[$conn].is_some() {
                 cold();
                 shards[$s].pending_arrival[$conn] = Some($ep);
             } else if let Some(sc) = shards[$s].shed {
                 if shards[$s].serving_count < sc.max_concurrent {
-                    start_serving!($now, $s, $conn, $ep);
+                    start_serving!($now, $s, $conn, $ep, spec);
                 } else if shards[$s].accept_q.len() < sc.queue_cap {
-                    shards[$s].accept_q.push_back(($conn, $ep));
+                    shards[$s].accept_q.push_back(($conn, $ep, spec.class));
                     if obs_on {
                         trace(
                             obs,
                             TraceEvent::new($now, TraceKind::QueueEnter)
                                 .conn($conn)
-                                .class(shards[$s].conn_info[$conn].class)
+                                .class(spec.class)
                                 .arg(trace_codes::Q_ACCEPT),
                         );
                     }
                 } else {
                     match sc.policy {
                         ShedPolicy::DropNew => {
-                            shed_drop!($now, $s, $conn, trace_codes::SHED_DROP_NEW);
+                            shed_drop!($now, $s, $conn, spec.class, trace_codes::SHED_DROP_NEW);
                         }
                         ShedPolicy::DropOldest => {
-                            if let Some((oc, _oe)) = shards[$s].accept_q.pop_front() {
+                            if let Some((oc, _oe, ocls)) = shards[$s].accept_q.pop_front() {
                                 if obs_on {
                                     trace(
                                         obs,
                                         TraceEvent::new($now, TraceKind::QueueExit)
                                             .conn(oc)
-                                            .class(shards[$s].conn_info[oc].class)
+                                            .class(ocls)
                                             .arg(trace_codes::Q_ACCEPT),
                                     );
                                 }
-                                shed_drop!($now, $s, oc, trace_codes::SHED_EVICT);
-                                shards[$s].accept_q.push_back(($conn, $ep));
+                                shed_drop!($now, $s, oc, ocls, trace_codes::SHED_EVICT);
+                                shards[$s].accept_q.push_back(($conn, $ep, spec.class));
                                 if obs_on {
                                     trace(
                                         obs,
                                         TraceEvent::new($now, TraceKind::QueueEnter)
                                             .conn($conn)
-                                            .class(shards[$s].conn_info[$conn].class)
+                                            .class(spec.class)
                                             .arg(trace_codes::Q_ACCEPT),
                                     );
                                 }
                             } else {
                                 // Zero-capacity queue degenerates to
                                 // dropping the newcomer.
-                                shed_drop!($now, $s, $conn, trace_codes::SHED_DROP_NEW);
+                                shed_drop!($now, $s, $conn, spec.class, trace_codes::SHED_DROP_NEW);
                             }
                         }
                         ShedPolicy::RejectFast => {
@@ -902,15 +906,17 @@ pub(crate) fn drive(
                                     obs,
                                     TraceEvent::new($now, TraceKind::Rejected)
                                         .conn($conn)
-                                        .class(shards[$s].conn_info[$conn].class)
+                                        .class(spec.class)
                                         .arg(waited),
                                 );
                             }
                             // Driver-direct write: mirror `Ctx::write`'s
                             // WriteCall/WriteSpin tracing exactly so
-                            // trace-derived syscall counts stay 1:1.
+                            // trace-derived syscall counts stay 1:1. The
+                            // rejected attempt takes the connection.
                             let written = {
                                 let sh = &mut shards[$s];
+                                sh.conn_info[$conn] = spec;
                                 sh.tcp.write($now, ConnId($conn), sc.reject_bytes, &mut sh.tcp_out)
                             };
                             if obs_on {
@@ -918,7 +924,7 @@ pub(crate) fn drive(
                                     obs,
                                     TraceEvent::new($now, TraceKind::WriteCall)
                                         .conn($conn)
-                                        .class(shards[$s].conn_info[$conn].class)
+                                        .class(spec.class)
                                         .arg(written as u64),
                                 );
                                 if written == 0 {
@@ -926,7 +932,7 @@ pub(crate) fn drive(
                                         obs,
                                         TraceEvent::new($now, TraceKind::WriteSpin)
                                             .conn($conn)
-                                            .class(shards[$s].conn_info[$conn].class),
+                                            .class(spec.class),
                                     );
                                 }
                             }
@@ -942,7 +948,7 @@ pub(crate) fn drive(
                     }
                 }
             } else {
-                start_serving!($now, $s, $conn, $ep);
+                start_serving!($now, $s, $conn, $ep, spec);
             }
         }};
     }
@@ -952,7 +958,7 @@ pub(crate) fn drive(
         ($now:expr, $s:expr) => {{
             if let Some(sc) = shards[$s].shed {
                 while shards[$s].serving_count < sc.max_concurrent {
-                    let Some((qc, qe)) = shards[$s].accept_q.pop_front() else {
+                    let Some((qc, qe, qcls)) = shards[$s].accept_q.pop_front() else {
                         break;
                     };
                     if obs_on {
@@ -960,14 +966,16 @@ pub(crate) fn drive(
                             obs,
                             TraceEvent::new($now, TraceKind::QueueExit)
                                 .conn(qc)
-                                .class(shards[$s].conn_info[qc].class)
+                                .class(qcls)
                                 .arg(trace_codes::Q_ACCEPT),
                         );
                     }
                     // Entries whose attempt was timed out, abandoned or
                     // superseded while queued are dropped silently.
-                    if shards[$s].serving[qc].is_none() && attempt_current!(qc, $s, qe) {
-                        start_serving!($now, $s, qc, qe);
+                    if shards[$s].serving[qc].is_none() {
+                        if let Some(spec) = live_spec!(qc, $s, qe) {
+                            start_serving!($now, $s, qc, qe, spec);
+                        }
                     }
                 }
             }
@@ -1005,7 +1013,7 @@ pub(crate) fn drive(
                     window.record($now);
                     if $now >= warm_end && $now < end {
                         hist.record(rt);
-                        class_hist[shards[$s].conn_info[$conn].class].record(rt);
+                        class_hist[track.spec.class].record(rt);
                     }
                     shards[$s].cnt.completions += 1;
                     if obs_on {
@@ -1013,7 +1021,7 @@ pub(crate) fn drive(
                             obs,
                             TraceEvent::new($now, TraceKind::Completion)
                                 .conn($conn)
-                                .class(shards[$s].conn_info[$conn].class)
+                                .class(track.spec.class)
                                 .arg(rt.as_nanos()),
                         );
                         if $now >= warm_end && $now < end {
@@ -1043,8 +1051,8 @@ pub(crate) fn drive(
             // the client; recovery (if any) comes from its timeout.
             if let Some(pe) = shards[$s].pending_arrival[$conn].take() {
                 cold();
-                if attempt_current!($conn, $s, pe) {
-                    admit!($now, $s, $conn, pe);
+                if let Some(spec) = live_spec!($conn, $s, pe) {
+                    admit!($now, $s, $conn, pe, spec);
                 }
             }
             if !fin.reject {
@@ -1054,13 +1062,12 @@ pub(crate) fn drive(
     }
 
     // Sends a primary attempt of user `$u`'s request to shard `$s`: its
-    // bytes (and spec) arrive one way later, and its timeout and hedge
-    // are armed when those planes are on. Shared by fresh routes and
-    // retries.
+    // bytes arrive one way later, and its timeout and hedge are armed
+    // when those planes are on. Shared by fresh routes and retries.
     macro_rules! send_primary {
-        ($now:expr, $s:expr, $u:expr, $ep:expr, $info:expr) => {{
+        ($now:expr, $s:expr, $u:expr, $ep:expr) => {{
             let (shard, user, epoch) = ($s as u32, $u as u32, $ep);
-            sim.schedule_at($now + one_way, FleetEvent::Arrive { shard, user, epoch, info: $info });
+            sim.schedule_at($now + one_way, FleetEvent::Arrive { shard, user, epoch });
             if retry_on {
                 sim.schedule_at(
                     $now + rto.as_ref().map_or(timeout, |e| e.current()),
@@ -1082,13 +1089,6 @@ pub(crate) fn drive(
             let u = $spec.user.0;
             // Every balancer picks shard 0 of one, without randomness.
             let s = if multi { bal.pick(u, $spec.class, &outstanding) } else { 0 };
-            let info = ConnInfo {
-                response_bytes: $spec.response_bytes,
-                class: $spec.class,
-            };
-            if !multi {
-                shards[s].conn_info[u] = info;
-            }
             shards[s].epoch[u] += 1;
             let ep = shards[s].epoch[u];
             req[u] = Some(FleetReq {
@@ -1097,11 +1097,13 @@ pub(crate) fn drive(
                 attempt: 0,
                 primary: (s, ep),
                 hedge: None,
-                spec: info,
+                spec: ConnInfo {
+                    response_bytes: $spec.response_bytes,
+                    class: $spec.class,
+                },
             });
             outstanding[s] += 1;
             if multi {
-                routes += 1;
                 shards[s].cnt.routes += 1;
                 if obs_on {
                     trace(
@@ -1116,7 +1118,7 @@ pub(crate) fn drive(
             if retry_on {
                 budget.deposit();
             }
-            send_primary!($now, s, u, ep, info);
+            send_primary!($now, s, u, ep);
         }};
     }
 
@@ -1152,37 +1154,23 @@ pub(crate) fn drive(
     }
     flush!();
 
-    let mut cpu_snap: Vec<_> = shards.iter().map(|sh| *sh.cpu.stats()).collect();
-    let mut tcp_snap: Vec<_> = shards.iter().map(|sh| sh.tcp.stats()).collect();
-    let mut cnt_snap: Vec<Counters> = shards.iter().map(|sh| sh.cnt).collect();
-    let mut uring_snap: Vec<_> = shards
-        .iter()
-        .map(|sh| sh.server.uring_stats().unwrap_or_default())
-        .collect();
+    // Warm-up-end baselines of every windowed counter, taken at the one
+    // site below: every exit from the loop passes through it first.
+    let mut snap = Vec::new();
     let mut snapped = false;
-    let mut timeouts_snap: u64 = 0;
-    let mut retries_snap: u64 = 0;
-    let mut routes_snap: u64 = 0;
-    let mut hedges_snap: u64 = 0;
-    let mut hedge_cancels_snap: u64 = 0;
-    let mut shard_retries_snap: u64 = 0;
-    let mut abandoned_snap: u64 = 0;
-    let mut dropped_snap: u64 = 0;
+    let (mut timeouts_snap, mut retries_snap, mut abandoned_snap, mut dropped_snap) = (0, 0, 0, 0);
 
     loop {
         if !snapped && sim.peek_time().is_none_or(|t| t >= warm_end) {
-            for (s, sh) in shards.iter().enumerate() {
-                cpu_snap[s] = *sh.cpu.stats();
-                tcp_snap[s] = sh.tcp.stats();
-                cnt_snap[s] = sh.cnt;
-                uring_snap[s] = sh.server.uring_stats().unwrap_or_default();
-            }
+            snap = shards
+                .iter()
+                .map(|sh| {
+                    let uring = sh.server.uring_stats().unwrap_or_default();
+                    (*sh.cpu.stats(), sh.tcp.stats(), sh.cnt, uring)
+                })
+                .collect();
             timeouts_snap = timeouts;
             retries_snap = retries;
-            routes_snap = routes;
-            hedges_snap = hedges;
-            hedge_cancels_snap = hedge_cancels;
-            shard_retries_snap = shard_retries;
             abandoned_snap = clients.abandoned();
             dropped_snap = clients.dropped();
             snapped = true;
@@ -1206,26 +1194,19 @@ pub(crate) fn drive(
                     route_new!(now, spec);
                 }
             }
-            FleetEvent::Arrive { shard, user, epoch, info } => {
+            FleetEvent::Arrive { shard, user, epoch } => {
                 let (s, u) = (shard as usize, user as usize);
-                if multi {
-                    // Every attempt of one logical request carries the
-                    // same spec, and a new request's attempt always lands
-                    // strictly after the old one's (later send, same one
-                    // way), so the last writer is the newest attempt.
-                    shards[s].conn_info[u] = info;
-                }
-                if attempt_current!(u, s, epoch) {
+                if let Some(spec) = live_spec!(u, s, epoch) {
                     if obs_on {
                         trace(
                             obs,
                             TraceEvent::new(now, TraceKind::RequestArrive)
                                 .conn(u)
-                                .class(shards[s].conn_info[u].class)
-                                .arg(shards[s].conn_info[u].response_bytes as u64),
+                                .class(spec.class)
+                                .arg(spec.response_bytes as u64),
                         );
                     }
-                    admit!(now, s, u, epoch);
+                    admit!(now, s, u, epoch, spec);
                 }
             }
             FleetEvent::Timeout { shard, user, epoch } => {
@@ -1254,42 +1235,34 @@ pub(crate) fn drive(
                 let (s, u) = (shard as usize, user as usize);
                 if let Some(t) = req[u].as_mut().filter(|t| t.primary == (s, epoch)) {
                     t.attempt_sent = now;
-                    let info = t.spec;
-                    send_primary!(now, s, u, epoch, info);
+                    send_primary!(now, s, u, epoch);
                 }
             }
             FleetEvent::HedgeFire { shard, user, epoch } => {
                 let (ps, u) = (shard as usize, user as usize);
                 let live = req[u]
-                    .as_ref()
-                    .is_some_and(|t| t.primary == (ps, epoch) && t.hedge.is_none());
-                if live {
-                    let info = req[u].as_ref().map_or(ConnInfo::default(), |t| t.spec);
-                    let h = bal.pick_excluding(u, info.class, &outstanding, ps);
+                    .as_mut()
+                    .filter(|t| t.primary == (ps, epoch) && t.hedge.is_none());
+                if let Some(t) = live {
+                    let h = bal.pick_excluding(u, t.spec.class, &outstanding, ps);
                     if h != ps {
                         shards[h].epoch[u] += 1;
                         let he = shards[h].epoch[u];
-                        if let Some(t) = req[u].as_mut() {
-                            t.hedge = Some((h, he));
-                        }
+                        t.hedge = Some((h, he));
                         outstanding[h] += 1;
-                        hedges += 1;
                         shards[h].cnt.hedges += 1;
                         if obs_on {
-                            let waited = req[u].map_or(0, |t| {
-                                now.duration_since(t.attempt_sent).as_nanos()
-                            });
                             trace(
                                 obs,
                                 TraceEvent::new(now, TraceKind::Hedge)
                                     .conn(u)
-                                    .class(info.class)
-                                    .arg(waited),
+                                    .class(t.spec.class)
+                                    .arg(now.duration_since(t.attempt_sent).as_nanos()),
                             );
                         }
                         sim.schedule_at(
                             now + one_way,
-                            FleetEvent::Arrive { shard: h as u32, user, epoch: he, info },
+                            FleetEvent::Arrive { shard: h as u32, user, epoch: he },
                         );
                     }
                 }
@@ -1385,9 +1358,15 @@ pub(crate) fn drive(
                             let sv = shards[s].serving[conn.0]
                                 .as_mut()
                                 .expect("delivery for a connection with no response in service");
-                            debug_assert!(bytes <= sv.remaining, "over-delivery");
-                            sv.remaining -= bytes;
-                            sv.remaining == 0
+                            let Some(left) = sv.remaining.checked_sub(bytes) else {
+                                panic!(
+                                    "over-delivery: shard {s} conn {} epoch {}: {bytes} bytes \
+                                     delivered with {} left",
+                                    conn.0, sv.epoch, sv.remaining
+                                );
+                            };
+                            sv.remaining = left;
+                            left == 0
                         };
                         if finished {
                             finish_serving!(now, s, conn.0);
@@ -1425,14 +1404,14 @@ pub(crate) fn drive(
     let mut user_sum = 0.0;
     let mut sys_sum = 0.0;
     let mut util_sum = 0.0;
-    for (s, sh) in shards.iter().enumerate() {
-        let cd = sh.cpu.stats().delta_since(&cpu_snap[s]);
+    for (s, (sh, (cpu0, tcp0, cnt0, uring0))) in shards.iter().zip(&snap).enumerate() {
+        let cd = sh.cpu.stats().delta_since(cpu0);
         let bd = cd.breakdown(cell.measure, cell.cpu.cores);
         let ts = sh.tcp.stats();
-        let w = ts.write_calls - tcp_snap[s].write_calls;
-        let z = ts.zero_writes - tcp_snap[s].zero_writes;
-        let d = sh.cnt.delta(&cnt_snap[s]);
-        let ud = sh.server.uring_stats().unwrap_or_default().delta_since(&uring_snap[s]);
+        let w = ts.write_calls - tcp0.write_calls;
+        let z = ts.zero_writes - tcp0.zero_writes;
+        let d = sh.cnt.delta(cnt0);
+        let ud = sh.server.uring_stats().unwrap_or_default().delta_since(uring0);
         total_cs += cd.context_switches;
         total_preempt += cd.preemptions;
         total_steals += cd.steals;
@@ -1461,9 +1440,16 @@ pub(crate) fn drive(
             write_calls: w,
         });
     }
-    let rejected_total: u64 = per_shard.iter().map(|p| p.rejected).sum();
-    let shed_total: u64 = per_shard.iter().map(|p| p.shed_dropped).sum();
-    let fault_total: u64 = per_shard.iter().map(|p| p.fault_events).sum();
+    // Each fleet counter lives once per shard; the fleet totals are the
+    // per-shard sums.
+    let total = |f: fn(&ShardSummary) -> u64| -> u64 { per_shard.iter().map(f).sum() };
+    let rejected = total(|p| p.rejected);
+    let shed_dropped = total(|p| p.shed_dropped);
+    let fault_events = total(|p| p.fault_events);
+    let shard_routes = total(|p| p.routes);
+    let hedges = total(|p| p.hedges);
+    let hedge_cancels = total(|p| p.hedge_cancels);
+    let shard_retries = total(|p| p.shard_retries);
 
     let per_class = cell
         .clients
@@ -1492,9 +1478,9 @@ pub(crate) fn drive(
         obs.counter("timeouts", timeouts - timeouts_snap);
         obs.counter("retries", retries - retries_snap);
         obs.counter("abandoned", clients.abandoned() - abandoned_snap);
-        obs.counter("rejected", rejected_total);
-        obs.counter("shed_dropped", shed_total);
-        obs.counter("fault_events", fault_total);
+        obs.counter("rejected", rejected);
+        obs.counter("shed_dropped", shed_dropped);
+        obs.counter("fault_events", fault_events);
         obs.counter("sq_submits", sq_submits);
         obs.counter("sq_flushes", sq_flushes);
         obs.counter("cq_reaps", cq_reaps);
@@ -1518,10 +1504,10 @@ pub(crate) fn drive(
         obs.gauge("cpu_idle", 1.0 - util_sum / nf);
         obs.gauge("rate_cv", window.rate_cv());
         if multi {
-            obs.counter("shard_routes", routes - routes_snap);
-            obs.counter("hedges", hedges - hedges_snap);
-            obs.counter("hedge_cancels", hedge_cancels - hedge_cancels_snap);
-            obs.counter("shard_retries", shard_retries - shard_retries_snap);
+            obs.counter("shard_routes", shard_routes);
+            obs.counter("hedges", hedges);
+            obs.counter("hedge_cancels", hedge_cancels);
+            obs.counter("shard_retries", shard_retries);
         }
     }
 
@@ -1562,13 +1548,13 @@ pub(crate) fn drive(
         timeouts: timeouts - timeouts_snap,
         retries: retries - retries_snap,
         abandoned: clients.abandoned() - abandoned_snap,
-        rejected: rejected_total,
-        shed_dropped: shed_total,
-        fault_events: fault_total,
-        shard_routes: routes - routes_snap,
-        hedges: hedges - hedges_snap,
-        hedge_cancels: hedge_cancels - hedge_cancels_snap,
-        shard_retries: shard_retries - shard_retries_snap,
+        rejected,
+        shed_dropped,
+        fault_events,
+        shard_routes,
+        hedges,
+        hedge_cancels,
+        shard_retries,
         per_class,
     };
 

@@ -229,9 +229,9 @@ impl ExperimentConfig {
 /// [`Ctx::for_driver`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnInfo {
-    /// Response size in bytes of the request pending on the connection.
+    /// Response size in bytes of the request in service on the connection.
     pub response_bytes: usize,
-    /// Request class (workload-mix index) of the pending request.
+    /// Request class (workload-mix index) of the request in service.
     pub class: usize,
 }
 
@@ -426,12 +426,13 @@ impl<'a> Ctx<'a> {
         self.tcp.conn(conn).space()
     }
 
-    /// Response size of the request currently pending on `conn`.
+    /// Response size of the request currently in service on `conn`.
     pub fn response_bytes(&self, conn: ConnId) -> usize {
         self.conn_info[conn.0].response_bytes
     }
 
-    /// Request class (index into the workload mix) pending on `conn`.
+    /// Request class (index into the workload mix) of the request in
+    /// service on `conn`.
     pub fn request_class(&self, conn: ConnId) -> usize {
         self.conn_info[conn.0].class
     }

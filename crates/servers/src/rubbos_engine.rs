@@ -458,9 +458,14 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
                 TcpNotice::Delivered { conn, bytes } => {
                     let user = conn.0;
                     let req = reqs[user].as_mut().expect("delivery without request");
-                    debug_assert!(bytes <= req.remaining);
-                    req.remaining -= bytes;
-                    if req.remaining == 0 {
+                    let Some(left) = req.remaining.checked_sub(bytes) else {
+                        panic!(
+                            "over-delivery: conn {user}: {bytes} bytes delivered with {} left",
+                            req.remaining
+                        );
+                    };
+                    req.remaining = left;
+                    if left == 0 {
                         let done_at = now + web_delay; // back through Apache
                         let rt = done_at.duration_since(req.started);
                         window.record(done_at);

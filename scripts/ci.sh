@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 contract plus the static-analysis, scenario and
-# benchmark-golden gates, in one short command. This is the subset of scripts/smoke.sh a
-# PR must keep green before anything else is worth running.
+# CI gate: the tier-1 contract plus the static-analysis, scenario,
+# results/ drift and benchmark-golden gates, in one short command. This
+# is the subset of scripts/smoke.sh a PR must keep green before anything
+# else is worth running.
 #
 #   scripts/ci.sh
 
@@ -34,6 +35,19 @@ cargo bench --no-run --workspace
 echo "== gate: dag scenario (drift check + dag/span audits) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
     --quick --scenario scenarios/dag_social.json
+
+# Each tracked results/<bin>.txt is the stdout of the release bench
+# binary of that name at full fidelity; dag_study also rewrites
+# results/dag_study.json, and latency_breakdown (whose stdout is not
+# tracked) rewrites results/latency_breakdown.json. ASYNCINV_QUICK would
+# shrink the runs, so it is cleared.
+echo "== gate: results/ drift (every tracked artifact regenerates byte-identical) =="
+for f in $(git ls-files 'results/*.txt'); do
+    env -u ASYNCINV_QUICK cargo run -q --release -p asyncinv-bench \
+        --bin "$(basename "$f" .txt)" > "$f"
+done
+env -u ASYNCINV_QUICK cargo run -q --release -p asyncinv-bench --bin latency_breakdown > /dev/null
+git diff --exit-code -- results/
 
 echo "== gate: benchmark tests + seed-1 goldens (every workload's cell digests) =="
 cargo test --offline --manifest-path benchmark/Cargo.toml

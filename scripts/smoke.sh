@@ -81,6 +81,17 @@ echo "== dag: checked-in social-network scenario, traced + audited =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
     --quick --scenario scenarios/dag_social.json
 
+# Same gate as scripts/ci.sh: each tracked results/<bin>.txt is the
+# stdout of that release bench binary at full fidelity, and dag_study and
+# latency_breakdown rewrite their tracked JSON.
+echo "== results/ drift (every tracked artifact regenerates byte-identical) =="
+for f in $(git ls-files 'results/*.txt'); do
+    env -u ASYNCINV_QUICK cargo run -q --release -p asyncinv-bench \
+        --bin "$(basename "$f" .txt)" > "$f"
+done
+env -u ASYNCINV_QUICK cargo run -q --release -p asyncinv-bench --bin latency_breakdown > /dev/null
+git diff --exit-code -- results/
+
 echo "== kernel bench sweep (quick; asserts runner + fault-plane + spin bit-identity) =="
 ASYNCINV_BENCH_OUT="$obs_dir/BENCH_kernel.quick.json" \
     cargo run --release -p asyncinv-bench --bin kernel_bench -- --quick

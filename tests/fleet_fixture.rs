@@ -108,20 +108,6 @@ fn two_sizes(conc: usize) -> ExperimentConfig {
     ExperimentConfig::with_mix(conc, mix)
 }
 
-/// Two classes of one size, for cells where a user's attempts overlap
-/// on a shard. A connection holds one spec, and a newer request's spec
-/// replaces it while an older attempt may still be in service there; with
-/// unequal sizes that older response then sends the newer size, which
-/// the loop's over-delivery assertion rejects. The class still differs,
-/// so the trace pins which spec each event saw.
-fn two_names(conc: usize) -> ExperimentConfig {
-    let mix = Mix::new(vec![
-        (RequestClass::new("a", 4 * 1024), 0.7),
-        (RequestClass::new("b", 4 * 1024), 0.3),
-    ]);
-    ExperimentConfig::with_mix(conc, mix)
-}
-
 /// Short windows and a ring that keeps every event.
 fn short(mut cell: ExperimentConfig, lat_us: u64) -> ExperimentConfig {
     cell = cell.with_latency(SimDuration::from_micros(lat_us));
@@ -191,7 +177,7 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
         (TimeoutMode::Rto, 0.0),
         (TimeoutMode::Rto, 0.01),
     ] {
-        let mut cell = short(two_names(12), 500);
+        let mut cell = short(two_sizes(12), 500);
         cell.retry = retry(mode, budget);
         let mut cfg = FleetConfig::new(cell, 3, BalancerKind::LeastOutstanding);
         cfg.shard_faults = vec![ShardFault {
@@ -207,7 +193,7 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
     }
 
     for per_shard in [false, true] {
-        let mut cell = short(two_names(12), 500);
+        let mut cell = short(two_sizes(12), 500);
         cell.retry = retry(TimeoutMode::Fixed, 0.5);
         let mut cfg = FleetConfig::new(cell, 3, BalancerKind::RoundRobin);
         cfg.hedge = Some(HedgeConfig {
@@ -242,7 +228,7 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
     {
         // Abandons and resets while attempts are in flight: their
         // arrivals land after the request was abandoned or retried.
-        let mut cell = short(two_names(16), 1_000);
+        let mut cell = short(two_sizes(16), 1_000);
         cell.retry = retry(TimeoutMode::Fixed, 0.5);
         let mut cfg = FleetConfig::new(cell, 3, BalancerKind::ConsistentHash { vnodes: 16 });
         cfg.hedge = Some(HedgeConfig {
@@ -282,7 +268,7 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
     }
 
     for policy in [ShedPolicy::DropOldest, ShedPolicy::RejectFast] {
-        let mut cell = short(two_names(24), 300);
+        let mut cell = short(two_sizes(24), 300);
         cell.retry = retry(TimeoutMode::Fixed, 0.5);
         let mut cfg = FleetConfig::new(cell, 3, BalancerKind::RoundRobin);
         cfg.shard_shed = vec![ShardShed {
@@ -299,7 +285,7 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
     }
 
     {
-        let mut cell = short(two_names(16), 200);
+        let mut cell = short(two_sizes(16), 200);
         cell.clients.arrivals = ArrivalMode::Open {
             rate_per_sec: 12_000.0,
         };
@@ -315,7 +301,7 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
     }
 
     {
-        let mut cell = short(two_names(12), 300);
+        let mut cell = short(two_sizes(12), 300);
         cell.retry = retry(TimeoutMode::Fixed, 0.5);
         let cfg = FleetConfig::new(cell, 3, BalancerKind::PowerOfTwoChoices { seed: 17 });
         let kinds = vec![
