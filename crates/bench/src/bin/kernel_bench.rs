@@ -1,7 +1,9 @@
 //! Self-benchmark of the simulation kernel: raw queue throughput of the
 //! heap and the ladder, full experiment-cell wall-clock on the fleet
-//! loop (which runs on the heap; both as min/median/max over several
-//! runs), and the parallel cell runner's speedup over a serial run.
+//! loop (which runs on the lane queue), the parallel cell runner's
+//! speedup over a serial run, and the costs of the proactor, tracing,
+//! span assembly, an empty fault plan and stepwise write spins. Every
+//! row records min/median/max over several runs.
 //!
 //! ```sh
 //! cargo run --release -p asyncinv-bench --bin kernel_bench             # full
@@ -22,11 +24,12 @@ use asyncinv::fleet::{BalancerKind, Cluster};
 use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
 use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table};
-use asyncinv_simcore::{EventQueue, LadderQueue, QueueBackend};
+use asyncinv_simcore::{EventQueue, LadderQueue, LaneQueue, QueueBackend};
 use serde::Serialize;
 
-/// Runs behind every hold and grid row; queue types alternate within
-/// each hold run so host drift hits both alike.
+/// Runs behind every row. Queue types alternate within each hold run,
+/// and the two sides of every paired row alternate which goes first, so
+/// host drift hits both alike.
 const RUNS: usize = 5;
 
 /// Min/median/max of one measurement over [`RUNS`] runs.
@@ -46,6 +49,47 @@ impl Spread {
             max: samples[samples.len() - 1],
         }
     }
+
+    /// The spread of `f(a, b)` over paired samples.
+    fn of_pairs(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Spread {
+        Spread::of(a.iter().zip(b).map(|(&a, &b)| f(a, b)).collect())
+    }
+}
+
+impl std::fmt::Display for Spread {
+    /// `median [min–max]`, to the formatter's precision (default 0 decimals).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let d = f.precision().unwrap_or(0);
+        write!(f, "{:.d$} [{:.d$}–{:.d$}]", self.median, self.min, self.max)
+    }
+}
+
+/// `b`'s change over `a`, in percent.
+fn overhead_pct(a: f64, b: f64) -> f64 {
+    (b / a.max(1e-9) - 1.0) * 100.0
+}
+
+/// Milliseconds `f` took.
+fn time_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// [`RUNS`] timings (ms) of each of two variants, run in turn with the
+/// first alternating from run to run.
+fn time_pair(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (Vec<f64>, Vec<f64>) {
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for run in 0..RUNS {
+        if run % 2 == 0 {
+            xs.push(a());
+            ys.push(b());
+        } else {
+            ys.push(b());
+            xs.push(a());
+        }
+    }
+    (xs, ys)
 }
 
 /// One hold-model measurement: pop-one/push-one over a standing population.
@@ -63,7 +107,7 @@ struct HoldRow {
 /// Wall-clock for a fixed Quick cell grid driven end to end.
 #[derive(Debug, Serialize)]
 struct GridRow {
-    /// The fleet loop's queue, the binary heap.
+    /// The fleet loop's queue, the lane queue.
     backend: String,
     cells: usize,
     runs: usize,
@@ -72,14 +116,15 @@ struct GridRow {
 }
 
 /// Serial vs parallel wall-clock for the same grid through the runner,
-/// at one worker-thread count.
+/// at one worker-thread count; the speedup is taken per run.
 #[derive(Debug, Serialize)]
 struct RunnerRow {
     cells: usize,
     threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
+    runs: usize,
+    serial_ms: Spread,
+    parallel_ms: Spread,
+    speedup: Spread,
 }
 
 /// Wall-clock of the untraced (size, concurrency) grid on the proactor
@@ -90,9 +135,10 @@ struct RunnerRow {
 #[derive(Debug, Serialize)]
 struct ProactorRow {
     cells: usize,
-    netty_ms: f64,
-    proactor_ms: f64,
-    ratio: f64,
+    runs: usize,
+    netty_ms: Spread,
+    proactor_ms: Spread,
+    ratio: Spread,
 }
 
 /// Wall-clock cost of observability: the same grid untraced (NoopObserver,
@@ -100,9 +146,10 @@ struct ProactorRow {
 #[derive(Debug, Serialize)]
 struct ObsRow {
     cells: usize,
-    untraced_ms: f64,
-    traced_ms: f64,
-    overhead_pct: f64,
+    runs: usize,
+    untraced_ms: Spread,
+    traced_ms: Spread,
+    overhead_pct: Spread,
 }
 
 /// Observability cost on the *fleet* driver: the stressed 3-shard span
@@ -113,19 +160,20 @@ struct ObsRow {
 /// cost story — a fleet records its routing, hedge and retry events on
 /// top of every shard's, so it is the honest place to measure tracing.
 /// Span assembly carries an aspirational <= 3% budget over the
-/// traced run; the committed baseline measures ~12% steady-state (best
-/// of three folds). A bare iterate-and-classify pass over the same ring
-/// — the floor any faithful per-event fold must pay — is already
-/// ~2.5–3%, so the miss is reported rather than papered over with a
-/// looser gate.
+/// traced run, which the committed baseline misses (each run's fold is
+/// the best of three: steady state). A bare iterate-and-classify pass
+/// over the same ring — the floor any faithful per-event fold must pay
+/// — is already ~2.5–3%, so the miss is reported rather than papered
+/// over with a looser gate.
 #[derive(Debug, Serialize)]
 struct FleetObsRow {
     shards: usize,
-    untraced_ms: f64,
-    traced_ms: f64,
-    trace_overhead_pct: f64,
-    span_assembly_ms: f64,
-    span_overhead_pct: f64,
+    runs: usize,
+    untraced_ms: Spread,
+    traced_ms: Spread,
+    trace_overhead_pct: Spread,
+    span_assembly_ms: Spread,
+    span_overhead_pct: Spread,
 }
 
 /// Wall-clock cost of the fault plane when it is configured but empty: the
@@ -135,9 +183,10 @@ struct FleetObsRow {
 #[derive(Debug, Serialize)]
 struct FaultRow {
     cells: usize,
-    no_plan_ms: f64,
-    empty_plan_ms: f64,
-    overhead_pct: f64,
+    runs: usize,
+    no_plan_ms: Spread,
+    empty_plan_ms: Spread,
+    overhead_pct: Spread,
 }
 
 /// The exact write-spin fast-forward against spinning through the event
@@ -147,9 +196,10 @@ struct FaultRow {
 #[derive(Debug, Serialize)]
 struct SpinRow {
     cells: usize,
-    stepwise_ms: f64,
-    fast_forward_ms: f64,
-    speedup: f64,
+    runs: usize,
+    stepwise_ms: Spread,
+    fast_forward_ms: Spread,
+    speedup: Spread,
 }
 
 #[derive(Debug, Serialize)]
@@ -216,11 +266,11 @@ fn grid() -> Vec<(ServerKind, usize, usize)> {
 }
 
 fn time_grid(cells: &[(ServerKind, usize, usize)]) -> f64 {
-    let start = Instant::now();
-    for &(kind, size, conc) in cells {
-        std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
-    }
-    start.elapsed().as_secs_f64() * 1e3
+    time_ms(|| {
+        for &(kind, size, conc) in cells {
+            std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
+        }
+    })
 }
 
 /// A queue type's hold measurement: population and hold count in,
@@ -230,7 +280,7 @@ type HoldProbe = fn(u64, u64) -> f64;
 fn main() {
     asyncinv_bench::banner(
         "kernel_bench — simulation-kernel self-benchmark",
-        "heap vs ladder on hold loads; the cell grid on the fleet loop's heap; \
+        "heap vs ladder on hold loads; the cell grid on the fleet loop's lane queue; \
          parallel runner cuts grid wall-clock",
     );
     let quick = std::env::args().any(|a| a == "--quick");
@@ -297,7 +347,7 @@ fn main() {
         fmt_f64(wall_ms.max, 0),
     );
     let grid_rows = vec![GridRow {
-        backend: EventQueue::<u64>::NAME.into(),
+        backend: LaneQueue::<u64>::NAME.into(),
         cells: cells.len(),
         runs: RUNS,
         host_cores,
@@ -315,35 +365,50 @@ fn main() {
         seen
     };
     let time_kind = |kind: ServerKind| {
-        let start = Instant::now();
-        for &(size, conc) in &combos {
-            std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
-        }
-        start.elapsed().as_secs_f64() * 1e3
+        time_ms(|| {
+            for &(size, conc) in &combos {
+                std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
+            }
+        })
     };
-    let netty_ms = time_kind(ServerKind::NettyLike);
-    let proactor_ms = time_kind(ServerKind::Proactor);
+    let (netty, ring) = time_pair(
+        || time_kind(ServerKind::NettyLike),
+        || time_kind(ServerKind::Proactor),
+    );
     let proactor = ProactorRow {
         cells: combos.len(),
-        netty_ms,
-        proactor_ms,
-        ratio: proactor_ms / netty_ms.max(1e-9),
+        runs: RUNS,
+        ratio: Spread::of_pairs(&netty, &ring, |n, p| p / n.max(1e-9)),
+        netty_ms: Spread::of(netty),
+        proactor_ms: Spread::of(ring),
     };
     println!(
-        "\nproactor: {} cells untraced  netty {:.0} ms  proactor {:.0} ms  ratio {:.2}",
-        proactor.cells, netty_ms, proactor_ms, proactor.ratio
+        "\nproactor: {} cells untraced ({RUNS} runs, median [min–max])  netty {} ms  \
+         proactor {} ms  ratio {:.2}",
+        proactor.cells, proactor.netty_ms, proactor.proactor_ms, proactor.ratio
     );
-    if proactor.ratio > 1.5 {
+    if proactor.ratio.median > 1.5 {
         eprintln!(
             "warning: proactor grid ratio {:.2} exceeds the 1.5x budget",
-            proactor.ratio
+            proactor.ratio.median
         );
     }
 
     // --- 3. Parallel runner speedup on the same grid, per thread count. ---
-    let start = Instant::now();
-    let serial = run_cells(Fidelity::Quick, &cells, 1);
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
+    const THREADS: [usize; 4] = [1, 2, 4, 8];
+    let mut serial_ms = Vec::new();
+    let mut parallel_ms: Vec<Vec<f64>> = THREADS.iter().map(|_| Vec::new()).collect();
+    for _ in 0..RUNS {
+        let mut serial = Vec::new();
+        serial_ms.push(time_ms(|| serial = run_cells(Fidelity::Quick, &cells, 1)));
+        for (&threads, samples) in THREADS.iter().zip(&mut parallel_ms) {
+            let mut parallel = Vec::new();
+            samples.push(time_ms(|| {
+                parallel = run_cells(Fidelity::Quick, &cells, threads)
+            }));
+            assert_eq!(serial, parallel, "parallel run must be bit-identical");
+        }
+    }
     let mut runner = Vec::new();
     let mut runner_table = Table::new(vec![
         "threads".into(),
@@ -352,133 +417,165 @@ fn main() {
         "speedup".into(),
     ]);
     runner_table.numeric();
-    for threads in [1usize, 2, 4, 8] {
-        let start = Instant::now();
-        let parallel = run_cells(Fidelity::Quick, &cells, threads);
-        let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(serial, parallel, "parallel run must be bit-identical");
-        let speedup = serial_ms / parallel_ms.max(1e-9);
-        runner_table.row(vec![
-            threads.to_string(),
-            fmt_f64(serial_ms, 0),
-            fmt_f64(parallel_ms, 0),
-            fmt_f64(speedup, 2),
-        ]);
-        runner.push(RunnerRow {
+    for (threads, parallel) in THREADS.into_iter().zip(parallel_ms) {
+        let row = RunnerRow {
             cells: cells.len(),
             threads,
-            serial_ms,
-            parallel_ms,
-            speedup,
-        });
+            runs: RUNS,
+            speedup: Spread::of_pairs(&serial_ms, &parallel, |s, p| s / p.max(1e-9)),
+            serial_ms: Spread::of(serial_ms.clone()),
+            parallel_ms: Spread::of(parallel),
+        };
+        runner_table.row(vec![
+            threads.to_string(),
+            row.serial_ms.to_string(),
+            row.parallel_ms.to_string(),
+            format!("{:.2}", row.speedup),
+        ]);
+        runner.push(row);
     }
     println!(
-        "\nrunner: {} cells, host reports {host_cores} core(s):\n{runner_table}",
+        "\nrunner: {} cells, host reports {host_cores} core(s) ({RUNS} runs, median \
+         [min–max]):\n{runner_table}",
         cells.len()
     );
 
     // --- 4. Observability overhead: untraced vs fully traced grid. ---
-    let start = Instant::now();
-    for &(kind, size, conc) in &cells {
-        std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
-    }
-    let untraced_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    for &(kind, size, conc) in &cells {
-        let mut cfg = Fidelity::Quick.micro(conc, size);
-        cfg.trace_capacity = 1 << 14;
-        std::hint::black_box(Experiment::new(cfg).run_traced(kind));
-    }
-    let traced_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (untraced, traced) = time_pair(
+        || time_grid(&cells),
+        || {
+            time_ms(|| {
+                for &(kind, size, conc) in &cells {
+                    let mut cfg = Fidelity::Quick.micro(conc, size);
+                    cfg.trace_capacity = 1 << 14;
+                    std::hint::black_box(Experiment::new(cfg).run_traced(kind));
+                }
+            })
+        },
+    );
     let observability = ObsRow {
         cells: cells.len(),
-        untraced_ms,
-        traced_ms,
-        overhead_pct: (traced_ms / untraced_ms.max(1e-9) - 1.0) * 100.0,
+        runs: RUNS,
+        overhead_pct: Spread::of_pairs(&untraced, &traced, overhead_pct),
+        untraced_ms: Spread::of(untraced),
+        traced_ms: Spread::of(traced),
     };
     println!(
-        "\nobservability: {} cells  untraced {:.0} ms  traced {:.0} ms  overhead {:.1}%",
-        observability.cells, untraced_ms, traced_ms, observability.overhead_pct
+        "\nobservability: {} cells ({RUNS} runs, median [min–max])  untraced {} ms  \
+         traced {} ms  overhead {:.1}%",
+        observability.cells,
+        observability.untraced_ms,
+        observability.traced_ms,
+        observability.overhead_pct
     );
 
     // --- 4b. Fleet-driver observability: untraced vs traced vs spans. ---
     // Measured on the same stressed 3-shard cell `latency_breakdown` and
     // `span_audit` run (retries, hedges, a shard fault, shedding), so the
     // overhead numbers describe the workload span assembly exists for.
-    let fleet_obs_cfg =
-        || asyncinv_bench::stressed_span_fleet(BalancerKind::PowerOfTwoChoices { seed: 0x5eed }, quick);
-    let start = Instant::now();
-    std::hint::black_box(Cluster::new(fleet_obs_cfg()).run(ServerKind::NettyLike));
-    let fleet_untraced_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let (_, rec) = Cluster::new(fleet_obs_cfg()).run_traced(ServerKind::NettyLike);
-    let fleet_traced_ms = start.elapsed().as_secs_f64() * 1e3;
-    // Steady state (best of three): the first fold pays allocator and
-    // page-fault warmup that repeated assembly over a live recorder does
-    // not — the same convention as the hold-model rows.
-    let mut span_assembly_ms = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        std::hint::black_box(SpanAssembler::assemble(&rec));
-        span_assembly_ms = span_assembly_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
+    let fleet_obs_cfg = || {
+        asyncinv_bench::stressed_span_fleet(BalancerKind::PowerOfTwoChoices { seed: 0x5eed }, quick)
+    };
+    let mut span_ms = Vec::new();
+    let (fleet_untraced, fleet_traced) = time_pair(
+        || {
+            time_ms(|| {
+                drop(std::hint::black_box(
+                    Cluster::new(fleet_obs_cfg()).run(ServerKind::NettyLike),
+                ))
+            })
+        },
+        || {
+            let mut rec = None;
+            let traced = time_ms(|| {
+                rec = Some(
+                    Cluster::new(fleet_obs_cfg())
+                        .run_traced(ServerKind::NettyLike)
+                        .1,
+                );
+            });
+            let rec = rec.expect("traced run");
+            // Steady state (best of three): the first fold pays allocator
+            // and page-fault warmup that repeated assembly over a live
+            // recorder does not.
+            let best = (0..3)
+                .map(|_| time_ms(|| drop(std::hint::black_box(SpanAssembler::assemble(&rec)))))
+                .fold(f64::INFINITY, f64::min);
+            span_ms.push(best);
+            traced
+        },
+    );
     let fleet_observability = FleetObsRow {
         shards: 3,
-        untraced_ms: fleet_untraced_ms,
-        traced_ms: fleet_traced_ms,
-        trace_overhead_pct: (fleet_traced_ms / fleet_untraced_ms.max(1e-9) - 1.0) * 100.0,
-        span_assembly_ms,
-        span_overhead_pct: span_assembly_ms / fleet_traced_ms.max(1e-9) * 100.0,
+        runs: RUNS,
+        trace_overhead_pct: Spread::of_pairs(&fleet_untraced, &fleet_traced, overhead_pct),
+        span_overhead_pct: Spread::of_pairs(&fleet_traced, &span_ms, |t, s| {
+            s / t.max(1e-9) * 100.0
+        }),
+        untraced_ms: Spread::of(fleet_untraced),
+        traced_ms: Spread::of(fleet_traced),
+        span_assembly_ms: Spread::of(span_ms),
     };
     println!(
-        "\nfleet observability: 3 shards (stressed span cell)  untraced {:.0} ms  traced {:.0} ms \
-         (overhead {:.1}%)  span assembly {:.1} ms (+{:.1}% over traced)",
-        fleet_untraced_ms,
-        fleet_traced_ms,
+        "\nfleet observability: 3 shards (stressed span cell; {RUNS} runs, median [min–max])  \
+         untraced {:.1} ms  traced {:.1} ms (overhead {:.1}%)  span assembly {:.1} ms \
+         (+{:.1}% over traced)",
+        fleet_observability.untraced_ms,
+        fleet_observability.traced_ms,
         fleet_observability.trace_overhead_pct,
-        span_assembly_ms,
+        fleet_observability.span_assembly_ms,
         fleet_observability.span_overhead_pct
     );
-    if fleet_observability.span_overhead_pct > 3.0 {
+    if fleet_observability.span_overhead_pct.median > 3.0 {
         eprintln!(
             "warning: span assembly overhead {:.1}% exceeds the 3% budget",
-            fleet_observability.span_overhead_pct
+            fleet_observability.span_overhead_pct.median
         );
     }
 
     // --- 5. Fault-plane overhead: faults None vs an empty FaultPlan. ---
-    let start = Instant::now();
-    let plain: Vec<_> = cells
-        .iter()
-        .map(|&(kind, size, conc)| Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind))
-        .collect();
-    let no_plan_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let empty: Vec<_> = cells
-        .iter()
-        .map(|&(kind, size, conc)| {
-            let mut cfg = Fidelity::Quick.micro(conc, size);
-            cfg.faults = Some(asyncinv::fault::FaultPlan::default());
-            Experiment::new(cfg).run(kind)
-        })
-        .collect();
-    let empty_plan_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(plain, empty, "empty fault plan must be bit-identical");
+    let run_grid = |faults: Option<asyncinv::fault::FaultPlan>| {
+        let mut summaries = Vec::new();
+        let ms = time_ms(|| {
+            summaries = cells
+                .iter()
+                .map(|&(kind, size, conc)| {
+                    let mut cfg = Fidelity::Quick.micro(conc, size);
+                    cfg.faults = faults.clone();
+                    Experiment::new(cfg).run(kind)
+                })
+                .collect();
+        });
+        (summaries, ms)
+    };
+    let plain = run_grid(None).0;
+    let (no_plan, empty_plan) = time_pair(
+        || run_grid(None).1,
+        || {
+            let (empty, ms) = run_grid(Some(asyncinv::fault::FaultPlan::default()));
+            assert_eq!(plain, empty, "empty fault plan must be bit-identical");
+            ms
+        },
+    );
     let fault_plane = FaultRow {
         cells: cells.len(),
-        no_plan_ms,
-        empty_plan_ms,
-        overhead_pct: (empty_plan_ms / no_plan_ms.max(1e-9) - 1.0) * 100.0,
+        runs: RUNS,
+        overhead_pct: Spread::of_pairs(&no_plan, &empty_plan, overhead_pct),
+        no_plan_ms: Spread::of(no_plan),
+        empty_plan_ms: Spread::of(empty_plan),
     };
     println!(
-        "\nfault plane: {} cells  no plan {:.0} ms  empty plan {:.0} ms  overhead {:.1}% \
-         (summaries bit-identical)",
-        fault_plane.cells, no_plan_ms, empty_plan_ms, fault_plane.overhead_pct
+        "\nfault plane: {} cells ({RUNS} runs, median [min–max])  no plan {} ms  \
+         empty plan {} ms  overhead {:.1}% (summaries bit-identical)",
+        fault_plane.cells,
+        fault_plane.no_plan_ms,
+        fault_plane.empty_plan_ms,
+        fault_plane.overhead_pct
     );
-    if fault_plane.overhead_pct > 1.0 {
+    if fault_plane.overhead_pct.median > 1.0 {
         eprintln!(
             "warning: empty fault plan overhead {:.1}% exceeds the 1% budget",
-            fault_plane.overhead_pct
+            fault_plane.overhead_pct.median
         );
     }
 
@@ -499,30 +596,46 @@ fn main() {
         ServerKind::AsyncPoolFix,
         ServerKind::Staged,
     ];
-    let time_spin = |fast_forward: bool| {
-        let start = Instant::now();
-        let summaries: Vec<_> = spin_cells
-            .iter()
-            .flat_map(|cfg| {
-                let exp = Experiment::new(cfg.clone()).fast_forward(fast_forward);
-                spinners.map(|kind| exp.run(kind))
-            })
-            .collect();
-        (summaries, start.elapsed().as_secs_f64() * 1e3)
+    let run_spin = |fast_forward: bool| {
+        let mut summaries = Vec::new();
+        let ms = time_ms(|| {
+            summaries = spin_cells
+                .iter()
+                .flat_map(|cfg| {
+                    let exp = Experiment::new(cfg.clone()).fast_forward(fast_forward);
+                    spinners.map(|kind| exp.run(kind))
+                })
+                .collect();
+        });
+        (summaries, ms)
     };
-    let (stepwise, stepwise_ms) = time_spin(false);
-    let (retired, fast_forward_ms) = time_spin(true);
-    assert_eq!(stepwise, retired, "the spin fast-forward must be bit-identical");
+    let retired = run_spin(true).0;
+    let (stepwise, fast_forward) = time_pair(
+        || {
+            let (stepwise, ms) = run_spin(false);
+            assert_eq!(
+                stepwise, retired,
+                "the spin fast-forward must be bit-identical"
+            );
+            ms
+        },
+        || run_spin(true).1,
+    );
     let spin_fast_forward = SpinRow {
-        cells: stepwise.len(),
-        stepwise_ms,
-        fast_forward_ms,
-        speedup: stepwise_ms / fast_forward_ms.max(1e-9),
+        cells: retired.len(),
+        runs: RUNS,
+        speedup: Spread::of_pairs(&stepwise, &fast_forward, |s, f| s / f.max(1e-9)),
+        stepwise_ms: Spread::of(stepwise),
+        fast_forward_ms: Spread::of(fast_forward),
     };
     println!(
-        "\nspin fast-forward: {} spinner cells (100 KB, LAN + 5 ms)  stepwise {:.0} ms  \
-         fast-forward {:.0} ms  speedup {:.2}x (summaries bit-identical)",
-        spin_fast_forward.cells, stepwise_ms, fast_forward_ms, spin_fast_forward.speedup
+        "\nspin fast-forward: {} spinner cells (100 KB, LAN + 5 ms; {RUNS} runs, median \
+         [min–max])  stepwise {} ms  fast-forward {} ms  speedup {:.2}x (summaries \
+         bit-identical)",
+        spin_fast_forward.cells,
+        spin_fast_forward.stepwise_ms,
+        spin_fast_forward.fast_forward_ms,
+        spin_fast_forward.speedup
     );
 
     // --- 6. Record. ---

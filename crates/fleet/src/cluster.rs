@@ -24,7 +24,7 @@ use asyncinv_servers::{
     spin_horizon, trace_codes, ConnInfo, Ctx, ExperimentConfig, ServerKind, ServerModel,
     ShedConfig, ShedPolicy,
 };
-use asyncinv_simcore::{EventQueue, SimTime, Simulation};
+use asyncinv_simcore::{LaneQueue, SimDuration, SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::{
     ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId,
@@ -468,10 +468,15 @@ fn trace(obs: &mut dyn Observer, ev: TraceEvent) {
 /// event queue instead of being retired inline; results are identical
 /// either way.
 ///
-/// The loop runs on the binary heap ([`EventQueue`]). Its cells keep
-/// tens to a few thousand events pending, where the heap has the best
-/// constants: the ladder lost every micro cell it was timed on
-/// (DESIGN.md §7).
+/// The loop runs on a [`LaneQueue`] with one lane per delay the config
+/// fixes: zero (zero-think sends and same-instant follow-ups), the
+/// one-way delay (attempt arrivals and flight deliveries), the RTT
+/// (ACKs) and the fixed retry timeout. Every event is scheduled through
+/// `Simulation::schedule_routed`, which takes the lane whose delay is
+/// its time less the loop clock and leaves CPU bursts, think times,
+/// hedge fires, RTO timeouts, lossy or late flights and outputs of a
+/// retired write spin on the heap. The queue pops the heap's exact
+/// order, so no result depends on the routing (DESIGN.md §7).
 #[allow(clippy::too_many_lines)]
 pub(crate) fn drive(
     cfg: &FleetConfig,
@@ -487,7 +492,22 @@ pub(crate) fn drive(
     let warm_end = SimTime::ZERO + cell.warmup;
     let end = warm_end + cell.measure;
 
-    let mut sim: Simulation<FleetEvent, EventQueue<FleetEvent>> = Simulation::new();
+    let policy = cell.retry;
+    let retry_on = policy.enabled();
+    let timeout = policy.timeout.unwrap_or_default();
+    // One lane per distinct fixed delay; an RTO-mode timeout varies, so
+    // it has none.
+    let fixed_timeout = retry_on && policy.timeout_mode == TimeoutMode::Fixed;
+    let mut delays: Vec<SimDuration> = Vec::new();
+    for d in [SimDuration::ZERO, cell.tcp.one_way(), cell.tcp.rtt()]
+        .into_iter()
+        .chain(fixed_timeout.then_some(timeout))
+    {
+        if !delays.contains(&d) {
+            delays.push(d);
+        }
+    }
+    let mut sim = Simulation::with_backend(LaneQueue::new(&delays));
     let mut clients = ClientPool::new(cell.clients.clone());
     let mut bal = cfg.balancer.build(n_shards);
 
@@ -534,9 +554,6 @@ pub(crate) fn drive(
     // Resilience plane. With no fault plan, shed config and a disabled
     // retry policy all of it is inert: epochs tick along and no extra
     // events exist.
-    let policy = cell.retry;
-    let retry_on = policy.enabled();
-    let timeout = policy.timeout.unwrap_or_default();
     let mut budget = RetryBudget::new(&policy);
     // TCP-style adaptive timeout: one client-wide estimator (like the
     // retry budget), fed every good response time and Karn-backed-off
@@ -648,20 +665,20 @@ pub(crate) fn drive(
             for (s, sh) in shards.iter_mut().enumerate() {
                 if !sh.cpu_out.is_empty() {
                     for (t, e) in sh.cpu_out.drain(..) {
-                        sim.schedule_at(t, FleetEvent::Cpu { shard: s as u32, ev: e });
+                        sim.schedule_routed(t, FleetEvent::Cpu { shard: s as u32, ev: e });
                     }
                 }
             }
             for (s, sh) in shards.iter_mut().enumerate() {
                 if !sh.tcp_out.is_empty() {
                     for (t, e) in sh.tcp_out.drain(..) {
-                        sim.schedule_at(t, FleetEvent::Tcp { shard: s as u32, ev: e });
+                        sim.schedule_routed(t, FleetEvent::Tcp { shard: s as u32, ev: e });
                     }
                 }
             }
             if !cl_out.is_empty() {
                 for (t, e) in cl_out.drain(..) {
-                    sim.schedule_at(t, FleetEvent::Client(e));
+                    sim.schedule_routed(t, FleetEvent::Client(e));
                 }
             }
         };
@@ -786,7 +803,7 @@ pub(crate) fn drive(
                         );
                     }
                 }
-                sim.schedule_at(
+                sim.schedule_routed(
                     $now + backoff,
                     FleetEvent::Retry {
                         shard: target as u32,
@@ -1067,15 +1084,15 @@ pub(crate) fn drive(
     macro_rules! send_primary {
         ($now:expr, $s:expr, $u:expr, $ep:expr) => {{
             let (shard, user, epoch) = ($s as u32, $u as u32, $ep);
-            sim.schedule_at($now + one_way, FleetEvent::Arrive { shard, user, epoch });
+            sim.schedule_routed($now + one_way, FleetEvent::Arrive { shard, user, epoch });
             if retry_on {
-                sim.schedule_at(
+                sim.schedule_routed(
                     $now + rto.as_ref().map_or(timeout, |e| e.current()),
                     FleetEvent::Timeout { shard, user, epoch },
                 );
             }
             if hedge_on {
-                sim.schedule_at(
+                sim.schedule_routed(
                     $now + hest!($s).delay(&hcfg),
                     FleetEvent::HedgeFire { shard, user, epoch },
                 );
@@ -1149,7 +1166,7 @@ pub(crate) fn drive(
     clients.start(&mut cl_out);
     for (s, sh) in shards.iter().enumerate() {
         for (i, op) in sh.compiled.ops.iter().enumerate() {
-            sim.schedule_at(op.at, FleetEvent::Fault { shard: s as u32, idx: i as u32 });
+            sim.schedule_routed(op.at, FleetEvent::Fault { shard: s as u32, idx: i as u32 });
         }
     }
     flush!();
@@ -1260,7 +1277,7 @@ pub(crate) fn drive(
                                     .arg(now.duration_since(t.attempt_sent).as_nanos()),
                             );
                         }
-                        sim.schedule_at(
+                        sim.schedule_routed(
                             now + one_way,
                             FleetEvent::Arrive { shard: h as u32, user, epoch: he },
                         );

@@ -12,7 +12,8 @@
 //! Guarantees:
 //!
 //! - **Determinism** — same config, same seed, same [`FleetSummary`],
-//!   bitwise, on any OS thread. The loop runs on the binary heap; every
+//!   bitwise, on any OS thread. The loop runs on a lane queue (one lane
+//!   per fixed delay: zero, one-way, RTT, the fixed retry timeout); every
 //!   queue in `asyncinv-simcore` pops the same order.
 //! - **1-shard transparency** — a fleet of one shard *is* an
 //!   [`Experiment`] under every balancer: balancers draw no randomness at

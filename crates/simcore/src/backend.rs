@@ -8,14 +8,15 @@
 //!
 //! * the binary heap ([`EventQueue`](crate::EventQueue)), the default:
 //!   the best constants at the standing populations experiment cells hold
-//!   (tens to a few thousand events). The fleet drive loop runs on it.
+//!   (tens to a few thousand events).
 //! * the ladder queue ([`LadderQueue`](crate::LadderQueue)): a hold cost
 //!   that stays flat from 10k to 100k+ events. The RUBBoS engine runs on
 //!   it, because its users' random think times keep a wide spread of
 //!   timestamps pending.
 //! * the lane queue ([`LaneQueue`](crate::LaneQueue)): a heap plus one
 //!   FIFO per fixed delay, declared by the model that owns the simulation.
-//!   The service-graph engine runs on it.
+//!   The fleet drive loop (one-way delay, RTT, fixed retry timeout) and
+//!   the service-graph engine (edge latencies and timeouts) run on it.
 //!
 //! A queue that picks a shape at run time pays its dispatch on every
 //! operation, so none does. All three deliver byte-identical event

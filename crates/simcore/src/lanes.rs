@@ -10,6 +10,11 @@
 //! `(time, seq)` among the heap head and the lane heads, so the queue
 //! delivers exactly [`EventQueue`](crate::EventQueue)'s order.
 //!
+//! The queue caches the earliest lane head. A push changes it only when
+//! its lane was empty, so [`LaneQueue::peek_time`] is O(1) and a pop
+//! compares the cached head with the heap head once; the lane fronts are
+//! rescanned only after a pop takes a lane entry.
+//!
 //! The lane an event uses is chosen by the caller when it schedules the
 //! event, from a property it already knows (the delay), so no operation
 //! pays a run-time switch.
@@ -23,11 +28,13 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// Events pushed with [`LaneQueue::push`] go to a binary heap; events
 /// pushed with [`LaneQueue::push_lane`] go to the FIFO of one of the
-/// delays declared at construction. Pops deliver ascending `(time,
+/// delays declared at construction, and [`LaneQueue::push_routed`] picks
+/// the lane from the event's delay. Pops deliver ascending `(time,
 /// insertion order)` across both, the [`QueueBackend`](crate::QueueBackend)
 /// contract. Use it through
-/// [`Simulation::schedule_lane`](crate::Simulation::schedule_lane), which
-/// supplies the clock.
+/// [`Simulation::schedule_lane`](crate::Simulation::schedule_lane) or
+/// [`Simulation::schedule_routed`](crate::Simulation::schedule_routed),
+/// which supply the clock.
 ///
 /// ```
 /// use asyncinv_simcore::{LaneQueue, SimDuration, SimTime};
@@ -44,6 +51,8 @@ use crate::time::{SimDuration, SimTime};
 pub struct LaneQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     lanes: Vec<Lane<E>>,
+    /// The earliest lane front, `None` when every lane is empty.
+    head: Option<Head>,
     seq: u64,
 }
 
@@ -51,6 +60,14 @@ pub struct LaneQueue<E> {
 struct Lane<E> {
     delay: SimDuration,
     fifo: VecDeque<Entry<E>>,
+}
+
+/// A lane front's `(time, seq)` key and the lane that holds it.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    time: SimTime,
+    seq: u64,
+    lane: usize,
 }
 
 impl<E> LaneQueue<E> {
@@ -66,6 +83,7 @@ impl<E> LaneQueue<E> {
                     fifo: VecDeque::new(),
                 })
                 .collect(),
+            head: None,
             seq: 0,
         }
     }
@@ -92,39 +110,86 @@ impl<E> LaneQueue<E> {
     /// while its pushes move forward in time).
     pub fn push_lane(&mut self, lane: usize, now: SimTime, event: E) {
         let time = now + self.lanes[lane].delay;
+        self.append(lane, time, event);
+    }
+
+    /// Enqueues `event` for delivery at `time`: on the first lane whose
+    /// delay is `time − now`, else on the heap. Either way it pops at the
+    /// same place; a lane only spares the heap's sort.
+    ///
+    /// # Panics
+    ///
+    /// As [`LaneQueue::push_lane`] when a lane is taken, and in debug
+    /// builds if `time` is earlier than `now`
+    /// ([`Simulation::schedule_routed`](crate::Simulation::schedule_routed)
+    /// checks that in every build).
+    pub fn push_routed(&mut self, now: SimTime, time: SimTime, event: E) {
+        let ahead = time - now;
+        match self.lanes.iter().position(|l| l.delay == ahead) {
+            Some(lane) => self.append(lane, time, event),
+            None => self.push(time, event),
+        }
+    }
+
+    /// Appends an entry for `time` to `lane`, keeping the cached head.
+    fn append(&mut self, lane: usize, time: SimTime, event: E) {
         let entry = self.stamp(time, event);
+        let seq = entry.seq;
         let fifo = &mut self.lanes[lane].fifo;
         assert!(
             fifo.back().is_none_or(|last| last.time <= time),
             "lane {lane} pushed out of time order"
         );
         fifo.push_back(entry);
+        // A lane's new front is the newest entry, so it is the head only
+        // if it is strictly earlier (an equal time has a smaller seq).
+        if fifo.len() == 1 && self.head.is_none_or(|h| time < h.time) {
+            self.head = Some(Head { time, seq, lane });
+        }
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let mut best = self.heap.peek().map(|e| (e.time, e.seq));
-        let mut from = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(head) = lane.fifo.front() {
-                let key = (head.time, head.seq);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                    from = Some(i);
-                }
+        let lane = match (self.head, self.heap.peek()) {
+            (Some(h), Some(e)) if (h.time, h.seq) < (e.time, e.seq) => Some(h.lane),
+            (Some(h), None) => Some(h.lane),
+            _ => None,
+        };
+        let entry = match lane {
+            Some(i) => {
+                let entry = self.lanes[i].fifo.pop_front();
+                self.rescan();
+                entry
             }
-        }
-        let entry = match from {
-            Some(i) => self.lanes[i].fifo.pop_front(),
             None => self.heap.pop(),
         }?;
         Some((entry.time, entry.event))
     }
 
-    /// The timestamp of the earliest pending event, if any.
+    /// Recomputes the cached head from the lane fronts.
+    fn rescan(&mut self) {
+        let mut head: Option<Head> = None;
+        for (lane, l) in self.lanes.iter().enumerate() {
+            if let Some(e) = l.fifo.front() {
+                if head.is_none_or(|h| (e.time, e.seq) < (h.time, h.seq)) {
+                    head = Some(Head {
+                        time: e.time,
+                        seq: e.seq,
+                        lane,
+                    });
+                }
+            }
+        }
+        self.head = head;
+    }
+
+    /// The timestamp of the earliest pending event, if any. O(1).
     pub fn peek_time(&self) -> Option<SimTime> {
-        let heads = self.lanes.iter().filter_map(|l| l.fifo.front());
-        heads.chain(self.heap.peek()).map(|e| e.time).min()
+        let heap = self.heap.peek().map(|e| e.time);
+        match (self.head, heap) {
+            (Some(h), Some(t)) => Some(h.time.min(t)),
+            (h, t) => h.map(|h| h.time).or(t),
+        }
     }
 
     /// Number of pending events.
@@ -134,7 +199,7 @@ impl<E> LaneQueue<E> {
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lanes.iter().all(|l| l.fifo.is_empty())
+        self.heap.is_empty() && self.head.is_none()
     }
 
     /// Removes all pending events; the lanes and their delays remain.
@@ -143,6 +208,7 @@ impl<E> LaneQueue<E> {
         for lane in &mut self.lanes {
             lane.fifo.clear();
         }
+        self.head = None;
     }
 }
 
@@ -192,5 +258,106 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push_lane(0, SimTime::from_nanos(1), 3);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(8), 3)));
+    }
+
+    const NS: fn(u64) -> SimTime = SimTime::from_nanos;
+
+    /// The cached head as `(time in ns, seq, lane)`.
+    fn head<E>(q: &LaneQueue<E>) -> Option<(u64, u64, usize)> {
+        q.head.map(|h| (h.time.as_nanos(), h.seq, h.lane))
+    }
+
+    fn lanes(delays: &[u64]) -> LaneQueue<char> {
+        let delays: Vec<_> = delays.iter().map(|&d| SimDuration::from_nanos(d)).collect();
+        LaneQueue::new(&delays)
+    }
+
+    #[test]
+    fn after_a_lane_pop_the_head_can_stay_on_the_same_lane() {
+        let mut q = lanes(&[5, 10]);
+        q.push_lane(0, NS(0), 'a'); // 5, seq 0
+        q.push_lane(1, NS(0), 'b'); // 10, seq 1
+        q.push_lane(0, NS(1), 'c'); // 6, seq 2
+        assert_eq!(head(&q), Some((5, 0, 0)));
+        assert_eq!(q.pop(), Some((NS(5), 'a')));
+        assert_eq!(head(&q), Some((6, 2, 0)));
+        assert_eq!(q.peek_time(), Some(NS(6)));
+    }
+
+    #[test]
+    fn after_a_lane_pop_the_head_can_move_to_another_lane() {
+        let mut q = lanes(&[1, 3]);
+        q.push_lane(1, NS(0), 'a'); // 3, seq 0
+        q.push_lane(0, NS(0), 'b'); // 1, seq 1: earlier, takes the head
+        assert_eq!(head(&q), Some((1, 1, 0)));
+        assert_eq!(q.pop(), Some((NS(1), 'b')));
+        assert_eq!(head(&q), Some((3, 0, 1)));
+        assert_eq!(q.pop(), Some((NS(3), 'a')));
+        assert_eq!(head(&q), None);
+    }
+
+    #[test]
+    fn after_a_lane_pop_the_heap_can_hold_the_earliest_event() {
+        let mut q = lanes(&[2, 9]);
+        q.push_lane(0, NS(0), 'a'); // 2
+        q.push_lane(1, NS(0), 'b'); // 9
+        q.push(NS(4), 'c');
+        assert_eq!(q.pop(), Some((NS(2), 'a')));
+        assert_eq!(head(&q), Some((9, 1, 1)));
+        assert_eq!(q.peek_time(), Some(NS(4)));
+        assert_eq!(q.pop(), Some((NS(4), 'c')));
+        assert_eq!(q.pop(), Some((NS(9), 'b')));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn lane_heads_that_tie_in_time_pop_in_seq_order() {
+        // The higher lane's front was pushed first: seq, not the lane
+        // index, decides, on a push into an empty lane and on a rescan.
+        let mut q = lanes(&[2, 4, 1]);
+        q.push_lane(2, NS(0), 'a'); // 1, seq 0
+        q.push_lane(1, NS(0), 'b'); // 4, seq 1
+        q.push_lane(0, NS(2), 'c'); // 4, seq 2
+        assert_eq!(head(&q), Some((1, 0, 2)));
+        assert_eq!(q.pop(), Some((NS(1), 'a')));
+        assert_eq!(head(&q), Some((4, 1, 1)));
+        q.push(NS(4), 'd'); // 4, seq 3: after both lane fronts
+        assert_eq!(q.pop(), Some((NS(4), 'b')));
+        assert_eq!(head(&q), Some((4, 2, 0)));
+        assert_eq!(q.pop(), Some((NS(4), 'c')));
+        assert_eq!(q.pop(), Some((NS(4), 'd')));
+        // An empty lane's push that ties the head in time does not take it.
+        q.push_lane(0, NS(4), 'e'); // 6, seq 4
+        q.push_lane(1, NS(2), 'f'); // 6, seq 5
+        assert_eq!(head(&q), Some((6, 4, 0)));
+    }
+
+    #[test]
+    fn clear_drops_the_head() {
+        let mut q = lanes(&[3]);
+        q.push_lane(0, NS(0), 'a');
+        assert_eq!(head(&q), Some((3, 0, 0)));
+        q.clear();
+        assert_eq!(head(&q), None);
+        assert!(q.pop().is_none());
+        q.push(NS(9), 'b');
+        q.push_lane(0, NS(1), 'c'); // 4
+        assert_eq!(head(&q), Some((4, 2, 0)));
+        assert_eq!(q.pop(), Some((NS(4), 'c')));
+        assert_eq!(q.pop(), Some((NS(9), 'b')));
+    }
+
+    #[test]
+    fn a_routed_push_takes_the_lane_of_its_delay() {
+        let mut q = lanes(&[0, 5]);
+        q.push_routed(NS(10), NS(15), 'a'); // lane 1
+        q.push_routed(NS(10), NS(10), 'b'); // lane 0
+        q.push_routed(NS(10), NS(12), 'c'); // heap
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.lanes[0].fifo.len(), 1);
+        assert_eq!(head(&q), Some((10, 1, 0)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ['b', 'c', 'a']);
     }
 }

@@ -15,17 +15,16 @@
 //!   heap is the default; the ladder suits standing populations in the
 //!   tens of thousands.
 //! * [`LaneQueue`] — a heap plus one FIFO lane per fixed delay, for
-//!   models whose events mostly sit at a few known delays (the service
-//!   graph engine's edge latencies and timeouts). It pops the heap's
-//!   exact order.
+//!   models whose events mostly sit at a few known delays (network
+//!   hops, ACKs, fixed timeouts). It pops the heap's exact order.
 //!
 //!   Each engine names its queue in code, as its `Simulation`'s type
-//!   parameter; configs never name one. The fleet drive loop runs on the
-//!   heap, the RUBBoS engine on the ladder and the service-graph engine
-//!   on lanes.
+//!   parameter; configs never name one. The fleet drive loop and the
+//!   service-graph engine run on lanes, the RUBBoS engine on the ladder.
 //! * [`Simulation`] — clock + pluggable queue backend + scheduling API;
 //!   defaults to the binary heap; [`Simulation::schedule_lane`] schedules
-//!   on a lane.
+//!   on a lane, and [`Simulation::schedule_routed`] on the lane of the
+//!   event's delay if there is one.
 //! * [`SimRng`] — a seedable xoshiro256++ PRNG so experiments are
 //!   deterministic without depending on platform entropy.
 //!

@@ -22,7 +22,7 @@ use crate::time::{SimDuration, SimTime};
 /// the ladder ([`LadderQueue`](crate::LadderQueue)) suits standing
 /// populations in the tens of thousands, and the lane queue
 /// ([`LaneQueue`]) suits models whose events mostly sit at a few fixed
-/// delays ([`Simulation::schedule_lane`]).
+/// delays ([`Simulation::schedule_lane`], [`Simulation::schedule_routed`]).
 ///
 /// ```
 /// use asyncinv_simcore::{Simulation, SimDuration};
@@ -166,6 +166,35 @@ impl<E> Simulation<E, LaneQueue<E>> {
     /// ```
     pub fn schedule_lane(&mut self, lane: usize, event: E) {
         self.queue.push_lane(lane, self.now, event);
+    }
+
+    /// Schedules `event` at an absolute time, on the lane whose delay is
+    /// `at − now()` when there is one and on the heap otherwise
+    /// ([`LaneQueue::push_routed`]). The delay is taken on this clock, so
+    /// each lane stays sorted whatever computed `at`.
+    ///
+    /// ```
+    /// use asyncinv_simcore::{LaneQueue, SimDuration, SimTime, Simulation};
+    ///
+    /// let hop = SimDuration::from_micros(200);
+    /// let mut sim = Simulation::with_backend(LaneQueue::new(&[hop]));
+    /// sim.schedule_routed(SimTime::from_micros(200), "reply"); // lane 0
+    /// sim.schedule_routed(SimTime::from_micros(50), "service"); // heap
+    /// assert_eq!(sim.next_event().unwrap().1, "service");
+    /// assert_eq!(sim.next_event().unwrap().1, "reply");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time, as
+    /// [`Simulation::schedule_at`] does.
+    pub fn schedule_routed(&mut self, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at}, now={}",
+            self.now
+        );
+        self.queue.push_routed(self.now, at, event);
     }
 }
 

@@ -21,6 +21,13 @@ cargo test -q
 echo "== gate: workspace crate tests (unit, integration and doc tests) =="
 cargo test -q --workspace --exclude asyncinv-lab
 
+# The pinned-digest fixtures again in the release profile, the build the
+# benchmark and results/ use: debug_assert!s are compiled out there and
+# integer arithmetic wraps, so a result that leans on either shows here.
+echo "== gate: pinned-digest fixtures (release build) =="
+cargo test -q --release --test engine_fixture --test fleet_fixture \
+    --test dag_fixture --test rubbos_fixture
+
 echo "== gate: detlint (determinism + coverage + counter conservation) =="
 cargo run --release -p detlint -- check --json results/detlint-report.json
 

@@ -28,6 +28,13 @@ cargo test -q
 echo "== workspace crate tests =="
 cargo test -q --workspace --exclude asyncinv-lab
 
+# The pinned-digest fixtures again in the release profile, the build the
+# benchmark and results/ use: debug_assert!s are compiled out there and
+# integer arithmetic wraps, so a result that leans on either shows here.
+echo "== pinned-digest fixtures (release build) =="
+cargo test -q --release --test engine_fixture --test fleet_fixture \
+    --test dag_fixture --test rubbos_fixture
+
 echo "== artifact smoke (Quick fidelity, parallel runner) =="
 cargo run --release -p asyncinv-bench --bin repro_all -- --quick
 

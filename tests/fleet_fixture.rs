@@ -10,7 +10,9 @@
 //! pooled and per-shard hedging, a brownout, abandons and connection
 //! resets (so some attempts land after their request moved on), shedding,
 //! an open loop, a mixed fleet, a write-spinning fleet and the checked-in
-//! brownout scenario. `engine_fixture` pins the one-shard case.
+//! brownout scenario. The last cells send flights, ACKs and timeouts at
+//! other than their usual delays: a loss window, late ACKs, and stalled
+//! workers under fixed retries. `engine_fixture` pins the one-shard case.
 //!
 //! The counters digest leaves out `events_processed`: it counts the drive
 //! loop's own events, which a change to how the loop schedules its work
@@ -339,6 +341,94 @@ fn cells() -> Vec<(String, FleetConfig, Vec<ServerKind>)> {
             cfg,
             kinds,
         ));
+    }
+
+    // Flights, ACKs and timeouts usually sit at a few fixed delays; the
+    // cells below also send them at other delays, interleaved with the
+    // usual ones.
+    let ms = SimDuration::from_millis;
+    {
+        // Lost flights are delivered and ACKed one TCP RTO late.
+        let mut cell = short(two_sizes(12), 300);
+        cell.tcp.rto = ms(3);
+        cell.retry = retry(TimeoutMode::Fixed, 0.5);
+        let mut cfg = FleetConfig::new(cell, 3, BalancerKind::LeastOutstanding);
+        let loss = FaultEvent {
+            at: ms(60),
+            fault: FaultKind::Loss {
+                selector: ConnSelector::All,
+                prob: 0.3,
+                duration: Some(ms(90)),
+            },
+        };
+        cfg.shard_faults = vec![ShardFault {
+            shard: 1,
+            plan: plan(21, vec![loss]),
+        }];
+        let kind = ServerKind::NettyLike;
+        let (cfg, kinds) = homogeneous(cfg, kind);
+        out.push((format!("loss-window/{kind}"), cfg, kinds));
+    }
+
+    {
+        // ACKs arrive late on one shard (return-path congestion) and on
+        // another (slow readers), each for a window.
+        let mut cfg = FleetConfig::new(short(two_sizes(12), 200), 3, BalancerKind::RoundRobin);
+        let late_acks = |at, fault| FaultEvent { at: ms(at), fault };
+        cfg.shard_faults = vec![
+            ShardFault {
+                shard: 0,
+                plan: plan(
+                    22,
+                    vec![late_acks(
+                        60,
+                        FaultKind::AckDelay {
+                            selector: ConnSelector::All,
+                            extra: SimDuration::from_micros(700),
+                            duration: Some(ms(80)),
+                        },
+                    )],
+                ),
+            },
+            ShardFault {
+                shard: 2,
+                plan: plan(
+                    23,
+                    vec![late_acks(
+                        80,
+                        FaultKind::SlowReader {
+                            selector: ConnSelector::Fraction(0.5),
+                            extra: ms(2),
+                            duration: Some(ms(70)),
+                        },
+                    )],
+                ),
+            },
+        ];
+        let kind = ServerKind::AsyncPool;
+        let (cfg, kinds) = homogeneous(cfg, kind);
+        out.push((format!("ack-delay-slow-reader/{kind}"), cfg, kinds));
+    }
+
+    {
+        // Stalled workers push responses past the fixed retry timeout.
+        let mut cell = short(two_sizes(12), 300);
+        cell.retry = retry(TimeoutMode::Fixed, 0.0);
+        let mut cfg = FleetConfig::new(cell, 3, BalancerKind::RoundRobin);
+        let stall = |at, core| FaultEvent {
+            at: ms(at),
+            fault: FaultKind::WorkerStall {
+                core,
+                duration: ms(12),
+            },
+        };
+        cfg.shard_faults = vec![ShardFault {
+            shard: 0,
+            plan: plan(24, vec![stall(70, None), stall(120, Some(0))]),
+        }];
+        let kind = ServerKind::SyncThread;
+        let (cfg, kinds) = homogeneous(cfg, kind);
+        out.push((format!("worker-stall-fixed/{kind}"), cfg, kinds));
     }
     out
 }

@@ -186,16 +186,17 @@ proptest! {
     }
 
     /// The lane queue pops what the heap pops. Random interleavings of
-    /// `schedule_at` (arbitrary future times), `schedule_lane` on 1–6
-    /// lanes (delays of zero, duplicate delays, and delays landing on the
-    /// instants heap events use), pops and clears go to a lane simulation
-    /// and, as plain schedules, to `Simulation::new()`; the popped
-    /// `(time, event)` stream, `peek_time`, `pending` and the clock must
-    /// agree after every call.
+    /// `schedule_at` and `schedule_routed` (arbitrary future times, some
+    /// on a lane's delay), `schedule_lane` on 1–6 lanes (delays of zero,
+    /// duplicate delays, and delays landing on the instants heap events
+    /// use), `next_event`, `next_event_before` (the fleet loop's pop) and
+    /// clears go to a lane simulation and, as plain schedules, to
+    /// `Simulation::new()`; the popped `(time, event)` stream,
+    /// `peek_time`, `pending` and the clock must agree after every call.
     #[test]
     fn lane_queue_pops_what_the_heap_pops(
         delays in prop::collection::vec(0u64..6, 1..7),
-        ops in prop::collection::vec((0u8..32, 0usize..6, 0u64..12), 1..400),
+        ops in prop::collection::vec((0u8..40, 0usize..6, 0u64..12), 1..400),
     ) {
         // Every time is a multiple of one grain, so lane and heap events
         // share instants often and only the sequence order separates them.
@@ -206,10 +207,15 @@ proptest! {
         let mut heap: Simulation<u64> = Simulation::new();
         let mut next_id = 0u64;
         for (op, lane, ahead) in ops {
+            let ahead = SimDuration::from_nanos(ahead * GRAIN);
             match op {
                 0..=9 => {
-                    let at = lanes.now() + SimDuration::from_nanos(ahead * GRAIN);
-                    lanes.schedule_at(at, next_id);
+                    let at = lanes.now() + ahead;
+                    if op < 5 {
+                        lanes.schedule_at(at, next_id);
+                    } else {
+                        lanes.schedule_routed(at, next_id);
+                    }
                     heap.schedule_at(at, next_id);
                     next_id += 1;
                 }
@@ -219,9 +225,14 @@ proptest! {
                     heap.schedule(delays[lane], next_id);
                     next_id += 1;
                 }
-                21..=30 => {
+                21..=29 => {
                     let popped = lanes.next_event();
                     prop_assert_eq!(popped, heap.next_event());
+                }
+                30..=38 => {
+                    let deadline = lanes.now() + ahead;
+                    let popped = lanes.next_event_before(deadline);
+                    prop_assert_eq!(popped, heap.next_event_before(deadline));
                 }
                 _ => {
                     lanes.clear();
