@@ -193,6 +193,11 @@ impl CpuModel {
         self.sched_log.drain(..)
     }
 
+    /// `true` when the scheduling log holds nothing left to drain.
+    pub fn sched_log_is_empty(&self) -> bool {
+        self.sched_log.is_empty()
+    }
+
     /// The machine configuration.
     pub fn config(&self) -> &CpuConfig {
         &self.cfg

@@ -285,7 +285,8 @@ struct Engine<'a> {
     roots: Vec<u32>,
     counters: Vec<TierCounters>,
     budgets: Vec<RetryBudget>,
-    estimators: Vec<HedgeEstimator>,
+    /// Each hedged edge's delay estimator (`None` on unhedged edges).
+    estimators: Vec<Option<HedgeEstimator>>,
     out_edges: Vec<Vec<usize>>,
     arrivals: u64,
     requests: u64,
@@ -320,7 +321,11 @@ impl<'a> Engine<'a> {
                 })
             })
             .collect();
-        let estimators = g.edges.iter().map(|_| HedgeEstimator::new()).collect();
+        let estimators = g
+            .edges
+            .iter()
+            .map(|e| e.hedge.as_ref().map(HedgeEstimator::new))
+            .collect();
         let enabled = obs.is_enabled();
         // One lane per distinct edge latency or timeout.
         let mut delays: Vec<SimDuration> = g
@@ -583,7 +588,7 @@ impl<'a> Engine<'a> {
         };
         let e_idx = self.ctls[c].edge as usize;
         let e = &self.g.edges[e_idx];
-        let (to, hcfg) = (e.to, e.hedge);
+        let to = e.to;
         let (latency_lane, timeout_lane) = self.edge_lanes[e_idx];
         let id = self.insts.len() as u32;
         self.insts.push(Inst::new(
@@ -623,9 +628,9 @@ impl<'a> Engine<'a> {
                     attempt,
                 },
             );
-            if let Some(h) = hcfg {
+            if let Some(est) = &self.estimators[e_idx] {
                 if !self.ctls[c].hedged {
-                    let delay = self.estimators[e_idx].delay(&h);
+                    let delay = est.delay();
                     self.sim.schedule(
                         delay,
                         DagEvent::HedgeFire {
@@ -806,7 +811,9 @@ impl<'a> Engine<'a> {
                         .class(child as usize)
                         .arg(e_idx as u64),
                 );
-                self.estimators[e_idx].observe(now.duration_since(first_dispatch));
+                if let Some(est) = &mut self.estimators[e_idx] {
+                    est.observe(now.duration_since(first_dispatch));
+                }
                 if self.insts[pid as usize].pending == 0 {
                     self.send_reply(pid);
                 }

@@ -570,7 +570,7 @@ pub(crate) fn drive(
     let hcfg = cfg.hedge.unwrap_or_default();
     let hedge_on = cfg.hedge.is_some();
     let mut hedge_est: Vec<HedgeEstimator> = (0..if hcfg.per_shard { n_shards } else { 1 })
-        .map(|_| HedgeEstimator::new())
+        .map(|_| HedgeEstimator::new(&hcfg))
         .collect();
     macro_rules! hest {
         ($s:expr) => {
@@ -634,14 +634,20 @@ pub(crate) fn drive(
         }};
     }
 
-    // Flush order: sched logs (trace only), then every shard's
-    // cpu_out, then every shard's tcp_out, then client events. The
-    // order sets FIFO tie-breaks among same-instant events, which the
-    // pinned fixtures and goldens depend on.
+    // Schedules what the shards in `$r` and the clients left in their
+    // buffers: sched logs (trace only), then each shard's cpu_out, then
+    // each shard's tcp_out, then client events. The order sets FIFO
+    // tie-breaks among same-instant events, which the pinned fixtures
+    // and goldens depend on. After init `$r` is every shard; after an
+    // event it is the one shard the event names, or none. No event
+    // writes another shard's buffers (hedges, retries and cancels reach
+    // other shards as scheduled events or counters), so the others are
+    // already empty and the push order is that of an all-shard flush.
     macro_rules! flush {
-        () => {
+        ($r:expr) => {{
+            let r: std::ops::Range<usize> = $r;
             if obs_on {
-                for sh in shards.iter_mut() {
+                for sh in &mut shards[r.clone()] {
                     let base = sh.thread_base as usize;
                     for se in sh.cpu.drain_sched_log() {
                         match se {
@@ -662,26 +668,34 @@ pub(crate) fn drive(
             }
             // Most events leave most buffers empty: skip those without
             // building a drain.
-            for (s, sh) in shards.iter_mut().enumerate() {
+            for s in r.clone() {
+                let sh = &mut shards[s];
                 if !sh.cpu_out.is_empty() {
                     for (t, e) in sh.cpu_out.drain(..) {
                         sim.schedule_routed(t, FleetEvent::Cpu { shard: s as u32, ev: e });
                     }
                 }
             }
-            for (s, sh) in shards.iter_mut().enumerate() {
+            for s in r {
+                let sh = &mut shards[s];
                 if !sh.tcp_out.is_empty() {
                     for (t, e) in sh.tcp_out.drain(..) {
                         sim.schedule_routed(t, FleetEvent::Tcp { shard: s as u32, ev: e });
                     }
                 }
             }
+            debug_assert!(
+                shards.iter().all(|sh| sh.cpu_out.is_empty()
+                    && sh.tcp_out.is_empty()
+                    && sh.cpu.sched_log_is_empty()),
+                "an event left output in a shard it does not name"
+            );
             if !cl_out.is_empty() {
                 for (t, e) in cl_out.drain(..) {
                     sim.schedule_routed(t, FleetEvent::Client(e));
                 }
             }
-        };
+        }};
     }
 
     // The request's spec while `(shard $s, epoch $e)` is the user's live
@@ -1093,7 +1107,7 @@ pub(crate) fn drive(
             }
             if hedge_on {
                 sim.schedule_routed(
-                    $now + hest!($s).delay(&hcfg),
+                    $now + hest!($s).delay(),
                     FleetEvent::HedgeFire { shard, user, epoch },
                 );
             }
@@ -1169,7 +1183,7 @@ pub(crate) fn drive(
             sim.schedule_routed(op.at, FleetEvent::Fault { shard: s as u32, idx: i as u32 });
         }
     }
-    flush!();
+    flush!(0..n_shards);
 
     // Warm-up-end baselines of every windowed counter, taken at the one
     // site below: every exit from the loop passes through it first.
@@ -1201,15 +1215,19 @@ pub(crate) fn drive(
         let Some((now, ev)) = sim.next_event_before(end) else {
             break;
         };
-        match ev {
+        // The shard whose buffers the event may write: the one a
+        // server-side event names, none for a client-side one.
+        let named: Option<usize> = match ev {
             FleetEvent::Client(ClientEvent::Send { user }) => {
                 let spec = clients.next_request(now, user);
                 route_new!(now, spec);
+                None
             }
             FleetEvent::Client(ClientEvent::Arrival) => {
                 if let Some(spec) = clients.on_arrival(now, &mut cl_out) {
                     route_new!(now, spec);
                 }
+                None
             }
             FleetEvent::Arrive { shard, user, epoch } => {
                 let (s, u) = (shard as usize, user as usize);
@@ -1225,6 +1243,7 @@ pub(crate) fn drive(
                     }
                     admit!(now, s, u, epoch, spec);
                 }
+                Some(s)
             }
             FleetEvent::Timeout { shard, user, epoch } => {
                 let (s, u) = (shard as usize, user as usize);
@@ -1247,6 +1266,7 @@ pub(crate) fn drive(
                     }
                     retry_verdict!(now, u, s);
                 }
+                None
             }
             FleetEvent::Retry { shard, user, epoch } => {
                 let (s, u) = (shard as usize, user as usize);
@@ -1254,6 +1274,7 @@ pub(crate) fn drive(
                     t.attempt_sent = now;
                     send_primary!(now, s, u, epoch);
                 }
+                None
             }
             FleetEvent::HedgeFire { shard, user, epoch } => {
                 let (ps, u) = (shard as usize, user as usize);
@@ -1283,6 +1304,7 @@ pub(crate) fn drive(
                         );
                     }
                 }
+                None
             }
             FleetEvent::Fault { shard, idx } => {
                 cold();
@@ -1330,6 +1352,7 @@ pub(crate) fn drive(
                         }
                     }
                 }
+                Some(s)
             }
             FleetEvent::Cpu { shard, ev } => {
                 let s = shard as usize;
@@ -1348,6 +1371,7 @@ pub(crate) fn drive(
                     let sh = &mut shards[s];
                     sh.cpu.finish_turn(after, done.thread, &mut sh.cpu_out);
                 }
+                Some(s)
             }
             FleetEvent::Tcp { shard, ev } => {
                 let s = shard as usize;
@@ -1390,9 +1414,10 @@ pub(crate) fn drive(
                         }
                     }
                 }
+                Some(s)
             }
-        }
-        flush!();
+        };
+        flush!(named.map_or(0..0, |s| s..s + 1));
     }
 
     // Aggregate per-shard window deltas into the fleet summary.

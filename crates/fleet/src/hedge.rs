@@ -2,7 +2,7 @@
 //! distribution, an outstanding request is duplicated to a second shard and
 //! the first side to finish wins (the loser is cancelled).
 
-use asyncinv_metrics::Histogram;
+use asyncinv_metrics::RunningQuantile;
 use asyncinv_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -56,37 +56,51 @@ impl HedgeConfig {
 }
 
 /// Online estimator of the hedge delay from completed response times.
-#[derive(Debug, Default)]
+///
+/// It keeps its policy's percentile as a [`RunningQuantile`] over
+/// nanoseconds, so [`delay`](Self::delay) costs the same however many
+/// response times it has seen, and reads what
+/// `Histogram::quantile(percentile)` of the same samples reads.
+#[derive(Debug, Clone)]
 pub struct HedgeEstimator {
-    hist: Histogram,
+    rt_ns: RunningQuantile,
+    initial_delay: SimDuration,
+    min_samples: u64,
 }
 
 impl HedgeEstimator {
-    /// A fresh estimator with no samples.
-    pub fn new() -> Self {
+    /// A fresh estimator with no samples, for the policy `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.percentile` is outside `[0, 1]`
+    /// ([`HedgeConfig::validate`] rejects it first).
+    pub fn new(cfg: &HedgeConfig) -> Self {
         HedgeEstimator {
-            hist: Histogram::new(),
+            rt_ns: RunningQuantile::new(cfg.percentile),
+            initial_delay: cfg.initial_delay,
+            min_samples: cfg.min_samples,
         }
     }
 
     /// Records a completed response time.
     pub fn observe(&mut self, rt: SimDuration) {
-        self.hist.record(rt);
+        self.rt_ns.record(rt.as_nanos());
     }
 
     /// Number of response times observed so far.
     pub fn samples(&self) -> u64 {
-        self.hist.count()
+        self.rt_ns.count()
     }
 
     /// The current hedge delay: the configured percentile once enough
     /// samples exist, the configured initial delay before that. Never
     /// returns zero (a zero delay would duplicate every request).
-    pub fn delay(&self, cfg: &HedgeConfig) -> SimDuration {
-        let d = if self.hist.count() >= cfg.min_samples {
-            self.hist.quantile(cfg.percentile)
+    pub fn delay(&self) -> SimDuration {
+        let d = if self.rt_ns.count() >= self.min_samples {
+            SimDuration::from_nanos(self.rt_ns.value())
         } else {
-            cfg.initial_delay
+            self.initial_delay
         };
         d.max(SimDuration::from_micros(1))
     }
@@ -95,6 +109,7 @@ impl HedgeEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asyncinv_metrics::Histogram;
 
     #[test]
     fn delay_uses_initial_until_min_samples_then_percentile() {
@@ -104,12 +119,12 @@ mod tests {
             min_samples: 4,
             per_shard: false,
         };
-        let mut est = HedgeEstimator::new();
-        assert_eq!(est.delay(&cfg), SimDuration::from_millis(5));
+        let mut est = HedgeEstimator::new(&cfg);
+        assert_eq!(est.delay(), SimDuration::from_millis(5));
         for ms in [1u64, 2, 3, 4] {
             est.observe(SimDuration::from_millis(ms));
         }
-        let d = est.delay(&cfg);
+        let d = est.delay();
         assert!(d >= SimDuration::from_millis(3), "p90 of 1..4ms, got {d:?}");
         assert!(d <= SimDuration::from_millis(5));
     }
@@ -120,9 +135,39 @@ mod tests {
             min_samples: 1,
             ..HedgeConfig::default()
         };
-        let mut est = HedgeEstimator::new();
+        let mut est = HedgeEstimator::new(&cfg);
         est.observe(SimDuration::from_nanos(0));
-        assert!(est.delay(&cfg).as_nanos() > 0);
+        assert!(est.delay().as_nanos() > 0);
+    }
+
+    #[test]
+    fn delay_is_the_histogram_percentile_from_min_samples_on() {
+        let cfg = HedgeConfig {
+            percentile: 0.95,
+            initial_delay: SimDuration::from_millis(7),
+            min_samples: 16,
+            per_shard: false,
+        };
+        let mut est = HedgeEstimator::new(&cfg);
+        let mut hist = Histogram::new();
+        // Two modes two decades apart whose weights flip halfway, so the
+        // percentile crosses empty buckets both ways.
+        for i in 0..400u64 {
+            let slow = if i < 200 { i % 10 == 0 } else { i % 10 != 0 };
+            let rt = if slow {
+                SimDuration::from_micros(20_000 + i * 13)
+            } else {
+                SimDuration::from_micros(200 + i % 17)
+            };
+            est.observe(rt);
+            hist.record(rt);
+            let want = if hist.count() >= cfg.min_samples {
+                hist.quantile(cfg.percentile)
+            } else {
+                cfg.initial_delay
+            };
+            assert_eq!(est.delay(), want, "after {} samples", hist.count());
+        }
     }
 
     #[test]

@@ -44,6 +44,11 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
+        self.record_at(v);
+    }
+
+    /// Records one sample and returns the index of its bucket.
+    fn record_at(&mut self, v: u64) -> usize {
         let idx = Self::index_of(v);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
@@ -53,6 +58,7 @@ impl LogHistogram {
         self.sum += v as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+        idx
     }
 
     /// Number of recorded samples.
@@ -99,15 +105,25 @@ impl LogHistogram {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = self.rank(q);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Self::upper_bound(i).min(self.max);
+                return self.value_at(i);
             }
         }
         self.max
+    }
+
+    /// The 1-based rank of quantile `q` among the `count > 0` samples.
+    fn rank(&self, q: f64) -> u64 {
+        ((q * self.count as f64).ceil() as u64).clamp(1, self.count)
+    }
+
+    /// What a quantile that falls in bucket `i` reports.
+    fn value_at(&self, i: usize) -> u64 {
+        Self::upper_bound(i).min(self.max)
     }
 
     /// Merges another histogram into this one.
@@ -152,6 +168,90 @@ impl LogHistogram {
         let shift = (i - SUBBUCKETS) / SUBBUCKETS;
         let sub = (i - SUBBUCKETS) % SUBBUCKETS;
         ((SUBBUCKETS + sub + 1) << shift) - 1
+    }
+}
+
+/// One fixed quantile of a [`LogHistogram`], kept current as samples
+/// arrive.
+///
+/// [`LogHistogram::quantile`] scans from the first bucket on every call,
+/// so its cost grows with the bucket index of the answer: hundreds of
+/// buckets for millisecond values recorded in nanoseconds. This type keeps
+/// a cursor on the bucket that holds the quantile's rank and the count of
+/// samples below that bucket. Each [`record`](Self::record) moves the
+/// cursor only as far as the rank moved, and [`value`](Self::value) is
+/// O(1). Both use the histogram's own rank and bucket bound, so `value()`
+/// equals `quantile(q)` over the same samples after every sample.
+///
+/// ```
+/// use asyncinv_metrics::{LogHistogram, RunningQuantile};
+///
+/// let mut p90 = RunningQuantile::new(0.9);
+/// let mut h = LogHistogram::new();
+/// for v in [5, 70_000, 300, 1_000_000, 42] {
+///     p90.record(v);
+///     h.record(v);
+///     assert_eq!(p90.value(), h.quantile(0.9));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct RunningQuantile {
+    hist: LogHistogram,
+    q: f64,
+    /// The bucket that holds the sample of rank `hist.rank(q)`; once a
+    /// sample exists, `below < rank <= below + buckets[cursor]`.
+    cursor: usize,
+    /// Samples in the buckets below `cursor`.
+    below: u64,
+}
+
+impl RunningQuantile {
+    /// An empty running quantile `q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn new(q: f64) -> Self {
+        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+        RunningQuantile {
+            hist: LogHistogram::new(),
+            q,
+            cursor: 0,
+            below: 0,
+        }
+    }
+
+    /// Records one sample and moves the cursor to the bucket of the new
+    /// rank, across empty buckets in either direction.
+    pub fn record(&mut self, v: u64) {
+        if self.hist.record_at(v) < self.cursor {
+            self.below += 1;
+        }
+        let rank = self.hist.rank(self.q);
+        let buckets = &self.hist.buckets;
+        while self.below >= rank {
+            self.cursor -= 1;
+            self.below -= buckets[self.cursor];
+        }
+        while self.below + buckets[self.cursor] < rank {
+            self.below += buckets[self.cursor];
+            self.cursor += 1;
+        }
+    }
+
+    /// The value at the quantile: what [`LogHistogram::quantile`] reports
+    /// for the recorded samples (0 when empty).
+    pub fn value(&self) -> u64 {
+        if self.hist.count == 0 {
+            0
+        } else {
+            self.hist.value_at(self.cursor)
+        }
+    }
+
+    /// Number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.hist.count
     }
 }
 

@@ -9,6 +9,9 @@
 //! * [`Histogram`] — log-linear latency histogram (~3% relative error) with
 //!   percentile queries, a duration view over [`LogHistogram`], the one
 //!   bucketing core (also the metrics registry's `u64` histogram).
+//! * [`RunningQuantile`] — one quantile of a [`LogHistogram`] kept current
+//!   per sample, so reading it costs O(1) however many samples exist (the
+//!   fleet's and the service graph's hedge delays).
 //! * [`ThroughputWindow`] — completions over a measurement window, with
 //!   1-second buckets for saturation curves.
 //! * [`RunSummary`] — one experiment cell: throughput, response times,
@@ -44,7 +47,7 @@ mod table;
 mod throughput;
 
 pub use chart::{Chart, Series};
-pub use histogram::{Histogram, LogHistogram};
+pub use histogram::{Histogram, LogHistogram, RunningQuantile};
 pub use knee::{find_knee, SweepPoint};
 pub use summary::{littles_law_residual, ClassSummary, CpuShare, RunSummary};
 pub use table::{fmt_f64, Align, Table};

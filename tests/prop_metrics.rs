@@ -1,8 +1,70 @@
 //! Property tests of the measurement utilities.
 
-use asyncinv_lab::metrics::{Histogram, ThroughputWindow};
+use asyncinv_lab::metrics::{Histogram, LogHistogram, RunningQuantile, ThroughputWindow};
 use asyncinv_lab::simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
+use proptest::TestRng;
+
+/// Three phases of `n` samples over two modes two decades apart, `lo`
+/// and `100·lo`: mostly low, then mostly high, then mostly low again
+/// (`minority` in ten from the other mode), so a quantile between the
+/// modes crosses the empty buckets between them up and then down.
+fn two_modes(lo: u64, n: usize, minority: usize) -> Vec<u64> {
+    (0..3 * n)
+        .map(|i| {
+            let high_phase = i / n == 1;
+            let other_mode = i % 10 < minority;
+            if high_phase != other_mode {
+                100 * lo + (i % 97) as u64
+            } else {
+                lo + (i % 7) as u64
+            }
+        })
+        .collect()
+}
+
+/// Uniform in `[lo, hi)`.
+fn draw(rng: &mut TestRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
+
+/// One stretch of a sample stream: the exact buckets below 32 (with 0),
+/// the top of the range the buckets cover, a long run of one value, a
+/// two-mode mix whose weights flip, or a wide spread.
+#[derive(Debug, Clone, Copy)]
+struct StreamSegment;
+
+impl Strategy for StreamSegment {
+    type Value = Vec<u64>;
+    fn generate(&self, rng: &mut TestRng) -> Vec<u64> {
+        let top = u64::MAX >> 1;
+        match rng.below(5) {
+            0 => {
+                let n = draw(rng, 1, 48);
+                let mut v: Vec<u64> = (0..n).map(|_| rng.below(32)).collect();
+                v.push(0);
+                v
+            }
+            1 => {
+                let n = draw(rng, 1, 16);
+                (0..n).map(|_| top - rng.below(1_000_000)).collect()
+            }
+            2 => {
+                let v = rng.below(top + 1);
+                vec![v; draw(rng, 50, 300) as usize]
+            }
+            3 => {
+                let lo = draw(rng, 1_000, 10_000_000);
+                let n = draw(rng, 20, 100) as usize;
+                two_modes(lo, n, draw(rng, 1, 5) as usize)
+            }
+            _ => {
+                let n = draw(rng, 1, 48);
+                (0..n).map(|_| rng.below(top + 1)).collect()
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -27,6 +89,26 @@ proptest! {
                 approx as f64 <= exact as f64 * 1.05 + 1.0,
                 "q{q}: approx {approx} too far above exact {exact}"
             );
+        }
+    }
+
+    /// A running quantile reads what a full scan of the same samples reads,
+    /// after every sample: for the usual percentiles and for drawn ones,
+    /// across empty buckets in both directions.
+    #[test]
+    fn running_quantile_equals_the_scan(
+        segments in prop::collection::vec(StreamSegment, 1..6),
+        drawn in prop::collection::vec(1e-6f64..1.0, 1..3),
+    ) {
+        let qs: Vec<f64> = [0.5, 0.9, 0.95, 0.99, 0.999].into_iter().chain(drawn).collect();
+        let mut running: Vec<RunningQuantile> = qs.iter().map(|&q| RunningQuantile::new(q)).collect();
+        let mut h = LogHistogram::new();
+        for v in segments.into_iter().flatten() {
+            h.record(v);
+            for (r, &q) in running.iter_mut().zip(&qs) {
+                r.record(v);
+                prop_assert_eq!(r.value(), h.quantile(q), "q={} after {} samples", q, h.count());
+            }
         }
     }
 
