@@ -149,7 +149,7 @@ impl StatsWindow {
     pub fn open(now: SimTime, stats: &CpuStats) -> Self {
         StatsWindow {
             start_time: now,
-            start_stats: stats.clone(),
+            start_stats: *stats,
         }
     }
 

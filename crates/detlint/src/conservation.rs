@@ -263,8 +263,8 @@ impl ConservationConfig {
 fn expr_end(tokens: &[Token], mut j: usize) -> usize {
     let mut depth = 0i32;
     while j < tokens.len() {
-        match &tokens[j].text {
-            crate::lexer::TokenText::Punct(c) => match c {
+        if let crate::lexer::TokenText::Punct(c) = &tokens[j].text {
+            match c {
                 '(' | '[' | '{' => depth += 1,
                 ')' | ']' | '}' => {
                     if depth == 0 {
@@ -274,8 +274,7 @@ fn expr_end(tokens: &[Token], mut j: usize) -> usize {
                 }
                 ';' | ',' if depth == 0 => break,
                 _ => {}
-            },
-            _ => {}
+            }
         }
         j += 1;
     }

@@ -213,12 +213,12 @@ pub fn lex(src: &str) -> Lexed {
                 let rb = rest.as_bytes();
                 while len < rb.len() {
                     let b = rb[len] as char;
-                    if b.is_alphanumeric() || b == '_' {
-                        len += 1;
-                    } else if b == '.'
-                        && rb
-                            .get(len + 1)
-                            .is_some_and(|n| (*n as char).is_ascii_digit())
+                    if b.is_alphanumeric()
+                        || b == '_'
+                        || (b == '.'
+                            && rb
+                                .get(len + 1)
+                                .is_some_and(|n| (*n as char).is_ascii_digit()))
                     {
                         len += 1;
                     } else {

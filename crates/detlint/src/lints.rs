@@ -85,7 +85,7 @@ pub fn lint_source(
 
     for (i, t) in toks.iter().enumerate() {
         match &t.text {
-            crate::lexer::TokenText::Punct(c) if matches!(c, ';' | '{' | '}') => {
+            crate::lexer::TokenText::Punct(';' | '{' | '}') => {
                 stmt_hash = false;
             }
             crate::lexer::TokenText::Ident(id) => match id.as_str() {

@@ -128,6 +128,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "real clients on OS threads against a real-socket server; this crate measures wall-clock behaviour and takes no part in deterministic replay"
+    )]
     fn concurrent_clients_on_event_loop() {
         let server = MiniServer::start(ServerMode::BoundedSpin { limit: 16 }).expect("bind");
         let addr = server.addr();

@@ -142,8 +142,7 @@ proptest! {
     ) {
         let mut lad = LadderQueue::new();
         let mut heap = EventQueue::new();
-        let mut next_id = 0u64;
-        for (t, far, pops) in ops {
+        for (next_id, (t, far, pops)) in (0u64..).zip(ops) {
             // Far pushes land ~10^9 ns past the near cluster, guaranteeing
             // they spill into the top whatever the active edges are.
             let time = if far {
@@ -153,7 +152,6 @@ proptest! {
             };
             lad.push(time, next_id);
             heap.push(time, next_id);
-            next_id += 1;
             for _ in 0..pops {
                 let a = QueueBackend::pop(&mut lad);
                 prop_assert_eq!(a, QueueBackend::pop(&mut heap), "pop divergence");
