@@ -112,7 +112,11 @@ enum DagEvent {
     /// A call instance's reply reaches its caller.
     Reply(u32),
     /// A per-attempt edge timeout at the caller.
-    EdgeTimeout { parent: u32, slot: u32, attempt: u32 },
+    EdgeTimeout {
+        parent: u32,
+        slot: u32,
+        attempt: u32,
+    },
     /// The hedge delay elapsed with the edge call still outstanding.
     HedgeFire {
         parent: u32,

@@ -224,7 +224,8 @@ impl ServiceGraph {
             for &parent in &frontier {
                 for k in 0..fanout {
                     let idx = g.tiers.len();
-                    g.tiers.push(TierSpec::new(&format!("t{d}_{idx}_{k}"), kind));
+                    g.tiers
+                        .push(TierSpec::new(&format!("t{d}_{idx}_{k}"), kind));
                     g.edges.push(EdgeSpec::new(parent, idx));
                     next.push(idx);
                 }
@@ -264,7 +265,16 @@ impl ServiceGraph {
         ] {
             g.tiers.push(TierSpec::new(n, kind));
         }
-        for (f, t) in [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)] {
+        for (f, t) in [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 4),
+            (2, 4),
+            (2, 5),
+            (3, 4),
+            (3, 5),
+        ] {
             g.edges.push(EdgeSpec::new(f, t));
         }
         g

@@ -166,7 +166,11 @@ pub fn dag_span_audit(spans: &[DagSpan], rec: &Recorder) -> AuditReport {
         server: "dag-spans".into(),
         checks: vec![
             check("span_conservation", broken, 0),
-            check("span_completions", rec.total(TraceKind::Completion), completed),
+            check(
+                "span_completions",
+                rec.total(TraceKind::Completion),
+                completed,
+            ),
             check("completion_rt_match", rt_mismatch, 0),
             check("queue_exit_match", exit_mismatch, 0),
         ],

@@ -122,21 +122,57 @@ pub fn dag_audit(summary: &DagSummary, rec: &Recorder) -> AuditReport {
     };
     let checks = vec![
         // Trace totals vs counter sums, whole run.
-        check("dispatches", rec.total(TraceKind::DagDispatch), sums.dispatches),
+        check(
+            "dispatches",
+            rec.total(TraceKind::DagDispatch),
+            sums.dispatches,
+        ),
         check("joins", rec.total(TraceKind::DagJoin), sums.joins),
-        check("edge_retries", rec.total(TraceKind::DagEdgeRetry), sums.edge_retries),
-        check("edge_timeouts", rec.total(TraceKind::ClientTimeout), sums.edge_timeouts),
+        check(
+            "edge_retries",
+            rec.total(TraceKind::DagEdgeRetry),
+            sums.edge_retries,
+        ),
+        check(
+            "edge_timeouts",
+            rec.total(TraceKind::ClientTimeout),
+            sums.edge_timeouts,
+        ),
         check("hedges", rec.total(TraceKind::Hedge), sums.hedges),
-        check("hedge_cancels", rec.total(TraceKind::HedgeCancel), sums.hedge_cancels),
+        check(
+            "hedge_cancels",
+            rec.total(TraceKind::HedgeCancel),
+            sums.hedge_cancels,
+        ),
         check("sheds", rec.total(TraceKind::Shed), sums.sheds),
         check("served", rec.total(TraceKind::QueueExit), sums.served),
-        check("queue_balance", rec.total(TraceKind::QueueEnter), rec.total(TraceKind::QueueExit)),
-        check("root_replies", rec.total(TraceKind::Completion), root.replies),
-        check("arrivals", rec.total(TraceKind::RequestArrive), summary.arrivals),
+        check(
+            "queue_balance",
+            rec.total(TraceKind::QueueEnter),
+            rec.total(TraceKind::QueueExit),
+        ),
+        check(
+            "root_replies",
+            rec.total(TraceKind::Completion),
+            root.replies,
+        ),
+        check(
+            "arrivals",
+            rec.total(TraceKind::RequestArrive),
+            summary.arrivals,
+        ),
         // Window counts vs summary window counters.
-        check("requests", rec.window_count(TraceKind::RequestArrive), summary.requests),
+        check(
+            "requests",
+            rec.window_count(TraceKind::RequestArrive),
+            summary.requests,
+        ),
         check("completed", rec.completions_in_window(), summary.completed),
-        check("failed", rec.window_count(TraceKind::Abandon), summary.failed),
+        check(
+            "failed",
+            rec.window_count(TraceKind::Abandon),
+            summary.failed,
+        ),
         // Drain conservation: every dispatched call has exactly one fate,
         // and every reply exactly one reception.
         check("dispatch_conservation", non_root.0, non_root.1),
@@ -180,7 +216,10 @@ mod tests {
     #[test]
     fn counter_drift_fails_the_audit() {
         // A dispatch count with no matching DagDispatch trace event.
-        let t = TierCounters { dispatches: 1, ..TierCounters::default() };
+        let t = TierCounters {
+            dispatches: 1,
+            ..TierCounters::default()
+        };
         let summary = DagSummary {
             name: "drift".into(),
             requests: 0,

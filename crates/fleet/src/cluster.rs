@@ -26,9 +26,7 @@ use asyncinv_servers::{
 };
 use asyncinv_simcore::{LaneQueue, SimDuration, SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
-use asyncinv_workload::{
-    ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId,
-};
+use asyncinv_workload::{ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -110,7 +108,10 @@ impl FleetConfig {
         let mut seen = vec![false; self.shards];
         for sf in &self.shard_faults {
             if sf.shard >= self.shards {
-                return Err(format!("shard_faults targets shard {} of {}", sf.shard, self.shards));
+                return Err(format!(
+                    "shard_faults targets shard {} of {}",
+                    sf.shard, self.shards
+                ));
             }
             if std::mem::replace(&mut seen[sf.shard], true) {
                 return Err(format!("duplicate fault plan for shard {}", sf.shard));
@@ -120,7 +121,10 @@ impl FleetConfig {
         let mut seen = vec![false; self.shards];
         for ss in &self.shard_shed {
             if ss.shard >= self.shards {
-                return Err(format!("shard_shed targets shard {} of {}", ss.shard, self.shards));
+                return Err(format!(
+                    "shard_shed targets shard {} of {}",
+                    ss.shard, self.shards
+                ));
             }
             if std::mem::replace(&mut seen[ss.shard], true) {
                 return Err(format!("duplicate shed override for shard {}", ss.shard));
@@ -184,11 +188,27 @@ pub fn fleet_audit(summary: &FleetSummary, rec: &Recorder) -> AuditReport {
     for (name, per_shard, total) in [
         ("shard_routes_sum", sum(|s| s.routes), fleet.shard_routes),
         ("hedges_sum", sum(|s| s.hedges), fleet.hedges),
-        ("hedge_cancels_sum", sum(|s| s.hedge_cancels), fleet.hedge_cancels),
-        ("shard_retries_sum", sum(|s| s.shard_retries), fleet.shard_retries),
+        (
+            "hedge_cancels_sum",
+            sum(|s| s.hedge_cancels),
+            fleet.hedge_cancels,
+        ),
+        (
+            "shard_retries_sum",
+            sum(|s| s.shard_retries),
+            fleet.shard_retries,
+        ),
         ("rejected_sum", sum(|s| s.rejected), fleet.rejected),
-        ("shed_dropped_sum", sum(|s| s.shed_dropped), fleet.shed_dropped),
-        ("fault_events_sum", sum(|s| s.fault_events), fleet.fault_events),
+        (
+            "shed_dropped_sum",
+            sum(|s| s.shed_dropped),
+            fleet.shed_dropped,
+        ),
+        (
+            "fault_events_sum",
+            sum(|s| s.fault_events),
+            fleet.fault_events,
+        ),
         ("completions_sum", sum(|s| s.completions), fleet.completions),
     ] {
         report.checks.push(AuditCheck {
@@ -443,7 +463,10 @@ impl Cluster {
     fn build_and_drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
         let mut built: Vec<Box<dyn ServerModel>> =
             kinds.iter().map(|k| k.build(&self.cfg.cell)).collect();
-        let servers = built.iter_mut().map(|b| &mut **b as &mut dyn ServerModel).collect();
+        let servers = built
+            .iter_mut()
+            .map(|b| &mut **b as &mut dyn ServerModel)
+            .collect();
         drive(&self.cfg, servers, obs, true)
     }
 }
@@ -559,8 +582,8 @@ pub(crate) fn drive(
     // retry budget), fed every good response time and Karn-backed-off
     // on timeout. `None` in Fixed mode, where every attempt arms the
     // static `timeout`.
-    let mut rto = (retry_on && policy.timeout_mode == TimeoutMode::Rto)
-        .then(|| RtoEstimator::new(&policy));
+    let mut rto =
+        (retry_on && policy.timeout_mode == TimeoutMode::Rto).then(|| RtoEstimator::new(&policy));
 
     // Hedge plane (fleet-only; validation requires shards >= 2). With
     // `per_shard` the delay estimator is keyed by shard — observations
@@ -651,7 +674,11 @@ pub(crate) fn drive(
                     let base = sh.thread_base as usize;
                     for se in sh.cpu.drain_sched_log() {
                         match se {
-                            SchedEvent::Switch { at, thread, migrated } => trace(
+                            SchedEvent::Switch {
+                                at,
+                                thread,
+                                migrated,
+                            } => trace(
                                 obs,
                                 TraceEvent::new(at, TraceKind::ThreadDispatch)
                                     .thread(thread.0 + base)
@@ -659,8 +686,7 @@ pub(crate) fn drive(
                             ),
                             SchedEvent::Park { at, thread } => trace(
                                 obs,
-                                TraceEvent::new(at, TraceKind::ThreadPark)
-                                    .thread(thread.0 + base),
+                                TraceEvent::new(at, TraceKind::ThreadPark).thread(thread.0 + base),
                             ),
                         }
                     }
@@ -672,7 +698,13 @@ pub(crate) fn drive(
                 let sh = &mut shards[s];
                 if !sh.cpu_out.is_empty() {
                     for (t, e) in sh.cpu_out.drain(..) {
-                        sim.schedule_routed(t, FleetEvent::Cpu { shard: s as u32, ev: e });
+                        sim.schedule_routed(
+                            t,
+                            FleetEvent::Cpu {
+                                shard: s as u32,
+                                ev: e,
+                            },
+                        );
                     }
                 }
             }
@@ -680,7 +712,13 @@ pub(crate) fn drive(
                 let sh = &mut shards[s];
                 if !sh.tcp_out.is_empty() {
                     for (t, e) in sh.tcp_out.drain(..) {
-                        sim.schedule_routed(t, FleetEvent::Tcp { shard: s as u32, ev: e });
+                        sim.schedule_routed(
+                            t,
+                            FleetEvent::Tcp {
+                                shard: s as u32,
+                                ev: e,
+                            },
+                        );
                     }
                 }
             }
@@ -930,9 +968,9 @@ pub(crate) fn drive(
                         ShedPolicy::RejectFast => {
                             shards[$s].cnt.rejected += 1;
                             if obs_on {
-                                let waited = req[$conn].as_ref().map_or(0, |t| {
-                                    $now.duration_since(t.sent_at).as_nanos()
-                                });
+                                let waited = req[$conn]
+                                    .as_ref()
+                                    .map_or(0, |t| $now.duration_since(t.sent_at).as_nanos());
                                 trace(
                                     obs,
                                     TraceEvent::new($now, TraceKind::Rejected)
@@ -948,7 +986,8 @@ pub(crate) fn drive(
                             let written = {
                                 let sh = &mut shards[$s];
                                 sh.conn_info[$conn] = spec;
-                                sh.tcp.write($now, ConnId($conn), sc.reject_bytes, &mut sh.tcp_out)
+                                sh.tcp
+                                    .write($now, ConnId($conn), sc.reject_bytes, &mut sh.tcp_out)
                             };
                             if obs_on {
                                 trace(
@@ -1019,14 +1058,18 @@ pub(crate) fn drive(
     // connection, and refill from the queue.
     macro_rules! finish_serving {
         ($now:expr, $s:expr, $conn:expr) => {{
-            let fin = shards[$s].serving[$conn].take().expect("finish without serving");
+            let fin = shards[$s].serving[$conn]
+                .take()
+                .expect("finish without serving");
             if !fin.reject {
                 shards[$s].serving_count -= 1;
             }
-            let is_primary =
-                req[$conn].as_ref().is_some_and(|t| t.primary == ($s, fin.epoch));
-            let is_hedge =
-                req[$conn].as_ref().is_some_and(|t| t.hedge == Some(($s, fin.epoch)));
+            let is_primary = req[$conn]
+                .as_ref()
+                .is_some_and(|t| t.primary == ($s, fin.epoch));
+            let is_hedge = req[$conn]
+                .as_ref()
+                .is_some_and(|t| t.hedge == Some(($s, fin.epoch)));
             if (is_primary || is_hedge) && !fin.shorted {
                 if fin.reject {
                     cold();
@@ -1119,7 +1162,11 @@ pub(crate) fn drive(
         ($now:expr, $spec:expr) => {{
             let u = $spec.user.0;
             // Every balancer picks shard 0 of one, without randomness.
-            let s = if multi { bal.pick(u, $spec.class, &outstanding) } else { 0 };
+            let s = if multi {
+                bal.pick(u, $spec.class, &outstanding)
+            } else {
+                0
+            };
             shards[s].epoch[u] += 1;
             let ep = shards[s].epoch[u];
             req[u] = Some(FleetReq {
@@ -1180,7 +1227,13 @@ pub(crate) fn drive(
     clients.start(&mut cl_out);
     for (s, sh) in shards.iter().enumerate() {
         for (i, op) in sh.compiled.ops.iter().enumerate() {
-            sim.schedule_routed(op.at, FleetEvent::Fault { shard: s as u32, idx: i as u32 });
+            sim.schedule_routed(
+                op.at,
+                FleetEvent::Fault {
+                    shard: s as u32,
+                    idx: i as u32,
+                },
+            );
         }
     }
     flush!(0..n_shards);
@@ -1254,8 +1307,9 @@ pub(crate) fn drive(
                         e.on_timeout();
                     }
                     if obs_on {
-                        let (attempt, cls) =
-                            req[u].as_ref().map_or((0, 0), |t| (t.attempt, t.spec.class));
+                        let (attempt, cls) = req[u]
+                            .as_ref()
+                            .map_or((0, 0), |t| (t.attempt, t.spec.class));
                         trace(
                             obs,
                             TraceEvent::new(now, TraceKind::ClientTimeout)
@@ -1300,7 +1354,11 @@ pub(crate) fn drive(
                         }
                         sim.schedule_routed(
                             now + one_way,
-                            FleetEvent::Arrive { shard: h as u32, user, epoch: he },
+                            FleetEvent::Arrive {
+                                shard: h as u32,
+                                user,
+                                epoch: he,
+                            },
                         );
                     }
                 }
@@ -1453,7 +1511,11 @@ pub(crate) fn drive(
         let w = ts.write_calls - tcp0.write_calls;
         let z = ts.zero_writes - tcp0.zero_writes;
         let d = sh.cnt.delta(cnt0);
-        let ud = sh.server.uring_stats().unwrap_or_default().delta_since(uring0);
+        let ud = sh
+            .server
+            .uring_stats()
+            .unwrap_or_default()
+            .delta_since(uring0);
         total_cs += cd.context_switches;
         total_preempt += cd.preemptions;
         total_steals += cd.steals;
@@ -1554,7 +1616,10 @@ pub(crate) fn drive(
     }
 
     // Architectures have distinct names: equal names mean one kind.
-    let server = if shards.iter().all(|sh| sh.server.name() == shards[0].server.name()) {
+    let server = if shards
+        .iter()
+        .all(|sh| sh.server.name() == shards[0].server.name())
+    {
         shards[0].server.name().to_string()
     } else {
         "mixed-fleet".to_string()
@@ -1638,7 +1703,10 @@ mod tests {
     fn stepwise(cfg: &FleetConfig, kind: ServerKind, obs: &mut dyn Observer) -> FleetSummary {
         let mut built: Vec<Box<dyn ServerModel>> =
             (0..cfg.shards).map(|_| kind.build(&cfg.cell)).collect();
-        let servers = built.iter_mut().map(|b| &mut **b as &mut dyn ServerModel).collect();
+        let servers = built
+            .iter_mut()
+            .map(|b| &mut **b as &mut dyn ServerModel)
+            .collect();
         drive(cfg, servers, obs, false)
     }
 

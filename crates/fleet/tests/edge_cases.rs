@@ -24,9 +24,15 @@ fn one_byte_responses() {
         if kind == ServerKind::Proactor {
             // Completion-based writes go through the ring, never through a
             // counted `write()` syscall.
-            assert_eq!(s.writes_per_req, 0.0, "{kind}: ring writes are not write() calls");
+            assert_eq!(
+                s.writes_per_req, 0.0,
+                "{kind}: ring writes are not write() calls"
+            );
         } else {
-            assert!((s.writes_per_req - 1.0).abs() < 0.1, "{kind}: 1 B is one write");
+            assert!(
+                (s.writes_per_req - 1.0).abs() < 0.1,
+                "{kind}: 1 B is one write"
+            );
         }
     }
 }
@@ -38,7 +44,11 @@ fn megabyte_responses() {
     let mut cfg = ExperimentConfig::micro(2, 1024 * 1024);
     tiny(&mut cfg);
     cfg.measure = SimDuration::from_secs(2);
-    for kind in [ServerKind::SyncThread, ServerKind::NettyLike, ServerKind::SingleThread] {
+    for kind in [
+        ServerKind::SyncThread,
+        ServerKind::NettyLike,
+        ServerKind::SingleThread,
+    ] {
         let s = Experiment::new(cfg.clone()).run(kind);
         assert!(s.completions > 0, "{kind} served nothing");
     }

@@ -106,8 +106,8 @@ fn hybrid_reclassifies_on_drift() {
 
     // The class is light during warm-up (the map learns "light"), then
     // drifts heavy just after the measurement window opens.
-    let drifting = RequestClass::new("page", 100)
-        .with_drift(SimTime::from_millis(1_100), 100 * 1024);
+    let drifting =
+        RequestClass::new("page", 100).with_drift(SimTime::from_millis(1_100), 100 * 1024);
     let mix = Mix::new(vec![(drifting, 1.0)]);
     let mut cfg = ExperimentConfig::with_mix(50, mix);
     cfg.warmup = SimDuration::from_secs(1);
@@ -122,7 +122,10 @@ fn hybrid_reclassifies_on_drift() {
         .find(|(n, _)| *n == "reclass_to_heavy")
         .map(|(_, v)| *v)
         .unwrap_or(0);
-    assert!(reclass >= 1, "drift must trigger re-classification: {counters:?}");
+    assert!(
+        reclass >= 1,
+        "drift must trigger re-classification: {counters:?}"
+    );
     assert!(summary.completions > 0);
 
     // The unbounded spinner has no such defense.
@@ -159,7 +162,10 @@ fn hybrid_degrades_gracefully_under_push_variance() {
         .filter(|(n, _)| n.starts_with("reclass"))
         .map(|(_, v)| *v)
         .sum();
-    assert!(flips > 10, "variable sizes must flap the classifier: {counters:?}");
+    assert!(
+        flips > 10,
+        "variable sizes must flap the classifier: {counters:?}"
+    );
     assert!(
         hybrid.throughput > netty.throughput * 0.95,
         "hybrid {} must stay near netty {} despite flapping",
@@ -183,9 +189,7 @@ fn hybrid_degrades_gracefully_under_push_variance() {
 /// working outside it. Covers both heavy-path backends.
 #[test]
 fn classifier_freezes_during_shed_storm() {
-    use asyncinv_servers::{
-        FaultEvent, FaultKind, FaultPlan, HybridPath, ShedConfig, ShedPolicy,
-    };
+    use asyncinv_servers::{FaultEvent, FaultKind, FaultPlan, HybridPath, ShedConfig, ShedPolicy};
     use asyncinv_workload::RequestClass;
 
     for path in [HybridPath::Netty, HybridPath::Proactor] {

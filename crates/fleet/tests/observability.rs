@@ -68,7 +68,11 @@ fn audit_passes_for_all_architectures() {
 /// TCP path does the interesting work).
 #[test]
 fn audit_passes_on_spin_cell() {
-    for kind in [ServerKind::SingleThread, ServerKind::NettyLike, ServerKind::SyncThread] {
+    for kind in [
+        ServerKind::SingleThread,
+        ServerKind::NettyLike,
+        ServerKind::SyncThread,
+    ] {
         let (summary, rec) = Experiment::new(cell(4, 100 * 1024)).run_traced(kind);
         let report = audit(&summary, &rec);
         assert!(report.pass(), "{kind:?} audit failed:\n{report}");
@@ -86,7 +90,11 @@ fn chrome_trace_has_one_track_per_thread() {
     assert!(rec.thread_names().len() >= 2, "{:?}", rec.thread_names());
     assert!(rec.thread_names().iter().any(|n| n == "reactor"));
     let meta_count = json.matches("\"ph\":\"M\"").count();
-    assert_eq!(meta_count, rec.thread_names().len() + 1, "one track per thread + engine");
+    assert_eq!(
+        meta_count,
+        rec.thread_names().len() + 1,
+        "one track per thread + engine"
+    );
 }
 
 /// `run_detailed`'s debug counters and the metrics registry expose the same
@@ -96,7 +104,10 @@ fn registry_matches_run_detailed_counters() {
     let exp = Experiment::new(cell(2, 100));
     let (summary, counters) = exp.run_detailed(ServerKind::Hybrid);
     let (traced_summary, rec) = exp.run_traced(ServerKind::Hybrid);
-    assert_eq!(summary, traced_summary, "observation must not perturb the run");
+    assert_eq!(
+        summary, traced_summary,
+        "observation must not perturb the run"
+    );
     assert!(!counters.is_empty());
     for (name, v) in counters {
         assert_eq!(
@@ -105,10 +116,16 @@ fn registry_matches_run_detailed_counters() {
             "registry disagrees with debug counter {name}"
         );
     }
-    assert_eq!(rec.registry().counter("completions"), Some(summary.completions));
+    assert_eq!(
+        rec.registry().counter("completions"),
+        Some(summary.completions)
+    );
     assert_eq!(
         rec.registry().gauge("cs_per_req").unwrap().to_bits(),
         summary.cs_per_req.to_bits()
     );
-    assert!(rec.registry().hist("rt_ns").is_some_and(|h| h.count() == summary.completions));
+    assert!(rec
+        .registry()
+        .hist("rt_ns")
+        .is_some_and(|h| h.count() == summary.completions));
 }

@@ -2,9 +2,7 @@
 //! actual *sequence* of structured trace events, not just aggregate counts.
 
 use asyncinv_fleet::Experiment;
-use asyncinv_servers::trace_codes::{
-    MARK_PARK_WRITABLE, MARK_PATH_FAST, Q_DONE, Q_READ, Q_WRITE,
-};
+use asyncinv_servers::trace_codes::{MARK_PARK_WRITABLE, MARK_PATH_FAST, Q_DONE, Q_READ, Q_WRITE};
 use asyncinv_servers::{ExperimentConfig, ServerKind, TraceEvent, TraceKind};
 use asyncinv_simcore::SimDuration;
 
@@ -40,7 +38,8 @@ fn async_pool_follows_fig3_flow() {
     for (i, &s) in steps[start..].iter().enumerate() {
         let expected = (i % 4) as u8 + 1;
         assert_eq!(
-            s, expected,
+            s,
+            expected,
             "flow out of order at {i}: {:?}",
             &steps[start..start + (i + 4).min(steps.len() - start)]
         );

@@ -176,10 +176,7 @@ mod tests {
         let mut c = Chart::new("t", 11, 5);
         c.series("a", vec![(0.0, 0.0), (10.0, 50.0)]);
         let out = c.to_string();
-        let plot_rows: Vec<&str> = out
-            .lines()
-            .filter(|l| l.contains('|'))
-            .collect();
+        let plot_rows: Vec<&str> = out.lines().filter(|l| l.contains('|')).collect();
         // Max point on the top row, min on the bottom row.
         assert!(plot_rows.first().unwrap().contains('*'));
         assert!(plot_rows.last().unwrap().contains('*'));

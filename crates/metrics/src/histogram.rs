@@ -348,7 +348,17 @@ mod tests {
         // Every value must land in a bucket whose upper bound is >= value
         // and within ~3.2% of it.
         for v in [
-            1u64, 31, 32, 33, 63, 64, 100, 1_000, 65_536, 1_000_000, 123_456_789,
+            1u64,
+            31,
+            32,
+            33,
+            63,
+            64,
+            100,
+            1_000,
+            65_536,
+            1_000_000,
+            123_456_789,
         ] {
             let idx = LogHistogram::index_of(v);
             let ub = LogHistogram::upper_bound(idx);
