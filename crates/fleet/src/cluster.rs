@@ -500,6 +500,15 @@ fn trace(obs: &mut dyn Observer, ev: TraceEvent) {
 /// hedge fires, RTO timeouts, lossy or late flights and outputs of a
 /// retired write spin on the heap. The queue pops the heap's exact
 /// order, so no result depends on the routing (DESIGN.md §7).
+///
+/// No per-event step grows with the run's history or the fleet's width.
+/// The hedge delay is a running quantile read in O(1) (see
+/// [`HedgeEstimator`]). After each event the loop schedules the buffered
+/// output of the one shard the event names (`Arrive`, `Cpu`, `Tcp`,
+/// `Fault`) and of no shard for a client-side event: no event writes
+/// another shard's buffers, so this pushes what a walk over every shard
+/// would, in the same order (DESIGN.md §12). Only the flush after init
+/// walks every shard.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn drive(
     cfg: &FleetConfig,

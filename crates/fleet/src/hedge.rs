@@ -143,17 +143,19 @@ mod tests {
     #[test]
     fn delay_is_the_histogram_percentile_from_min_samples_on() {
         let cfg = HedgeConfig {
-            percentile: 0.95,
+            percentile: 0.5,
             initial_delay: SimDuration::from_millis(7),
             min_samples: 16,
             per_shard: false,
         };
         let mut est = HedgeEstimator::new(&cfg);
         let mut hist = Histogram::new();
-        // Two modes two decades apart whose weights flip halfway, so the
-        // percentile crosses empty buckets both ways.
-        for i in 0..400u64 {
-            let slow = if i < 200 { i % 10 == 0 } else { i % 10 != 0 };
+        // Two modes two decades apart: mostly fast, then mostly slow,
+        // then mostly fast again, so the median crosses the empty buckets
+        // between them upward and then downward.
+        let mut crossed_up = false;
+        for i in 0..1000u64 {
+            let slow = (100..400).contains(&i) != (i % 10 == 0);
             let rt = if slow {
                 SimDuration::from_micros(20_000 + i * 13)
             } else {
@@ -167,7 +169,10 @@ mod tests {
                 cfg.initial_delay
             };
             assert_eq!(est.delay(), want, "after {} samples", hist.count());
+            crossed_up |= est.delay() > SimDuration::from_millis(10);
         }
+        assert!(crossed_up, "the median never reached the slow mode");
+        assert!(est.delay() < SimDuration::from_millis(1), "nor came back");
     }
 
     #[test]
