@@ -61,7 +61,7 @@ impl HedgeConfig {
 /// nanoseconds, so [`delay`](Self::delay) costs the same however many
 /// response times it has seen, and reads what
 /// `Histogram::quantile(percentile)` of the same samples reads.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HedgeEstimator {
     rt_ns: RunningQuantile,
     initial_delay: SimDuration,
