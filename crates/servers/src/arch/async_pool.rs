@@ -188,7 +188,12 @@ impl AsyncPool {
         match task {
             Task::Read(conn) => {
                 // Fig 3 step 1: reactor dispatches the read event.
-                ctx.emit(TraceKind::QueueExit, Some(conn), Some(self.workers[w]), Q_READ);
+                ctx.emit(
+                    TraceKind::QueueExit,
+                    Some(conn),
+                    Some(self.workers[w]),
+                    Q_READ,
+                );
                 self.jobs[w] = Some(Job {
                     conn,
                     remaining: 0,
@@ -202,7 +207,12 @@ impl AsyncPool {
             }
             Task::Write(conn) => {
                 // Fig 3 step 3: reactor dispatches the write event.
-                ctx.emit(TraceKind::QueueExit, Some(conn), Some(self.workers[w]), Q_WRITE);
+                ctx.emit(
+                    TraceKind::QueueExit,
+                    Some(conn),
+                    Some(self.workers[w]),
+                    Q_WRITE,
+                );
                 self.jobs[w] = Some(Job {
                     conn,
                     remaining: ctx.response_bytes(conn),
@@ -273,11 +283,7 @@ impl ServerModel for AsyncPool {
                 let conn = ConnId(c);
                 let p = ctx.profile();
                 let cost = p.parse_cost + p.compute(ctx.response_bytes(conn));
-                ctx.submit(
-                    self.workers[w],
-                    Burst::user(cost),
-                    tag(P_W_COMPUTE, c, wi),
-                );
+                ctx.submit(self.workers[w], Burst::user(cost), tag(P_W_COMPUTE, c, wi));
             }
             P_W_COMPUTE => {
                 let conn = ConnId(c);

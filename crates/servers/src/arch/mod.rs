@@ -155,13 +155,17 @@ impl ServerKind {
                 Box::new(AsyncPool::new(true, cfg.pool_workers, cfg.tomcat_real_nio))
             }
             ServerKind::SingleThread => Box::new(SingleThread::new()),
-            ServerKind::NettyLike => {
-                Box::new(NettyLike::new(cfg.netty_workers, cfg.write_spin_limit, false))
-            }
+            ServerKind::NettyLike => Box::new(NettyLike::new(
+                cfg.netty_workers,
+                cfg.write_spin_limit,
+                false,
+            )),
             ServerKind::Hybrid => match cfg.hybrid_heavy {
-                crate::engine::HybridPath::Netty => {
-                    Box::new(NettyLike::new(cfg.netty_workers, cfg.write_spin_limit, true))
-                }
+                crate::engine::HybridPath::Netty => Box::new(NettyLike::new(
+                    cfg.netty_workers,
+                    cfg.write_spin_limit,
+                    true,
+                )),
                 crate::engine::HybridPath::Proactor => {
                     Box::new(Proactor::new(cfg.netty_workers, cfg.uring.clone(), true))
                 }
@@ -201,7 +205,11 @@ pub(crate) fn tag(phase: u8, conn: usize, worker: u16) -> u64 {
 
 /// Reverses [`tag`].
 pub(crate) fn untag(t: u64) -> (u8, usize, u16) {
-    ((t & 0xFF) as u8, ((t >> 8) & 0xFF_FFFF_FFFF) as usize, (t >> 48) as u16)
+    (
+        (t & 0xFF) as u8,
+        ((t >> 8) & 0xFF_FFFF_FFFF) as usize,
+        (t >> 48) as u16,
+    )
 }
 
 #[cfg(test)]
@@ -210,7 +218,11 @@ mod tests {
 
     #[test]
     fn tag_roundtrip() {
-        for (p, c, w) in [(0u8, 0usize, 0u16), (7, 123_456, 42), (255, (1 << 40) - 1, u16::MAX)] {
+        for (p, c, w) in [
+            (0u8, 0usize, 0u16),
+            (7, 123_456, 42),
+            (255, (1 << 40) - 1, u16::MAX),
+        ] {
             assert_eq!(untag(tag(p, c, w)), (p, c, w));
         }
     }

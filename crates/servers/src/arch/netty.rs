@@ -134,7 +134,12 @@ impl NettyLike {
                 NEvent::Writable(c) => (Q_WRITE, c),
                 NEvent::Resume(c) => (Q_FLUSH, c),
             };
-            ctx.emit(TraceKind::QueueEnter, Some(conn), Some(self.workers[w]), code);
+            ctx.emit(
+                TraceKind::QueueEnter,
+                Some(conn),
+                Some(self.workers[w]),
+                code,
+            );
         }
         self.queues[w].push_back(ev);
         if !self.busy[w] {
@@ -158,7 +163,12 @@ impl NettyLike {
                 NEvent::Writable(c) => (Q_WRITE, c),
                 NEvent::Resume(c) => (Q_FLUSH, c),
             };
-            ctx.emit(TraceKind::QueueExit, Some(conn), Some(self.workers[w]), code);
+            ctx.emit(
+                TraceKind::QueueExit,
+                Some(conn),
+                Some(self.workers[w]),
+                code,
+            );
         }
         match ev {
             NEvent::Readable(conn) => {
@@ -288,7 +298,11 @@ impl ServerModel for NettyLike {
                 } else {
                     self.netty_requests += 1;
                 }
-                let mark = if fast { MARK_PATH_FAST } else { MARK_PATH_NETTY };
+                let mark = if fast {
+                    MARK_PATH_FAST
+                } else {
+                    MARK_PATH_NETTY
+                };
                 ctx.emit(TraceKind::Mark, Some(conn), Some(self.workers[w]), mark);
                 let p = ctx.profile();
                 let mut cost = p.parse_cost + p.compute(ctx.response_bytes(conn));
@@ -320,7 +334,11 @@ impl ServerModel for NettyLike {
                 };
                 let p = ctx.profile();
                 let cost = p.write_syscall + p.copy_sys(job.last_written);
-                ctx.submit(self.workers[w], Burst::syscall(cost), tag(P_SPIN_SYS, c, wi));
+                ctx.submit(
+                    self.workers[w],
+                    Burst::syscall(cost),
+                    tag(P_SPIN_SYS, c, wi),
+                );
             }
             P_SPIN_SYS => {
                 let WState::Active(mut job) = self.wstate[c] else {

@@ -197,7 +197,11 @@ impl Proactor {
             let conn = cqe.op.conn();
             let p = ctx.profile();
             let cost = p.parse_cost + p.compute(cqe.result);
-            ctx.submit(self.threads[w], Burst::user(cost), tag(P_COMPUTE, conn, w as u16));
+            ctx.submit(
+                self.threads[w],
+                Burst::user(cost),
+                tag(P_COMPUTE, conn, w as u16),
+            );
             return;
         }
         if let Some(conn) = self.workers[w].light_q.pop_front() {
@@ -210,7 +214,12 @@ impl Proactor {
         }
         if self.workers[w].ring.cq_len() > 0 {
             let (cqes, cost) = self.workers[w].ring.reap();
-            ctx.emit(TraceKind::CqReap, None, Some(self.threads[w]), cqes.len() as u64);
+            ctx.emit(
+                TraceKind::CqReap,
+                None,
+                Some(self.threads[w]),
+                cqes.len() as u64,
+            );
             for cqe in cqes {
                 match cqe.op {
                     Op::Read { .. } => self.workers[w].handle_q.push_back(cqe),
@@ -233,7 +242,11 @@ impl Proactor {
             let cost = batch.cost;
             ctx.emit(TraceKind::SqFlush, None, Some(self.threads[w]), n);
             self.workers[w].inflight = Some(batch);
-            ctx.submit(self.threads[w], Burst::syscall(cost), tag(P_FLUSH, 0, w as u16));
+            ctx.submit(
+                self.threads[w],
+                Burst::syscall(cost),
+                tag(P_FLUSH, 0, w as u16),
+            );
             return;
         }
         self.workers[w].busy = false;
@@ -309,11 +322,21 @@ impl ServerModel for Proactor {
         let light = self.hybrid && self.class_is_heavy(class) == Some(false);
         if light {
             self.fast_requests += 1;
-            ctx.emit(TraceKind::Mark, Some(conn), Some(self.threads[w]), MARK_PATH_FAST);
+            ctx.emit(
+                TraceKind::Mark,
+                Some(conn),
+                Some(self.threads[w]),
+                MARK_PATH_FAST,
+            );
             self.workers[w].light_q.push_back(conn);
         } else {
             self.ring_requests += 1;
-            ctx.emit(TraceKind::Mark, Some(conn), Some(self.threads[w]), MARK_PATH_URING);
+            ctx.emit(
+                TraceKind::Mark,
+                Some(conn),
+                Some(self.threads[w]),
+                MARK_PATH_URING,
+            );
             self.stage(
                 ctx,
                 w,
@@ -358,7 +381,10 @@ impl ServerModel for Proactor {
         let conn = ConnId(c);
         match phase {
             P_FLUSH => {
-                let batch = self.workers[w].inflight.take().expect("flush without batch");
+                let batch = self.workers[w]
+                    .inflight
+                    .take()
+                    .expect("flush without batch");
                 for sqe in batch.sqes {
                     match sqe.op {
                         Op::Read { conn } => {

@@ -58,7 +58,12 @@ impl SingleThread {
     /// Starts handling the next ready event, or parks the loop.
     fn next_event(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(conn) = self.queue.pop_front() {
-            ctx.emit(TraceKind::QueueExit, Some(conn), Some(self.thread()), Q_READ);
+            ctx.emit(
+                TraceKind::QueueExit,
+                Some(conn),
+                Some(self.thread()),
+                Q_READ,
+            );
             // Part of the same ready batch: no extra epoll_wait charged.
             ctx.submit(
                 self.thread(),

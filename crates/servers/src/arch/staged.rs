@@ -74,7 +74,12 @@ impl Staged {
 
     /// Enqueues `conn` at `stage`, dispatching an idle stage worker if any.
     fn enqueue(&mut self, ctx: &mut Ctx<'_>, stage: usize, conn: ConnId) {
-        ctx.emit(TraceKind::QueueEnter, Some(conn), None, Q_STAGE_BASE + stage as u64);
+        ctx.emit(
+            TraceKind::QueueEnter,
+            Some(conn),
+            None,
+            Q_STAGE_BASE + stage as u64,
+        );
         self.stages[stage].queue.push_back(conn);
         if let Some(w) = self.stages[stage].idle.pop_front() {
             self.begin(ctx, stage, w);
@@ -89,7 +94,12 @@ impl Staged {
             return;
         };
         let tid = self.stages[stage].threads[w];
-        ctx.emit(TraceKind::QueueExit, Some(conn), Some(tid), Q_STAGE_BASE + stage as u64);
+        ctx.emit(
+            TraceKind::QueueExit,
+            Some(conn),
+            Some(tid),
+            Q_STAGE_BASE + stage as u64,
+        );
         let p = ctx.profile();
         match stage {
             READ => ctx.submit(

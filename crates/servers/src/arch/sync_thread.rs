@@ -60,7 +60,11 @@ impl SyncThread {
         let p = ctx.profile();
         // The blocked thread resumes from `read()`: syscall + wakeup cost.
         let cost = p.read_syscall + p.block_resume;
-        ctx.submit(self.threads[conn.0], Burst::syscall(cost), tag(P_READ, conn.0, 0));
+        ctx.submit(
+            self.threads[conn.0],
+            Burst::syscall(cost),
+            tag(P_READ, conn.0, 0),
+        );
     }
 
     /// Charges the CPU cost of `written` accepted bytes, then continues.
@@ -93,7 +97,12 @@ impl ServerModel for SyncThread {
         if self.phase[conn.0] != Phase::Idle {
             // The worker is still finishing the previous blocking write;
             // the request waits in the receive buffer.
-            ctx.emit(TraceKind::QueueEnter, Some(conn), Some(self.threads[conn.0]), Q_READ);
+            ctx.emit(
+                TraceKind::QueueEnter,
+                Some(conn),
+                Some(self.threads[conn.0]),
+                Q_READ,
+            );
             self.pending[conn.0] = true;
             return;
         }
@@ -117,7 +126,11 @@ impl ServerModel for SyncThread {
             remaining: remaining - w,
             written: 0, // cost already charged in full here
         };
-        ctx.submit(self.threads[conn.0], Burst::syscall(cost), tag(P_WRITE_CONT, conn.0, 0));
+        ctx.submit(
+            self.threads[conn.0],
+            Burst::syscall(cost),
+            tag(P_WRITE_CONT, conn.0, 0),
+        );
     }
 
     fn on_burst(&mut self, ctx: &mut Ctx<'_>, _tid: ThreadId, t: u64) {
@@ -158,7 +171,12 @@ impl ServerModel for SyncThread {
                     // Blocking write returned; thread loops back to read().
                     self.phase[c] = Phase::Idle;
                     if std::mem::take(&mut self.pending[c]) {
-                        ctx.emit(TraceKind::QueueExit, Some(conn), Some(self.threads[c]), Q_READ);
+                        ctx.emit(
+                            TraceKind::QueueExit,
+                            Some(conn),
+                            Some(self.threads[c]),
+                            Q_READ,
+                        );
                         self.begin_read(ctx, conn);
                     }
                 } else {

@@ -13,8 +13,8 @@ use asyncinv_simcore::{SimDuration, SimTime};
 use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpWorld};
 use asyncinv_workload::{ArrivalMode, ClientConfig, Mix, RetryPolicy, ThinkTime};
 
-use serde::{Deserialize, Serialize};
 use crate::profile::ServiceProfile;
+use serde::{Deserialize, Serialize};
 
 /// Everything a single experiment cell needs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -362,8 +362,11 @@ impl<'a> Ctx<'a> {
                 .arg(written as u64),
         );
         if written == 0 {
-            self.obs
-                .record(TraceEvent::new(at, TraceKind::WriteSpin).conn(conn.0).class(class));
+            self.obs.record(
+                TraceEvent::new(at, TraceKind::WriteSpin)
+                    .conn(conn.0)
+                    .class(class),
+            );
         }
     }
 
@@ -520,9 +523,18 @@ mod tests {
         let mut cpu = CpuModel::new(CpuConfig::single_core());
         let tid = cpu.spawn_thread("spinner");
         let mut out = Vec::new();
-        cpu.submit(SimTime::ZERO, tid, Burst::user(SimDuration::from_micros(1)), 0, &mut out);
+        cpu.submit(
+            SimTime::ZERO,
+            tid,
+            Burst::user(SimDuration::from_micros(1)),
+            0,
+            &mut out,
+        );
         let (t0, ev) = out.pop().expect("burst scheduled");
-        assert!(cpu.on_event(t0, ev, &mut out).is_some(), "the thread is finishing");
+        assert!(
+            cpu.on_event(t0, ev, &mut out).is_some(),
+            "the thread is finishing"
+        );
         let mut tcp = TcpWorld::new(TcpConfig::default());
         let conn = tcp.open(SimTime::ZERO);
         assert!(tcp.write(SimTime::ZERO, conn, 64 * 1024, &mut Vec::new()) > 0);
@@ -539,15 +551,27 @@ mod tests {
         let conn_info = [ConnInfo::default()];
         let mut cpu_out: Vec<(SimTime, CpuEvent)> = Vec::new();
         if let Some(d) = pending {
-            let ev = CpuEvent::BurstDone { core: asyncinv_cpu::CoreId(0), token: u64::MAX };
+            let ev = CpuEvent::BurstDone {
+                core: asyncinv_cpu::CoreId(0),
+                token: u64::MAX,
+            };
             cpu_out.push((t0 + d, ev));
         }
         let mut tcp_out = Vec::new();
         let mut obs = NoopObserver;
         let horizon = t0 + SimDuration::from_millis(1);
         let mut cx = Ctx::for_driver(
-            t0, horizon, &mut cpu, &mut tcp, &profile, &conn_info, &mut cpu_out, &mut tcp_out,
-            &mut obs, false, false,
+            t0,
+            horizon,
+            &mut cpu,
+            &mut tcp,
+            &profile,
+            &conn_info,
+            &mut cpu_out,
+            &mut tcp_out,
+            &mut obs,
+            false,
+            false,
         );
         let zero = spin_bursts(&profile, 0);
         assert_eq!(cx.spin_write(tid, conn, 1024, &zero), 0);
@@ -558,14 +582,20 @@ mod tests {
     #[test]
     fn spin_write_retires_up_to_the_horizon() {
         // 9 us cycles: the 111th ends at 999 us, the 112th would reach 1 ms.
-        assert_eq!(spin_from(None), (SimDuration::from_micros(999), 1 + 1 + 111));
+        assert_eq!(
+            spin_from(None),
+            (SimDuration::from_micros(999), 1 + 1 + 111)
+        );
     }
 
     #[test]
     fn spin_write_stops_before_events_the_callback_produced() {
         // A burst this callback already scheduled 20 us out bounds it too.
         let twenty = SimDuration::from_micros(20);
-        assert_eq!(spin_from(Some(twenty)), (SimDuration::from_micros(18), 1 + 1 + 2));
+        assert_eq!(
+            spin_from(Some(twenty)),
+            (SimDuration::from_micros(18), 1 + 1 + 2)
+        );
     }
 
     /// A driver that passes `now` as the horizon retires nothing.
@@ -576,8 +606,17 @@ mod tests {
         let conn_info = [ConnInfo::default()];
         let (mut cpu_out, mut tcp_out, mut obs) = (Vec::new(), Vec::new(), NoopObserver);
         let mut cx = Ctx::for_driver(
-            t0, t0, &mut cpu, &mut tcp, &profile, &conn_info, &mut cpu_out, &mut tcp_out,
-            &mut obs, false, false,
+            t0,
+            t0,
+            &mut cpu,
+            &mut tcp,
+            &profile,
+            &conn_info,
+            &mut cpu_out,
+            &mut tcp_out,
+            &mut obs,
+            false,
+            false,
         );
         assert_eq!(cx.spin_write(tid, conn, 1024, &spin_bursts(&profile, 0)), 0);
         assert_eq!(cx.now(), t0);

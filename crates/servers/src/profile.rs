@@ -103,10 +103,7 @@ mod tests {
         let large = p.compute(100 * 1024);
         assert!(large > small);
         // 100 KB at 8 us/KB = 800 us over the base.
-        assert_eq!(
-            (large - p.compute_base).as_micros(),
-            800
-        );
+        assert_eq!((large - p.compute_base).as_micros(), 800);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! concurrency, which is what the architecture comparison depends on (the
 //! worker pool exceeds the ~35 concurrent requests either way).
 
-use asyncinv_cpu::{CpuConfig, CpuModel, CpuEvent, SchedEvent, ThreadId};
+use asyncinv_cpu::{CpuConfig, CpuEvent, CpuModel, SchedEvent, ThreadId};
 use asyncinv_metrics::{Histogram, ThroughputWindow};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
 use asyncinv_simcore::{LadderQueue, SimDuration, SimRng, SimTime, Simulation};
@@ -229,11 +229,15 @@ enum MEvent {
     Cpu(CpuEvent),
     Tcp(TcpEvent),
     /// A user's think time elapsed: it requests its next page.
-    Send { user: usize },
+    Send {
+        user: usize,
+    },
     /// A database query finished.
     Db(StationEvent),
     /// The request (after Apache and its DB work) reaches Tomcat.
-    Arrive { conn: ConnId },
+    Arrive {
+        conn: ConnId,
+    },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -332,13 +336,18 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
             if obs_on {
                 for se in cpu.drain_sched_log() {
                     match se {
-                        SchedEvent::Switch { at, thread, migrated } => obs.record(
+                        SchedEvent::Switch {
+                            at,
+                            thread,
+                            migrated,
+                        } => obs.record(
                             TraceEvent::new(at, TraceKind::ThreadDispatch)
                                 .thread(thread.0)
                                 .arg(migrated as u64),
                         ),
-                        SchedEvent::Park { at, thread } => obs
-                            .record(TraceEvent::new(at, TraceKind::ThreadPark).thread(thread.0)),
+                        SchedEvent::Park { at, thread } => {
+                            obs.record(TraceEvent::new(at, TraceKind::ThreadPark).thread(thread.0))
+                        }
                     }
                 }
             }
@@ -485,8 +494,7 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
                             }
                         }
                         reqs[user] = None;
-                        let think =
-                            cfg.workload.think.sample(&mut rng);
+                        let think = cfg.workload.think.sample(&mut rng);
                         sim.schedule_at(done_at + think, MEvent::Send { user });
                     }
                 }

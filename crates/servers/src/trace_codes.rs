@@ -84,11 +84,18 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let queue: Vec<String> =
-            [Q_READ, Q_WRITE, Q_DONE, Q_REGISTER, Q_FLUSH, Q_ACCEPT, Q_STAGE_BASE + 2]
-            .iter()
-            .map(|&c| name(c, false))
-            .collect();
+        let queue: Vec<String> = [
+            Q_READ,
+            Q_WRITE,
+            Q_DONE,
+            Q_REGISTER,
+            Q_FLUSH,
+            Q_ACCEPT,
+            Q_STAGE_BASE + 2,
+        ]
+        .iter()
+        .map(|&c| name(c, false))
+        .collect();
         let marks: Vec<String> = (1..=7).map(|c| name(c, true)).collect();
         for set in [&queue, &marks] {
             let mut sorted = set.clone();

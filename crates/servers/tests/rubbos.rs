@@ -32,8 +32,16 @@ fn async_upgrade_degrades_saturated_throughput() {
     let sync = cell(users).run(ServerKind::SyncThread);
     let asyn = cell(users).run(ServerKind::AsyncPool);
 
-    assert!(sync.tomcat_cpu > 0.95, "sync not saturated: {}", sync.tomcat_cpu);
-    assert!(asyn.tomcat_cpu > 0.95, "async not saturated: {}", asyn.tomcat_cpu);
+    assert!(
+        sync.tomcat_cpu > 0.95,
+        "sync not saturated: {}",
+        sync.tomcat_cpu
+    );
+    assert!(
+        asyn.tomcat_cpu > 0.95,
+        "async not saturated: {}",
+        asyn.tomcat_cpu
+    );
     // Direction and magnitude: the asynchronous Tomcat loses measurable
     // saturated capacity. (The paper reports 28% at a fixed user count past
     // the async server's earlier saturation knee; our substrate reproduces
@@ -86,9 +94,22 @@ fn per_interaction_breakdown_matches_navigation() {
         "unexpected top interactions: {names:?}"
     );
     // Bigger pages take longer end-to-end than tiny confirmations.
-    let front = s.per_interaction.iter().find(|i| i.name == "StoriesOfTheDay").unwrap();
-    let store = s.per_interaction.iter().find(|i| i.name == "StoreComment").unwrap();
-    assert!(front.mean_rt_ms > store.mean_rt_ms, "36KB page {} <= 1KB ack {}", front.mean_rt_ms, store.mean_rt_ms);
+    let front = s
+        .per_interaction
+        .iter()
+        .find(|i| i.name == "StoriesOfTheDay")
+        .unwrap();
+    let store = s
+        .per_interaction
+        .iter()
+        .find(|i| i.name == "StoreComment")
+        .unwrap();
+    assert!(
+        front.mean_rt_ms > store.mean_rt_ms,
+        "36KB page {} <= 1KB ack {}",
+        front.mean_rt_ms,
+        store.mean_rt_ms
+    );
 }
 
 #[test]

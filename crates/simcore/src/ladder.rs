@@ -478,11 +478,12 @@ mod tests {
             q.push(tie, i);
             expect.push(i);
         }
-        let got: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(t, v)| {
-            assert_eq!(t, tie);
-            v
-        })
-        .collect();
+        let got: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, v)| {
+                assert_eq!(t, tie);
+                v
+            })
+            .collect();
         assert_eq!(got, expect, "ties must pop in global insertion order");
     }
 
