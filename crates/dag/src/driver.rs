@@ -13,8 +13,14 @@
 //!
 //! A one-tier graph is composed like any other; one fleet on its own
 //! runs through `asyncinv_fleet::Cluster`.
+//!
+//! The engine keeps only live calls. Call records and edge controls sit
+//! in id-indexed windows ([`Window`]) that pop from the front once the
+//! trees they belong to have ended (see [`Engine::retire`]), so a run's
+//! memory follows the calls in flight, not the calls dispatched.
 
 use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 use asyncinv_fleet::{mix64, HedgeEstimator};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
@@ -28,6 +34,10 @@ use crate::summary::{DagSummary, TierCounters};
 
 /// Ring capacity for [`DagRun::run_traced`].
 const DAG_TRACE_CAPACITY: usize = 1 << 20;
+
+/// Calls the window holds before its first collection; each later one
+/// waits until the window has doubled since the last.
+const RETIRE_FLOOR: usize = 4096;
 
 /// Everything a DAG run produces.
 #[derive(Debug)]
@@ -130,6 +140,23 @@ enum DagEvent {
     SlowEnd(u32),
 }
 
+impl DagEvent {
+    /// The call this event names, if any: the call itself for an
+    /// arrival, a service completion or a reply, the calling instance
+    /// for an edge timeout or a hedge fire. Every variant is listed, so
+    /// a new one has to say which call it keeps alive
+    /// ([`Engine::retire`]).
+    fn named(self) -> Option<u32> {
+        match self {
+            DagEvent::NodeArrive(id) | DagEvent::SvcDone(id) | DagEvent::Reply(id) => Some(id),
+            DagEvent::EdgeTimeout { parent, .. } | DagEvent::HedgeFire { parent, .. } => {
+                Some(parent)
+            }
+            DagEvent::Arrive | DagEvent::SlowStart(_) | DagEvent::SlowEnd(_) => None,
+        }
+    }
+}
+
 /// An optional instant in 8 bytes: `u64::MAX` nanoseconds means unset
 /// (no run reaches it).
 #[derive(Debug, Clone, Copy)]
@@ -154,13 +181,84 @@ impl Stamp {
 /// Sentinel for "no call instance" in `u32` instance links.
 const NO_INST: u32 = u32::MAX;
 
+/// An id-indexed table that keeps only its newest entries. Ids are
+/// handed out in push order and never reused, and entries leave only
+/// from the front, so id `i` lives at `items[i - front]`.
+#[derive(Debug)]
+struct Window<T> {
+    /// The id of `items[0]`.
+    front: u32,
+    items: VecDeque<T>,
+}
+
+impl<T> Window<T> {
+    fn new() -> Self {
+        Window {
+            front: 0,
+            items: VecDeque::new(),
+        }
+    }
+
+    /// The id the next push gets.
+    fn end(&self) -> u32 {
+        self.front + self.items.len() as u32
+    }
+
+    /// Appends `item` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run has used every id below [`NO_INST`].
+    fn push(&mut self, item: T) -> u32 {
+        let id = self.end();
+        assert!(id != NO_INST, "a DAG run exhausted its u32 ids");
+        self.items.push_back(item);
+        id
+    }
+
+    fn front(&self) -> Option<&T> {
+        self.items.front()
+    }
+
+    fn pop_front(&mut self) {
+        if self.items.pop_front().is_some() {
+            self.front += 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+}
+
+/// Indexing an id that has popped, or was never pushed, panics.
+impl<T> Index<u32> for Window<T> {
+    type Output = T;
+
+    fn index(&self, id: u32) -> &T {
+        &self.items[(id - self.front) as usize]
+    }
+}
+
+impl<T> IndexMut<u32> for Window<T> {
+    fn index_mut(&mut self, id: u32) -> &mut T {
+        &mut self.items[(id - self.front) as usize]
+    }
+}
+
 /// Caller-side state of one out-edge of one call instance. The engine
-/// keeps every instance's controls in one vector; an instance's slot `s`
-/// lives at `out + s`.
+/// keeps every instance's controls in one window; an instance's slot `s`
+/// has id `out + s`.
 #[derive(Debug)]
 struct EdgeCtl {
     /// Edge index into the graph.
     edge: u32,
+    /// The call instance whose out-edge this is.
+    owner: u32,
     /// Dispatch generations so far (initial + retries; hedges excluded).
     attempts: u32,
     /// The winning instance ([`NO_INST`] until the edge joins).
@@ -174,9 +272,10 @@ struct EdgeCtl {
 }
 
 impl EdgeCtl {
-    fn new(edge: usize) -> Self {
+    fn new(edge: usize, owner: u32) -> Self {
         EdgeCtl {
             edge: edge as u32,
+            owner,
             attempts: 0,
             winner: NO_INST,
             hedged: false,
@@ -205,8 +304,8 @@ struct Inst {
     /// slot this call serves there.
     parent: u32,
     slot: u32,
-    /// Index of this call's first out-edge control (set at local
-    /// service completion of a non-leaf call).
+    /// Id of this call's first out-edge control (set at local service
+    /// completion of a non-leaf call).
     out: u32,
     /// Out-edges not yet joined (meaningful after local service).
     pending: u32,
@@ -283,10 +382,18 @@ struct Engine<'a> {
     edge_lanes: Vec<(usize, usize)>,
     rng: SimRng,
     stations: Vec<TierStation>,
-    insts: Vec<Inst>,
-    /// Every call's out-edge controls (see [`EdgeCtl`]).
-    ctls: Vec<EdgeCtl>,
-    roots: Vec<u32>,
+    /// The calls of the trees that may still be reached, by dispatch-order
+    /// id.
+    insts: Window<Inst>,
+    /// Their out-edge controls (see [`EdgeCtl`]).
+    ctls: Window<EdgeCtl>,
+    /// The call-window length at which [`Engine::retire`] runs next.
+    retire_at: usize,
+    /// The most calls a collection has kept (between collections the
+    /// window grows to twice that, or to [`RETIRE_FLOOR`]).
+    peak_kept: usize,
+    /// One span per retired root, in request order (observed runs only).
+    spans: Vec<DagSpan>,
     counters: Vec<TierCounters>,
     budgets: Vec<RetryBudget>,
     /// Each hedged edge's delay estimator (`None` on unhedged edges).
@@ -360,9 +467,11 @@ impl<'a> Engine<'a> {
             sim: Simulation::with_backend(LaneQueue::new(&delays)),
             edge_lanes,
             rng: SimRng::new(g.seed),
-            insts: Vec::new(),
-            ctls: Vec::new(),
-            roots: Vec::new(),
+            insts: Window::new(),
+            ctls: Window::new(),
+            retire_at: RETIRE_FLOOR,
+            peak_kept: 0,
+            spans: Vec::new(),
             arrivals: 0,
             requests: 0,
             completed: 0,
@@ -383,6 +492,13 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> (DagSummary, Vec<DagSpan>) {
+        self.drive();
+        self.finish()
+    }
+
+    /// Runs the event loop until the graph drains, then retires every
+    /// call.
+    fn drive(&mut self) {
         for (t, tier) in self.g.tiers.iter().enumerate() {
             self.obs.thread_name(t, &tier.name);
         }
@@ -424,8 +540,46 @@ impl<'a> Engine<'a> {
                 DagEvent::SlowStart(tier) => self.set_slowed(tier as usize, true),
                 DagEvent::SlowEnd(tier) => self.set_slowed(tier as usize, false),
             }
+            if self.insts.len() >= self.retire_at {
+                self.retire();
+            }
         }
-        self.finish()
+        self.retire();
+    }
+
+    /// Pops every call of the trees that have ended, oldest first, and
+    /// then the edge controls of the calls it popped; an observed run
+    /// folds each popped call into its request's span.
+    ///
+    /// A call is named only by a pending event ([`DagEvent::named`]), by
+    /// a station-queue entry, or by a link inside its own tree, and a
+    /// tree that can still change always has a pending event or a queued
+    /// call. So every tree older than the oldest request those name has
+    /// ended. A tree's root is its first call and roots are dispatched
+    /// in request order, so those trees' calls are exactly the calls
+    /// before the oldest named request's root.
+    fn retire(&mut self) {
+        let insts = &self.insts;
+        let oldest = self
+            .sim
+            .pending_events()
+            .filter_map(|ev| ev.named())
+            .chain(self.stations.iter().flat_map(|st| st.queue.iter().copied()))
+            .map(|id| insts[id].req)
+            .min()
+            .unwrap_or(u64::MAX);
+        while self.insts.front().is_some_and(|i| i.req < oldest) {
+            if self.enabled {
+                self.fold(self.insts.front);
+            }
+            self.insts.pop_front();
+        }
+        let kept = self.insts.front;
+        while self.ctls.front().is_some_and(|c| c.owner < kept) {
+            self.ctls.pop_front();
+        }
+        self.peak_kept = self.peak_kept.max(self.insts.len());
+        self.retire_at = (2 * self.insts.len()).max(RETIRE_FLOOR);
     }
 
     fn set_slowed(&mut self, tier: usize, slowed: bool) {
@@ -445,8 +599,7 @@ impl<'a> Engine<'a> {
             self.requests += 1;
         }
         let req = self.arrivals - 1;
-        let id = self.insts.len() as u32;
-        self.insts.push(Inst::new(
+        let id = self.insts.push(Inst::new(
             req,
             0,
             EDGE_ROOT as u32,
@@ -455,7 +608,6 @@ impl<'a> Engine<'a> {
             (NO_INST, 0),
             now,
         ));
-        self.roots.push(id);
         self.emit(
             TraceEvent::new(now, TraceKind::RequestArrive)
                 .conn(req as usize)
@@ -471,7 +623,7 @@ impl<'a> Engine<'a> {
     fn node_arrive(&mut self, id: u32) {
         let now = self.sim.now();
         let (node, req, edge, is_root) = {
-            let i = &self.insts[id as usize];
+            let i = &self.insts[id];
             (i.node as usize, i.req, u64::from(i.edge), i.is_root())
         };
         let st = &mut self.stations[node];
@@ -480,7 +632,7 @@ impl<'a> Engine<'a> {
             self.start_service(id);
         } else if st.queue.len() < st.cap {
             st.queue.push_back(id);
-            self.insts[id as usize].enter = Stamp::at(now);
+            self.insts[id].enter = Stamp::at(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::QueueEnter)
                     .conn(req as usize)
@@ -492,8 +644,8 @@ impl<'a> Engine<'a> {
             // Queue full: drop silently. The caller learns nothing until
             // its edge timeout fires — async invocation's silent failure.
             self.counters[node].sheds += 1;
-            self.insts[id as usize].dead = true;
-            self.insts[id as usize].death = Stamp::at(now);
+            self.insts[id].dead = true;
+            self.insts[id].death = Stamp::at(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::Shed)
                     .conn(req as usize)
@@ -510,13 +662,13 @@ impl<'a> Engine<'a> {
     fn start_service(&mut self, id: u32) {
         let now = self.sim.now();
         let (node, req, edge, fresh) = {
-            let i = &self.insts[id as usize];
+            let i = &self.insts[id];
             (i.node as usize, i.req, u64::from(i.edge), !i.enter.is_set())
         };
         if fresh {
             // A free slot served the arrival immediately: the queue
             // episode is zero-length but still balanced in the trace.
-            self.insts[id as usize].enter = Stamp::at(now);
+            self.insts[id].enter = Stamp::at(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::QueueEnter)
                     .conn(req as usize)
@@ -525,7 +677,7 @@ impl<'a> Engine<'a> {
                     .arg(edge),
             );
         }
-        self.insts[id as usize].exit = Stamp::at(now);
+        self.insts[id].exit = Stamp::at(now);
         self.emit(
             TraceEvent::new(now, TraceKind::QueueExit)
                 .conn(req as usize)
@@ -556,9 +708,9 @@ impl<'a> Engine<'a> {
 
     fn svc_done(&mut self, id: u32) {
         let now = self.sim.now();
-        let node = self.insts[id as usize].node as usize;
+        let node = self.insts[id].node as usize;
         self.counters[node].served += 1;
-        self.insts[id as usize].done = Stamp::at(now);
+        self.insts[id].done = Stamp::at(now);
         let st = &mut self.stations[node];
         st.busy -= 1;
         if let Some(next) = st.queue.pop_front() {
@@ -569,10 +721,11 @@ impl<'a> Engine<'a> {
         if fanout == 0 {
             self.send_reply(id);
         } else {
-            let out = self.ctls.len() as u32;
-            self.ctls
-                .extend(self.out_edges[node].iter().map(|&e| EdgeCtl::new(e)));
-            let inst = &mut self.insts[id as usize];
+            let out = self.ctls.end();
+            for &e in &self.out_edges[node] {
+                self.ctls.push(EdgeCtl::new(e, id));
+            }
+            let inst = &mut self.insts[id];
             inst.pending = fanout as u32;
             inst.out = out;
             for slot in 0..fanout {
@@ -587,15 +740,14 @@ impl<'a> Engine<'a> {
     fn dispatch_child(&mut self, parent: u32, slot: usize, attempt: u32, hedge: bool) {
         let now = self.sim.now();
         let (req, c) = {
-            let p = &self.insts[parent as usize];
-            (p.req, p.out as usize + slot)
+            let p = &self.insts[parent];
+            (p.req, p.out + slot as u32)
         };
         let e_idx = self.ctls[c].edge as usize;
         let e = &self.g.edges[e_idx];
         let to = e.to;
         let (latency_lane, timeout_lane) = self.edge_lanes[e_idx];
-        let id = self.insts.len() as u32;
-        self.insts.push(Inst::new(
+        let id = self.insts.push(Inst::new(
             req,
             to,
             e_idx as u32,
@@ -651,11 +803,11 @@ impl<'a> Engine<'a> {
 
     fn edge_timeout(&mut self, parent: u32, slot: usize, attempt: u32) {
         let (req, pnode, e_idx) = {
-            let p = &self.insts[parent as usize];
+            let p = &self.insts[parent];
             if p.dead {
                 return;
             }
-            let ctl = &self.ctls[p.out as usize + slot];
+            let ctl = &self.ctls[p.out + slot as u32];
             // Joined, or a newer generation owns the edge: stale timer.
             if ctl.joined_at.is_set() || ctl.attempts != attempt + 1 {
                 return;
@@ -687,11 +839,11 @@ impl<'a> Engine<'a> {
 
     fn hedge_fire(&mut self, parent: u32, slot: usize, attempt: u32, delay_ns: u64) {
         let (req, pnode, c) = {
-            let p = &self.insts[parent as usize];
+            let p = &self.insts[parent];
             if p.dead {
                 return;
             }
-            let c = p.out as usize + slot;
+            let c = p.out + slot as u32;
             let ctl = &self.ctls[c];
             if ctl.joined_at.is_set() || ctl.attempts != attempt + 1 || ctl.hedged {
                 return;
@@ -716,11 +868,11 @@ impl<'a> Engine<'a> {
     fn fail_call(&mut self, id: u32, attempts: u32) {
         let now = self.sim.now();
         let (node, is_root) = {
-            let i = &self.insts[id as usize];
+            let i = &self.insts[id];
             (i.node as usize, i.is_root())
         };
-        self.insts[id as usize].dead = true;
-        self.insts[id as usize].death = Stamp::at(now);
+        self.insts[id].dead = true;
+        self.insts[id].death = Stamp::at(now);
         self.counters[node].failed_calls += 1;
         if is_root {
             self.root_abandon(id, attempts);
@@ -729,7 +881,7 @@ impl<'a> Engine<'a> {
 
     fn root_abandon(&mut self, id: u32, attempts: u32) {
         let now = self.sim.now();
-        let req = self.insts[id as usize].req;
+        let req = self.insts[id].req;
         self.emit(
             TraceEvent::new(now, TraceKind::Abandon)
                 .conn(req as usize)
@@ -744,13 +896,13 @@ impl<'a> Engine<'a> {
     fn send_reply(&mut self, id: u32) {
         let now = self.sim.now();
         let (node, req, edge, is_root) = {
-            let i = &self.insts[id as usize];
+            let i = &self.insts[id];
             (i.node as usize, i.req, i.edge as usize, i.is_root())
         };
-        self.insts[id as usize].reply = Stamp::at(now);
+        self.insts[id].reply = Stamp::at(now);
         self.counters[node].replies += 1;
         if is_root {
-            let rt = now.duration_since(self.insts[id as usize].dispatch);
+            let rt = now.duration_since(self.insts[id].dispatch);
             self.emit(
                 TraceEvent::new(now, TraceKind::Completion)
                     .conn(req as usize)
@@ -770,18 +922,18 @@ impl<'a> Engine<'a> {
     fn reply_at_caller(&mut self, child: u32) {
         let now = self.sim.now();
         let (pid, slot, cnode, creq, cattempt, chedge) = {
-            let c = &self.insts[child as usize];
+            let c = &self.insts[child];
             debug_assert!(!c.is_root(), "root replies complete at the client");
             (c.parent, c.slot, c.node as usize, c.req, c.attempt, c.hedge)
         };
-        let c = (self.insts[pid as usize].out + slot) as usize;
-        let fate = if self.insts[pid as usize].dead {
+        let c = self.insts[pid].out + slot;
+        let fate = if self.insts[pid].dead {
             ReplyFate::Orphan
         } else {
             match self.ctls[c].winner {
                 NO_INST => ReplyFate::Join,
                 w => {
-                    let w = &self.insts[w as usize];
+                    let w = &self.insts[w];
                     // The loser of a hedged pair is cancelled; any other
                     // late reply (an older or newer retry generation) is
                     // an orphan.
@@ -802,11 +954,11 @@ impl<'a> Engine<'a> {
                     (ctl.edge as usize, ctl.first_dispatch)
                 };
                 let pnode = {
-                    let p = &mut self.insts[pid as usize];
+                    let p = &mut self.insts[pid];
                     p.pending -= 1;
                     p.node as usize
                 };
-                self.insts[child as usize].won = true;
+                self.insts[child].won = true;
                 self.counters[cnode].joins += 1;
                 self.emit(
                     TraceEvent::new(now, TraceKind::DagJoin)
@@ -818,7 +970,7 @@ impl<'a> Engine<'a> {
                 if let Some(est) = &mut self.estimators[e_idx] {
                     est.observe(now.duration_since(first_dispatch));
                 }
-                if self.insts[pid as usize].pending == 0 {
+                if self.insts[pid].pending == 0 {
                     self.send_reply(pid);
                 }
             }
@@ -867,62 +1019,31 @@ impl<'a> Engine<'a> {
             tier_names: self.g.tiers.iter().map(|t| t.name.clone()).collect(),
             per_tier: self.counters,
         };
-        // Spans are built only for an observer, as a fleet builds its
-        // span forest only from a traced run.
-        let spans = if self.enabled {
-            build_spans(
-                self.g,
-                &self.out_edges,
-                &self.insts,
-                &self.ctls,
-                &self.roots,
-            )
-        } else {
-            Vec::new()
-        };
-        (summary, spans)
+        debug_assert!(
+            self.insts.is_empty() && self.ctls.is_empty(),
+            "a drained run retires every call and edge control"
+        );
+        (summary, self.spans)
     }
-}
 
-/// Builds one span per root request from the driver's perfect linkage,
-/// including the critical-path phase decomposition (see [`DagSpan`]).
-fn build_spans(
-    g: &ServiceGraph,
-    out_edges: &[Vec<usize>],
-    insts: &[Inst],
-    ctls: &[EdgeCtl],
-    roots: &[u32],
-) -> Vec<DagSpan> {
-    let ntiers = g.tiers.len();
-    let mut spans: Vec<DagSpan> = roots
-        .iter()
-        .map(|&rid| {
-            let r = &insts[rid as usize];
-            let (end, status) = match r.reply.get() {
-                Some(t) => (t, DagSpanStatus::Completed),
-                None => (
-                    r.death
-                        .get()
-                        .expect("a drained run leaves no unfinished root"),
-                    DagSpanStatus::Failed,
-                ),
-            };
-            DagSpan {
-                req: r.req,
-                start: r.dispatch,
-                end,
-                status,
-                attempts: Vec::new(),
-                tier_queue_ns: vec![0; ntiers],
-                tier_service_ns: vec![0; ntiers],
-                network_ns: 0,
-                wait_ns: 0,
-            }
-        })
-        .collect();
-    for (id, i) in insts.iter().enumerate() {
-        spans[i.req as usize].attempts.push(DagAttempt {
-            inst: id as u32,
+    /// Folds call `id`, the oldest in the window, into its request's
+    /// span. Spans are built only for an observer, as a fleet builds its
+    /// span forest only from a traced run. A root call opens its span:
+    /// its tree has ended and every call of it is still in the window,
+    /// so the critical path is computed now.
+    fn fold(&mut self, id: u32) {
+        if self.insts[id].is_root() {
+            let span = self.root_span(id);
+            debug_assert_eq!(
+                span.req,
+                self.spans.len() as u64,
+                "roots retire in request order"
+            );
+            self.spans.push(span);
+        }
+        let i = &self.insts[id];
+        self.spans[i.req as usize].attempts.push(DagAttempt {
+            inst: id,
             node: i.node as usize,
             edge: u64::from(i.edge),
             attempt: i.attempt,
@@ -935,38 +1056,63 @@ fn build_spans(
             won: i.won,
         });
     }
-    for (req, span) in spans.iter_mut().enumerate() {
-        if span.status != DagSpanStatus::Completed {
+
+    /// The span of the ended tree rooted at `rid`, without its attempts,
+    /// and its critical-path phase decomposition (see [`DagSpan`]).
+    fn root_span(&self, rid: u32) -> DagSpan {
+        let ntiers = self.g.tiers.len();
+        let r = &self.insts[rid];
+        let (end, status) = match r.reply.get() {
+            Some(t) => (t, DagSpanStatus::Completed),
+            None => (
+                r.death
+                    .get()
+                    .expect("an ended tree leaves no unfinished root"),
+                DagSpanStatus::Failed,
+            ),
+        };
+        let mut span = DagSpan {
+            req: r.req,
+            start: r.dispatch,
+            end,
+            status,
+            attempts: Vec::new(),
+            tier_queue_ns: vec![0; ntiers],
+            tier_service_ns: vec![0; ntiers],
+            network_ns: 0,
+            wait_ns: 0,
+        };
+        if status != DagSpanStatus::Completed {
             // No critical path through a dead request; the whole span is
             // dead wait, which keeps the conservation identity exact.
-            span.wait_ns = span.end.duration_since(span.start).as_nanos();
-            continue;
+            span.wait_ns = end.duration_since(span.start).as_nanos();
+            return span;
         }
         // Walk the chain of last-joining edges from the root call down.
-        let mut cur = roots[req];
+        let mut cur = rid;
         loop {
-            let i = &insts[cur as usize];
+            let i = &self.insts[cur];
             let node = i.node as usize;
             let enter = i.enter.get().expect("critical-path calls are never shed");
             let exit = i.exit.get().expect("critical-path calls started service");
             let done = i.done.get().expect("critical-path calls finished service");
             span.tier_queue_ns[node] += exit.duration_since(enter).as_nanos();
             span.tier_service_ns[node] += done.duration_since(exit).as_nanos();
-            let out = i.out as usize;
-            let Some(ctl) = ctls[out..out + out_edges[node].len()]
-                .iter()
+            let fanout = self.out_edges[node].len() as u32;
+            let Some(ctl) = (i.out..i.out + fanout)
+                .map(|c| &self.ctls[c])
                 .max_by_key(|c| c.joined_at.get().expect("a replied call joined every edge"))
             else {
                 break;
             };
             let w = ctl.winner;
             debug_assert_ne!(w, NO_INST, "joined edges have a winner");
-            span.network_ns += 2 * g.edges[ctl.edge as usize].latency.as_nanos();
-            span.wait_ns += insts[w as usize].dispatch.duration_since(done).as_nanos();
+            span.network_ns += 2 * self.g.edges[ctl.edge as usize].latency.as_nanos();
+            span.wait_ns += self.insts[w].dispatch.duration_since(done).as_nanos();
             cur = w;
         }
+        span
     }
-    spans
 }
 
 #[cfg(test)]
@@ -1009,6 +1155,45 @@ mod tests {
         for s in &outcome.spans {
             assert!(s.conserves(), "span {} does not telescope", s.req);
         }
+    }
+
+    /// The first Storm cell of the benchmark's `multi_tier` workload at
+    /// seed 1: the checked-in social graph over a 1 s window, with
+    /// budgets and hedges stripped.
+    fn storm_social() -> ServiceGraph {
+        let mut g: ServiceGraph =
+            serde_json::from_str(include_str!("../../../scenarios/dag_social.json"))
+                .expect("the social scenario parses");
+        g.arrivals.measure = SimDuration::from_secs(1);
+        g.seed = 1_534_192_284_164_717_417;
+        for e in &mut g.edges {
+            e.budget_ratio = 0.0;
+            e.hedge = None;
+        }
+        g
+    }
+
+    #[test]
+    fn the_call_window_follows_live_calls_not_the_run() {
+        let g = storm_social();
+        let profiles: Vec<TierProfile> = (0..g.tiers.len())
+            .map(|t| calibrate_tier(&g, t, FleetDriver::Interleaved))
+            .collect();
+        let mut obs = NoopObserver;
+        let mut engine = Engine::new(&g, &profiles, &mut obs);
+        engine.drive();
+        let dispatched = engine.insts.end() as usize;
+        assert!(
+            engine.insts.is_empty() && engine.ctls.is_empty(),
+            "a drained run keeps {} calls and {} edge controls",
+            engine.insts.len(),
+            engine.ctls.len()
+        );
+        assert!(
+            engine.peak_kept * 4 < dispatched,
+            "the window kept {} calls of {dispatched} dispatched",
+            engine.peak_kept
+        );
     }
 
     #[test]

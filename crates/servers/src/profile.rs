@@ -87,14 +87,67 @@ impl ServiceProfile {
     }
 }
 
-/// Scales a per-KB cost to `bytes` (rounded to whole nanoseconds).
+/// Products of a cost in nanoseconds and a size in bytes below this are
+/// exact in `f64`.
+const EXACT: u64 = 1 << 53;
+
+/// Scales a per-KB cost to `bytes`, rounded to whole nanoseconds (half
+/// away from zero, as `f64::round`). Below [`EXACT`] the float formula
+/// `(cost · bytes / 1024).round()` loses nothing, so the integer
+/// `(cost · bytes + 512) >> 10` gives the same value without a call to
+/// the software `round` that baseline x86-64 compiles it to; above, the
+/// float formula stays.
 fn per_kb(cost: SimDuration, bytes: usize) -> SimDuration {
-    SimDuration::from_nanos((cost.as_nanos() as f64 * bytes as f64 / 1024.0).round() as u64)
+    let c = cost.as_nanos();
+    match c.checked_mul(bytes as u64) {
+        Some(p) if p < EXACT => SimDuration::from_nanos((p + 512) >> 10),
+        _ => SimDuration::from_nanos((c as f64 * bytes as f64 / 1024.0).round() as u64),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The formula `per_kb` used before it rounded in integers.
+    fn per_kb_f64(cost: u64, bytes: usize) -> SimDuration {
+        SimDuration::from_nanos((cost as f64 * bytes as f64 / 1024.0).round() as u64)
+    }
+
+    proptest! {
+        /// `per_kb` agrees with the float formula bit for bit below 2^53,
+        /// above it (and past `u64` overflow), and at the boundary.
+        #[test]
+        fn per_kb_matches_the_float_formula(
+            cost in 0u64..1 << 24,
+            small in 0usize..1 << 29,
+            large in 0usize..1 << 41,
+            step in 0usize..3,
+        ) {
+            let c = SimDuration::from_nanos(cost);
+            prop_assert_eq!(per_kb(c, small), per_kb_f64(cost, small));
+            prop_assert_eq!(per_kb(c, large), per_kb_f64(cost, large));
+            // The largest exact size, one below it and one above it.
+            if let Some(largest) = (EXACT - 1).checked_div(cost) {
+                let edge = largest as usize + step - 1;
+                prop_assert_eq!(per_kb(c, edge), per_kb_f64(cost, edge));
+            }
+        }
+    }
+
+    #[test]
+    fn per_kb_rounds_halves_up_like_the_float_formula() {
+        for (cost, bytes) in [(1, 512), (1, 1536), (3, 512), (1, 511), (1, 513)] {
+            let c = SimDuration::from_nanos(cost);
+            assert_eq!(
+                per_kb(c, bytes),
+                per_kb_f64(cost, bytes),
+                "{cost} ns × {bytes} B"
+            );
+        }
+        assert_eq!(per_kb(SimDuration::from_nanos(1), 512).as_nanos(), 1);
+    }
 
     #[test]
     fn compute_scales_with_size() {

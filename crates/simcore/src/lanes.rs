@@ -192,6 +192,15 @@ impl<E> LaneQueue<E> {
         }
     }
 
+    /// Every pending event, in no particular order: the heap's, then
+    /// each lane's from front to back.
+    pub fn events(&self) -> impl Iterator<Item = &E> + '_ {
+        self.heap
+            .iter()
+            .chain(self.lanes.iter().flat_map(|l| l.fifo.iter()))
+            .map(|entry| &entry.event)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len() + self.lanes.iter().map(|l| l.fifo.len()).sum::<usize>()

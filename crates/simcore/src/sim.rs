@@ -168,6 +168,27 @@ impl<E> Simulation<E, LaneQueue<E>> {
         self.queue.push_lane(lane, self.now, event);
     }
 
+    /// Every pending event, in no particular order ([`LaneQueue::events`]).
+    ///
+    /// A model that keeps state for what its pending events refer to can
+    /// scan them to find the state nothing can reach any more; the DAG
+    /// engine drops the call trees no event names this way. The scan
+    /// visits every pending event, so call it rarely.
+    ///
+    /// ```
+    /// use asyncinv_simcore::{LaneQueue, SimDuration, Simulation};
+    ///
+    /// let mut sim = Simulation::with_backend(LaneQueue::new(&[SimDuration::from_micros(1)]));
+    /// sim.schedule_lane(0, 7);
+    /// sim.schedule(SimDuration::from_micros(3), 9);
+    /// let mut pending: Vec<_> = sim.pending_events().copied().collect();
+    /// pending.sort();
+    /// assert_eq!(pending, [7, 9]);
+    /// ```
+    pub fn pending_events(&self) -> impl Iterator<Item = &E> + '_ {
+        self.queue.events()
+    }
+
     /// Schedules `event` at an absolute time, on the lane whose delay is
     /// `at − now()` when there is one and on the heap otherwise
     /// ([`LaneQueue::push_routed`]). The delay is taken on this clock, so

@@ -196,7 +196,40 @@ fn lanes(seed: u64) -> ServiceGraph {
     g
 }
 
-/// Every pinned graph, two seeds each.
+/// A one-slot store reached two ways: straight from the front, and
+/// through a relay whose inbound edge is slow. A relayed call reaches the
+/// store behind the direct calls of younger requests. The store runs near
+/// saturation, and with no retries and 2 ms timeouts its callers often die
+/// before it serves them; then its queue is the only thing that names
+/// their request. Each run dispatches over 40,000 calls.
+fn backlog(seed: u64) -> ServiceGraph {
+    let mut g = ServiceGraph::empty("fixture-backlog", seed);
+    for (name, kind) in [
+        ("front", ServerKind::NettyLike),
+        ("relay", ServerKind::AsyncPool),
+        ("store", ServerKind::SingleThread),
+    ] {
+        g.tiers.push(TierSpec::new(name, kind));
+    }
+    g.tiers[2].shards = 1;
+    g.tiers[2].slots_per_shard = 1;
+    let us = SimDuration::from_micros;
+    for (from, to, latency, timeout) in [(0, 1, 2000, 8000), (0, 2, 50, 2000), (1, 2, 50, 2000)] {
+        let mut e = EdgeSpec::new(from, to);
+        e.latency = us(latency);
+        e.timeout = us(timeout);
+        e.max_retries = 0;
+        g.edges.push(e);
+    }
+    g.arrivals.rate_per_sec = 1800.0;
+    g.arrivals.warmup = SimDuration::from_millis(100);
+    g.arrivals.measure = SimDuration::from_secs(6);
+    g.cal.measure = SimDuration::from_millis(200);
+    g
+}
+
+/// Every pinned graph, two seeds each. The backlog graph came later, so
+/// its lines follow the others'.
 fn graphs() -> Vec<ServiceGraph> {
     let mut out = Vec::new();
     for seed in [23, 31] {
@@ -205,6 +238,8 @@ fn graphs() -> Vec<ServiceGraph> {
         out.push(social(seed));
         out.push(lanes(seed));
     }
+    out.push(backlog(23));
+    out.push(backlog(31));
     out
 }
 

@@ -190,7 +190,9 @@ proptest! {
     /// use), `next_event`, `next_event_before` (the fleet loop's pop) and
     /// clears go to a lane simulation and, as plain schedules, to
     /// `Simulation::new()`; the popped `(time, event)` stream,
-    /// `peek_time`, `pending` and the clock must agree after every call.
+    /// `peek_time`, `pending` and the clock must agree after every call,
+    /// and `pending_events` must yield exactly the events scheduled and
+    /// not yet popped or cleared.
     #[test]
     fn lane_queue_pops_what_the_heap_pops(
         delays in prop::collection::vec(0u64..6, 1..7),
@@ -204,6 +206,8 @@ proptest! {
         let mut lanes = Simulation::with_backend(LaneQueue::new(&delays));
         let mut heap: Simulation<u64> = Simulation::new();
         let mut next_id = 0u64;
+        // The reference multiset of pending events.
+        let mut pending: Vec<u64> = Vec::new();
         for (op, lane, ahead) in ops {
             let ahead = SimDuration::from_nanos(ahead * GRAIN);
             match op {
@@ -215,30 +219,43 @@ proptest! {
                         lanes.schedule_routed(at, next_id);
                     }
                     heap.schedule_at(at, next_id);
+                    pending.push(next_id);
                     next_id += 1;
                 }
                 10..=20 => {
                     let lane = lane % delays.len();
                     lanes.schedule_lane(lane, next_id);
                     heap.schedule(delays[lane], next_id);
+                    pending.push(next_id);
                     next_id += 1;
                 }
                 21..=29 => {
                     let popped = lanes.next_event();
                     prop_assert_eq!(popped, heap.next_event());
+                    if let Some((_, id)) = popped {
+                        pending.retain(|&p| p != id);
+                    }
                 }
                 30..=38 => {
                     let deadline = lanes.now() + ahead;
                     let popped = lanes.next_event_before(deadline);
                     prop_assert_eq!(popped, heap.next_event_before(deadline));
+                    if let Some((_, id)) = popped {
+                        pending.retain(|&p| p != id);
+                    }
                 }
                 _ => {
                     lanes.clear();
                     heap.clear();
+                    pending.clear();
                     prop_assert_eq!(lanes.pending(), 0);
                     prop_assert_eq!(lanes.peek_time(), None);
                 }
             }
+            let mut seen: Vec<u64> = lanes.pending_events().copied().collect();
+            seen.sort_unstable();
+            pending.sort_unstable();
+            prop_assert_eq!(&seen, &pending);
             prop_assert_eq!(lanes.peek_time(), heap.peek_time());
             prop_assert_eq!(lanes.pending(), heap.pending());
             prop_assert_eq!(lanes.now(), heap.now());
