@@ -43,8 +43,8 @@ cargo clippy -q --no-deps --workspace --all-targets \
 
 # Formatting is gated for the packages formatted so far; ROADMAP.md lists
 # the rest of the workspace.
-echo "== gate: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag) =="
-cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag
+echo "== gate: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers) =="
+cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers
 
 # `--workspace`: a bare `cargo bench` builds only the root package, whose
 # benches are not the Criterion targets under crates/bench/benches.

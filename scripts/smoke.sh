@@ -24,8 +24,8 @@ cargo clippy -q --no-deps --workspace --all-targets \
     --exclude bytes --exclude criterion --exclude proptest \
     --exclude serde --exclude serde_derive --exclude serde_json -- -D warnings
 
-echo "== static analysis: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag) =="
-cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag
+echo "== static analysis: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers) =="
+cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers
 
 echo "== tests =="
 cargo test -q
