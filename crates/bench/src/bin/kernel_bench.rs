@@ -1,9 +1,10 @@
 //! Self-benchmark of the simulation kernel: raw queue throughput of the
 //! heap and the ladder, full experiment-cell wall-clock on the fleet
 //! loop (which runs on the lane queue), the parallel cell runner's
-//! speedup over a serial run, and the costs of the proactor, tracing,
-//! span assembly, an empty fault plan and stepwise write spins. Every
-//! row records min/median/max over several runs.
+//! speedup over a serial run, the costs of the proactor, tracing,
+//! span assembly, an empty fault plan and stepwise write spins, and the
+//! DAG driver on the benchmark's social graph. Every row records
+//! min/median/max over several runs.
 //!
 //! ```sh
 //! cargo run --release -p asyncinv-bench --bin kernel_bench             # full
@@ -19,8 +20,9 @@
 
 use std::time::Instant;
 
+use asyncinv::dag::{DagRun, FleetDriver, ServiceGraph};
 use asyncinv::figures::Fidelity;
-use asyncinv::fleet::{BalancerKind, Cluster};
+use asyncinv::fleet::{mix64, BalancerKind, Cluster};
 use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
 use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table};
@@ -202,6 +204,20 @@ struct SpinRow {
     speedup: Spread,
 }
 
+/// The DAG driver alone: [`DagRun::run`] (calibration and composition)
+/// on the social graph of the benchmark's `multi_tier` workload under one
+/// edge policy, with the calls each run dispatches (root calls, edge
+/// calls, retries and hedges).
+#[derive(Debug, Serialize)]
+struct DagRow {
+    policy: String,
+    seed: u64,
+    runs: usize,
+    host_cores: usize,
+    calls_dispatched: u64,
+    wall_ms: Spread,
+}
+
 #[derive(Debug, Serialize)]
 struct KernelBench {
     hold: Vec<HoldRow>,
@@ -212,6 +228,7 @@ struct KernelBench {
     fleet_observability: FleetObsRow,
     fault_plane: FaultRow,
     spin_fast_forward: SpinRow,
+    dag: Vec<DagRow>,
 }
 
 /// The steady state of a discrete-event simulation: each iteration peeks
@@ -638,6 +655,57 @@ fn main() {
         spin_fast_forward.speedup
     );
 
+    // --- 5c. The DAG driver on the benchmark's social graph. ---
+    // `scenarios/dag_social.json` over the benchmark's 1 s window, seeded
+    // as the benchmark seeds its first Guarded and first Storm cell
+    // (cells 32 and 48 of `multi_tier` at seed 1).
+    let social: ServiceGraph =
+        serde_json::from_str(include_str!("../../../../scenarios/dag_social.json"))
+            .expect("the social scenario parses");
+    let dag_run = |storm: bool| {
+        let mut g = social.clone();
+        g.arrivals.measure = SimDuration::from_secs(1);
+        g.seed = mix64(1 ^ mix64(if storm { 48 } else { 32 }));
+        if storm {
+            for e in &mut g.edges {
+                e.budget_ratio = 0.0;
+                e.hedge = None;
+            }
+        }
+        DagRun::new(g, FleetDriver::Interleaved)
+    };
+    let (guarded, storm) = (dag_run(false), dag_run(true));
+    let calls = |run: &DagRun| {
+        let s = run.run().summary;
+        s.arrivals + s.per_tier.iter().map(|t| t.dispatches).sum::<u64>()
+    };
+    let (guarded_calls, storm_calls) = (calls(&guarded), calls(&storm));
+    let (guarded_ms, storm_ms) = time_pair(
+        || time_ms(|| drop(std::hint::black_box(guarded.run()))),
+        || time_ms(|| drop(std::hint::black_box(storm.run()))),
+    );
+    let dag: Vec<DagRow> = [
+        ("Guarded", &guarded, guarded_calls, guarded_ms),
+        ("Storm", &storm, storm_calls, storm_ms),
+    ]
+    .into_iter()
+    .map(|(policy, run, calls_dispatched, ms)| DagRow {
+        policy: policy.into(),
+        seed: run.graph().seed,
+        runs: RUNS,
+        host_cores,
+        calls_dispatched,
+        wall_ms: Spread::of(ms),
+    })
+    .collect();
+    for row in &dag {
+        println!(
+            "\ndag/{}: social graph, 1 s window ({RUNS} runs, median [min–max])  {} ms  \
+             {} calls dispatched",
+            row.policy, row.wall_ms, row.calls_dispatched
+        );
+    }
+
     // --- 6. Record. ---
     let out = std::env::var("ASYNCINV_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".into());
     let report = KernelBench {
@@ -649,6 +717,7 @@ fn main() {
         fleet_observability,
         fault_plane,
         spin_fast_forward,
+        dag,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize kernel bench");
     std::fs::write(&out, json + "\n").expect("write kernel bench json");
