@@ -1,5 +1,6 @@
 //! Self-benchmark of the simulation kernel: raw queue throughput of the
-//! heap and the ladder, full experiment-cell wall-clock on the fleet
+//! heap and the ladder, CPU-scheduler dispatch and the TCP send path
+//! alone, full experiment-cell wall-clock on the fleet
 //! loop (which runs on the lane queue), the parallel cell runner's
 //! speedup over a serial run, the costs of the proactor, tracing,
 //! span assembly, an empty fault plan and stepwise write spins, and the
@@ -25,6 +26,7 @@ use asyncinv::figures::Fidelity;
 use asyncinv::fleet::{mix64, BalancerKind, Cluster};
 use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
+use asyncinv::substrate::{Burst, CpuConfig, CpuModel, TcpConfig, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table};
 use asyncinv_simcore::{EventQueue, LadderQueue, LaneQueue, QueueBackend};
 use serde::Serialize;
@@ -104,6 +106,34 @@ struct HoldRow {
     /// Queue operations per wall-clock second (each hold = 1 pop + 1 push
     /// + 1 peek, the engine drive loop's per-event pattern).
     events_per_sec: Spread,
+}
+
+/// CPU-scheduler dispatch alone: host ns per submit → complete →
+/// `finish_turn` cycle of a 1 µs user burst on a single-core
+/// [`CpuModel`], the work the benchmark's `cpu.dispatch_ns` probe times.
+#[derive(Debug, Serialize)]
+struct CpuDispatchRow {
+    /// Cycles per run, each run on a fresh model.
+    cycles: u64,
+    runs: usize,
+    host_cores: usize,
+    ns_per_cycle: Spread,
+}
+
+/// The TCP send path alone: host ns per `write` call while 100 KB
+/// responses drain through a default [`TcpWorld`], their delivery and
+/// ACK events replayed in time order, the work the benchmark's
+/// `tcp.write_ns_100kb` probe times.
+#[derive(Debug, Serialize)]
+struct TcpSendRow {
+    /// Responses per run, each on a fresh connection.
+    responses: usize,
+    response_bytes: usize,
+    /// `write` calls per run.
+    write_calls: u64,
+    runs: usize,
+    host_cores: usize,
+    ns_per_write: Spread,
 }
 
 /// Wall-clock for a fixed Quick cell grid driven end to end.
@@ -221,6 +251,8 @@ struct DagRow {
 #[derive(Debug, Serialize)]
 struct KernelBench {
     hold: Vec<HoldRow>,
+    cpu_dispatch: CpuDispatchRow,
+    tcp_send: TcpSendRow,
     grid: Vec<GridRow>,
     proactor: ProactorRow,
     runner: Vec<RunnerRow>,
@@ -261,6 +293,76 @@ fn hold_once<Q: QueueBackend<u64>>(q: &mut Q) -> u64 {
     debug_assert_eq!(head, t);
     q.push(SimTime::from_nanos(t.as_nanos() + 1 + v % 2048), v);
     v
+}
+
+/// One run of the CPU-dispatch row: `cycles` 1 µs user bursts, each
+/// submitted once the last completed, on a fresh single-core model.
+/// Returns host ns per cycle.
+fn dispatch_ns_per_cycle(cycles: u64) -> f64 {
+    let mut cpu = CpuModel::new(CpuConfig::single_core());
+    let tid = cpu.spawn_thread("probe");
+    let mut out = Vec::new();
+    let mut now = SimTime::ZERO;
+    let start = Instant::now();
+    for i in 0..cycles {
+        cpu.submit(
+            now,
+            tid,
+            Burst::user(SimDuration::from_micros(1)),
+            i,
+            &mut out,
+        );
+        while let Some((t, ev)) = out.pop() {
+            now = t;
+            if cpu.on_event(now, ev, &mut out).is_some() {
+                cpu.finish_turn(now, tid, &mut out);
+            }
+        }
+    }
+    let ns = start.elapsed().as_nanos() as f64 / cycles as f64;
+    assert_eq!(
+        cpu.stats().user_time,
+        SimDuration::from_micros(cycles),
+        "every cycle ran its 1 µs burst"
+    );
+    ns
+}
+
+/// Bytes of each response the TCP-send row drains.
+const RESPONSE_BYTES: usize = 100 * 1024;
+
+/// One run of the TCP-send row: `responses` responses of
+/// [`RESPONSE_BYTES`], each written through a fresh default connection
+/// and drained by replaying the earliest pending network event. Returns
+/// host ns per `write` call and the calls made.
+fn send_ns_per_write(responses: usize) -> (f64, u64) {
+    let mut calls = 0;
+    let start = Instant::now();
+    for _ in 0..responses {
+        let mut world = TcpWorld::new(TcpConfig::default());
+        let conn = world.open(SimTime::ZERO);
+        let mut out: Vec<(SimTime, TcpEvent)> = Vec::new();
+        let mut pending: Vec<(SimTime, TcpEvent)> = Vec::new();
+        let mut accepted = world.write(SimTime::ZERO, conn, RESPONSE_BYTES, &mut out);
+        let mut delivered = 0;
+        while delivered < RESPONSE_BYTES {
+            pending.append(&mut out);
+            let i = (0..pending.len())
+                .min_by_key(|&i| pending[i].0)
+                .expect("undelivered bytes have pending events");
+            let (now, ev) = pending.swap_remove(i);
+            match world.on_event(now, ev, &mut out) {
+                TcpNotice::SpaceFreed { space, .. } if space > 0 && accepted < RESPONSE_BYTES => {
+                    accepted += world.write(now, conn, RESPONSE_BYTES - accepted, &mut out);
+                }
+                TcpNotice::Delivered { bytes, .. } => delivered += bytes,
+                TcpNotice::SpaceFreed { .. } => {}
+            }
+        }
+        assert_eq!(delivered, RESPONSE_BYTES, "each response delivers 100 KB");
+        calls += world.stats().write_calls;
+    }
+    (start.elapsed().as_nanos() as f64 / calls as f64, calls)
 }
 
 /// The fixed grid timed serially and through the runner: heterogeneous
@@ -352,6 +454,45 @@ fn main() {
         });
     }
     println!("\nhold model (pop-one/push-one, constant population; {RUNS} runs):\n{hold_table}");
+
+    // --- 1b. CPU-scheduler dispatch and the TCP send path, each alone. ---
+    const CYCLES: u64 = 100_000;
+    const RESPONSES: usize = 200;
+    let mut dispatch_ns = Vec::new();
+    let mut send = Vec::new();
+    for _ in 0..RUNS {
+        dispatch_ns.push(dispatch_ns_per_cycle(CYCLES));
+        send.push(send_ns_per_write(RESPONSES));
+    }
+    let write_calls = send[0].1;
+    assert!(
+        send.iter().all(|&(_, calls)| calls == write_calls),
+        "every run makes the same write calls"
+    );
+    let cpu_dispatch = CpuDispatchRow {
+        cycles: CYCLES,
+        runs: RUNS,
+        host_cores,
+        ns_per_cycle: Spread::of(dispatch_ns),
+    };
+    let tcp_send = TcpSendRow {
+        responses: RESPONSES,
+        response_bytes: RESPONSE_BYTES,
+        write_calls,
+        runs: RUNS,
+        host_cores,
+        ns_per_write: Spread::of(send.iter().map(|&(ns, _)| ns).collect()),
+    };
+    println!(
+        "\ncpu dispatch: {CYCLES} cycles of a 1 µs burst on one core ({RUNS} runs, median \
+         [min–max])  {:.1} ns/cycle",
+        cpu_dispatch.ns_per_cycle
+    );
+    println!(
+        "\ntcp send: {RESPONSES} responses of 100 KB, {write_calls} write calls ({RUNS} runs, \
+         median [min–max])  {:.1} ns/write",
+        tcp_send.ns_per_write
+    );
 
     // --- 2. Full experiment cells end to end on the fleet loop. ---
     let cells = grid();
@@ -710,6 +851,8 @@ fn main() {
     let out = std::env::var("ASYNCINV_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".into());
     let report = KernelBench {
         hold,
+        cpu_dispatch,
+        tcp_send,
         grid: grid_rows,
         proactor,
         runner,
