@@ -7,8 +7,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::Bytes;
-
 use crate::stats::WriteStats;
 
 /// The write discipline of the server — mirrors the paper's architectures.
@@ -106,7 +104,7 @@ struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
     /// Remaining response, if the request has been parsed.
-    out: Option<(Bytes, usize)>,
+    out: Option<(Arc<[u8]>, usize)>,
 }
 
 fn serve(listener: TcpListener, mode: ServerMode, stats: WriteStats, shutdown: Arc<AtomicBool>) {
@@ -263,8 +261,8 @@ fn parse_request(line: &str) -> Option<usize> {
     rest.trim().parse().ok()
 }
 
-fn response_body(n: usize) -> Bytes {
-    Bytes::from(vec![b'x'; n])
+fn response_body(n: usize) -> Arc<[u8]> {
+    vec![b'x'; n].into()
 }
 
 #[cfg(test)]

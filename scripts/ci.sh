@@ -35,21 +35,16 @@ cargo run --release -p detlint -- check --json results/detlint-report.json
 # `--no-deps` lints only the packages named, and `-D warnings` fails the
 # step on any warning in them, not only on the deny-level determinism
 # rules. The vendored stand-ins keep their upstream code and are not
-# linted: bytes, criterion, proptest, serde, serde_derive, serde_json.
+# linted: proptest, serde, serde_derive, serde_json.
 echo "== gate: clippy mirror (determinism rules + no warnings in this repository's packages) =="
 cargo clippy -q --no-deps --workspace --all-targets \
-    --exclude bytes --exclude criterion --exclude proptest \
-    --exclude serde --exclude serde_derive --exclude serde_json -- -D warnings
+    --exclude proptest --exclude serde --exclude serde_derive --exclude serde_json \
+    -- -D warnings
 
 # Formatting is gated for the packages formatted so far; ROADMAP.md lists
 # the rest of the workspace.
 echo "== gate: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers) =="
 cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers
-
-# `--workspace`: a bare `cargo bench` builds only the root package, whose
-# benches are not the Criterion targets under crates/bench/benches.
-echo "== gate: benches compile (Criterion targets) =="
-cargo bench --no-run --workspace
 
 echo "== gate: dag scenario (drift check + dag/span audits) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
