@@ -36,12 +36,7 @@ use crate::profile::ServiceProfile;
 /// [`Ctx`](crate::Ctx) (the fleet crate's, whose one-shard case is
 /// `Experiment`, or the RUBBoS engine's); the trait is public so downstream
 /// users can plug in custom architectures (e.g. for ablations).
-///
-/// `Send` is a supertrait so drivers may move a model between OS threads
-/// (the parallel fleet driver ships whole shard machines to phase
-/// workers). Models are simulation state: plain owned data, no ambient
-/// handles, so every architecture here is trivially `Send`.
-pub trait ServerModel: Send {
+pub trait ServerModel {
     /// Display name used in result tables (matches the paper's names).
     fn name(&self) -> &'static str;
 
@@ -195,6 +190,96 @@ pub(crate) fn spin_bursts(p: &ServiceProfile, written: usize) -> [Burst; 2] {
         Burst::user(p.write_prep + p.copy_user(written)),
         Burst::syscall(p.write_syscall + p.copy_sys(written)),
     ]
+}
+
+/// HybridNetty's runtime request profiling, shared by its two heavy paths
+/// ([`NettyLike`] and [`Proactor`] in hybrid mode): a map from request
+/// class to {light, heavy} learned from observed write behaviour, plus the
+/// per-connection [`Ctx::shed_active`] bit sampled at admission.
+///
+/// Re-classification (a learned class flipping) freezes for requests
+/// admitted while the load shedder was active: under overload every write
+/// stalls, so acting on write behaviour flaps the whole map heavy and back
+/// and the storm transient would poison the learned state for the
+/// recovery period.
+#[derive(Debug)]
+pub(crate) struct Classifier {
+    /// Learning is on (HybridNetty); otherwise every request is heavy.
+    hybrid: bool,
+    /// Per-connection shed bit sampled at admission.
+    shed_admit: Vec<bool>,
+    /// Request class → is-heavy; `None` means not yet profiled.
+    classes: Vec<Option<bool>>,
+    reclass_to_heavy: u64,
+    reclass_to_light: u64,
+    reclass_frozen: u64,
+}
+
+impl Classifier {
+    pub(crate) fn new(hybrid: bool) -> Self {
+        Classifier {
+            hybrid,
+            shed_admit: Vec::new(),
+            classes: Vec::new(),
+            reclass_to_heavy: 0,
+            reclass_to_light: 0,
+            reclass_frozen: 0,
+        }
+    }
+
+    pub(crate) fn is_hybrid(&self) -> bool {
+        self.hybrid
+    }
+
+    /// Sizes the per-connection state for `conns` connections.
+    pub(crate) fn init(&mut self, conns: usize) {
+        self.shed_admit = vec![false; conns];
+    }
+
+    /// Samples the shed state for the request arriving on `conn`.
+    pub(crate) fn admit(&mut self, ctx: &Ctx<'_>, conn: ConnId) {
+        self.shed_admit[conn.0] = ctx.shed_active();
+    }
+
+    /// `true` when `class` has been learned light (only ever on a hybrid
+    /// model): the request takes the SingleT-style fast path.
+    pub(crate) fn is_light(&self, class: usize) -> bool {
+        self.classes.get(class).copied().flatten() == Some(false)
+    }
+
+    /// Records that the request on `conn`, of `class`, behaved `heavy`.
+    pub(crate) fn learn(&mut self, conn: ConnId, class: usize, heavy: bool) {
+        if !self.hybrid {
+            return;
+        }
+        if self.classes.len() <= class {
+            self.classes.resize(class + 1, None);
+        }
+        match self.classes[class] {
+            Some(prev) if prev != heavy => {
+                if self.shed_admit[conn.0] {
+                    self.reclass_frozen += 1;
+                    return;
+                }
+                if heavy {
+                    self.reclass_to_heavy += 1;
+                } else {
+                    self.reclass_to_light += 1;
+                }
+            }
+            _ => {}
+        }
+        self.classes[class] = Some(heavy);
+    }
+
+    /// The reclass counters, in [`ServerModel::debug_counters`] order.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("reclass_to_heavy", self.reclass_to_heavy),
+            ("reclass_to_light", self.reclass_to_light),
+            ("reclass_frozen", self.reclass_frozen),
+        ]
+    }
 }
 
 /// Packs (phase, connection index, worker index) into a burst tag.

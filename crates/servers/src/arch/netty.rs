@@ -26,7 +26,7 @@ use asyncinv_cpu::{Burst, ThreadId};
 use asyncinv_obs::TraceKind;
 use asyncinv_tcp::ConnId;
 
-use crate::arch::{tag, untag, ServerModel};
+use crate::arch::{tag, untag, Classifier, ServerModel};
 use crate::engine::Ctx;
 use crate::trace_codes::{
     MARK_PARK_WRITABLE, MARK_PATH_FAST, MARK_PATH_NETTY, MARK_RECLASS_HEAVY, MARK_SPIN_BUDGET,
@@ -83,22 +83,14 @@ struct WriteJob {
 pub(crate) struct NettyLike {
     n_workers: usize,
     spin_limit: u32,
-    hybrid: bool,
+    classifier: Classifier,
     workers: Vec<ThreadId>,
     queues: Vec<VecDeque<NEvent>>,
     busy: Vec<bool>,
     wstate: Vec<WState>,
-    /// Per-connection [`Ctx::shed_active`] sampled at admission; freezes
-    /// classification updates from requests admitted under overload.
-    shed_admit: Vec<bool>,
-    /// Hybrid classification map: request class → is-heavy.
-    classes: Vec<Option<bool>>,
     // Debug counters.
     fast_requests: u64,
     netty_requests: u64,
-    reclass_to_heavy: u64,
-    reclass_to_light: u64,
-    reclass_frozen: u64,
 }
 
 impl NettyLike {
@@ -108,18 +100,13 @@ impl NettyLike {
         NettyLike {
             n_workers,
             spin_limit,
-            hybrid,
+            classifier: Classifier::new(hybrid),
             workers: Vec::new(),
             queues: Vec::new(),
             busy: Vec::new(),
             wstate: Vec::new(),
-            shed_admit: Vec::new(),
-            classes: Vec::new(),
             fast_requests: 0,
             netty_requests: 0,
-            reclass_to_heavy: 0,
-            reclass_to_light: 0,
-            reclass_frozen: 0,
         }
     }
 
@@ -214,46 +201,11 @@ impl NettyLike {
             tag(P_SPIN_USER, conn.0, w as u16),
         );
     }
-
-    /// Classification lookup; `None` means not yet profiled.
-    fn class_is_heavy(&self, class: usize) -> Option<bool> {
-        self.classes.get(class).copied().flatten()
-    }
-
-    /// Updates the classification map. Re-classification (a learned class
-    /// flipping) freezes for requests admitted while the load shedder was
-    /// active ([`Ctx::shed_active`] sampled at admission): under overload
-    /// every write stalls, so acting on write behaviour flaps the whole
-    /// map heavy and back — the storm transient would poison the learned
-    /// state for the recovery period.
-    fn learn(&mut self, frozen: bool, class: usize, heavy: bool) {
-        if !self.hybrid {
-            return;
-        }
-        if self.classes.len() <= class {
-            self.classes.resize(class + 1, None);
-        }
-        match self.classes[class] {
-            Some(prev) if prev != heavy => {
-                if frozen {
-                    self.reclass_frozen += 1;
-                    return;
-                }
-                if heavy {
-                    self.reclass_to_heavy += 1;
-                } else {
-                    self.reclass_to_light += 1;
-                }
-            }
-            _ => {}
-        }
-        self.classes[class] = Some(heavy);
-    }
 }
 
 impl ServerModel for NettyLike {
     fn name(&self) -> &'static str {
-        if self.hybrid {
+        if self.classifier.is_hybrid() {
             "HybridNetty"
         } else {
             "NettyServer"
@@ -267,11 +219,11 @@ impl ServerModel for NettyLike {
         self.queues = vec![VecDeque::new(); self.n_workers];
         self.busy = vec![false; self.n_workers];
         self.wstate = vec![WState::Idle; conns];
-        self.shed_admit = vec![false; conns];
+        self.classifier.init(conns);
     }
 
     fn on_request(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        self.shed_admit[conn.0] = ctx.shed_active();
+        self.classifier.admit(ctx, conn);
         let w = self.owner(conn);
         self.enqueue(ctx, w, NEvent::Readable(conn));
     }
@@ -292,7 +244,7 @@ impl ServerModel for NettyLike {
             P_WAKE => self.next_event(ctx, w),
             P_READ => {
                 let class = ctx.request_class(conn);
-                let fast = self.hybrid && self.class_is_heavy(class) == Some(false);
+                let fast = self.classifier.is_light(class);
                 if fast {
                     self.fast_requests += 1;
                 } else {
@@ -347,7 +299,7 @@ impl ServerModel for NettyLike {
                 if job.remaining == 0 {
                     // Request fully handed to the kernel: profile it.
                     let heavy = job.spun || job.calls > 1;
-                    self.learn(self.shed_admit[c], job.class, heavy);
+                    self.classifier.learn(conn, job.class, heavy);
                     self.wstate[c] = WState::Idle;
                     self.next_event(ctx, w);
                 } else if job.last_written == 0 {
@@ -356,7 +308,7 @@ impl ServerModel for NettyLike {
                     // rather than spinning unboundedly.
                     if job.fast {
                         job.fast = false;
-                        self.learn(self.shed_admit[c], job.class, true);
+                        self.classifier.learn(conn, job.class, true);
                         ctx.emit(TraceKind::Mark, Some(conn), None, MARK_RECLASS_HEAVY);
                     }
                     ctx.emit(TraceKind::Mark, Some(conn), None, MARK_PARK_WRITABLE);
@@ -380,12 +332,11 @@ impl ServerModel for NettyLike {
     }
 
     fn debug_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
+        let mut counters = vec![
             ("fast_requests", self.fast_requests),
             ("netty_requests", self.netty_requests),
-            ("reclass_to_heavy", self.reclass_to_heavy),
-            ("reclass_to_light", self.reclass_to_light),
-            ("reclass_frozen", self.reclass_frozen),
-        ]
+        ];
+        counters.extend(self.classifier.counters());
+        counters
     }
 }

@@ -38,7 +38,7 @@ use asyncinv_obs::TraceKind;
 use asyncinv_tcp::ConnId;
 use asyncinv_uring::{Cqe, FlushBatch, Op, Ring, Sqe, StageOutcome, UringConfig, UringCounters};
 
-use crate::arch::{tag, untag, ServerModel};
+use crate::arch::{tag, untag, Classifier, ServerModel};
 use crate::engine::Ctx;
 use crate::trace_codes::{MARK_PATH_FAST, MARK_PATH_URING, MARK_RECLASS_HEAVY};
 
@@ -91,23 +91,15 @@ struct Worker {
 pub(crate) struct Proactor {
     n_workers: usize,
     cfg: UringConfig,
-    hybrid: bool,
+    classifier: Classifier,
     threads: Vec<ThreadId>,
     workers: Vec<Worker>,
     pending: Vec<Option<PendingWrite>>,
     /// Hybrid light-path in-flight write size per connection.
     lwrite: Vec<usize>,
-    /// Per-connection [`Ctx::shed_active`] sampled at admission; freezes
-    /// classification updates from requests admitted under overload.
-    shed_admit: Vec<bool>,
-    /// Hybrid classification map: request class → is-heavy.
-    classes: Vec<Option<bool>>,
     // Debug counters.
     ring_requests: u64,
     fast_requests: u64,
-    reclass_to_heavy: u64,
-    reclass_to_light: u64,
-    reclass_frozen: u64,
 }
 
 impl Proactor {
@@ -119,18 +111,13 @@ impl Proactor {
         Proactor {
             n_workers,
             cfg,
-            hybrid,
+            classifier: Classifier::new(hybrid),
             threads: Vec::new(),
             workers: Vec::new(),
             pending: Vec::new(),
             lwrite: Vec::new(),
-            shed_admit: Vec::new(),
-            classes: Vec::new(),
             ring_requests: 0,
             fast_requests: 0,
-            reclass_to_heavy: 0,
-            reclass_to_light: 0,
-            reclass_frozen: 0,
         }
     }
 
@@ -229,7 +216,7 @@ impl Proactor {
                         // write that needed writability pushes is heavy.
                         let needed_push = cqe.result > 0;
                         let class = ctx.request_class(ConnId(conn));
-                        self.learn(self.shed_admit[conn], class, needed_push);
+                        self.classifier.learn(ConnId(conn), class, needed_push);
                     }
                 }
             }
@@ -251,45 +238,11 @@ impl Proactor {
         }
         self.workers[w].busy = false;
     }
-
-    /// Classification lookup; `None` means not yet profiled.
-    fn class_is_heavy(&self, class: usize) -> Option<bool> {
-        self.classes.get(class).copied().flatten()
-    }
-
-    /// Updates the hybrid classification map. Re-classification (an
-    /// already-learned class flipping) freezes for requests admitted while
-    /// the load shedder was active — overload distorts write behaviour,
-    /// and acting on it flaps the map (the storm-freeze satellite's
-    /// regression test pins this).
-    fn learn(&mut self, frozen: bool, class: usize, heavy: bool) {
-        if !self.hybrid {
-            return;
-        }
-        if self.classes.len() <= class {
-            self.classes.resize(class + 1, None);
-        }
-        match self.classes[class] {
-            Some(prev) if prev != heavy => {
-                if frozen {
-                    self.reclass_frozen += 1;
-                    return;
-                }
-                if heavy {
-                    self.reclass_to_heavy += 1;
-                } else {
-                    self.reclass_to_light += 1;
-                }
-            }
-            _ => {}
-        }
-        self.classes[class] = Some(heavy);
-    }
 }
 
 impl ServerModel for Proactor {
     fn name(&self) -> &'static str {
-        if self.hybrid {
+        if self.classifier.is_hybrid() {
             "HybridNetty"
         } else {
             "Proactor"
@@ -312,14 +265,13 @@ impl ServerModel for Proactor {
             .collect();
         self.pending = vec![None; conns];
         self.lwrite = vec![0; conns];
-        self.shed_admit = vec![false; conns];
+        self.classifier.init(conns);
     }
 
     fn on_request(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        self.shed_admit[conn.0] = ctx.shed_active();
+        self.classifier.admit(ctx, conn);
         let w = self.owner(conn);
-        let class = ctx.request_class(conn);
-        let light = self.hybrid && self.class_is_heavy(class) == Some(false);
+        let light = self.classifier.is_light(ctx.request_class(conn));
         if light {
             self.fast_requests += 1;
             ctx.emit(
@@ -459,12 +411,12 @@ impl ServerModel for Proactor {
                 let written = self.lwrite[c];
                 let bytes = ctx.response_bytes(conn);
                 if written == bytes {
-                    self.learn(self.shed_admit[c], ctx.request_class(conn), false);
+                    self.classifier.learn(conn, ctx.request_class(conn), false);
                 } else {
                     // Misclassified: the buffer couldn't take it in one
                     // call. Flip to heavy and hand the remainder to kernel
                     // continuations — never an unbounded spin loop.
-                    self.learn(self.shed_admit[c], ctx.request_class(conn), true);
+                    self.classifier.learn(conn, ctx.request_class(conn), true);
                     ctx.emit(TraceKind::Mark, Some(conn), None, MARK_RECLASS_HEAVY);
                     self.pending[c] = Some(PendingWrite {
                         remaining: bytes - written,
@@ -484,16 +436,17 @@ impl ServerModel for Proactor {
         for wk in &self.workers {
             sum.accumulate(&wk.ring.counters());
         }
-        vec![
+        let mut counters = vec![
             ("ring_requests", self.ring_requests),
             ("fast_requests", self.fast_requests),
-            ("reclass_to_heavy", self.reclass_to_heavy),
-            ("reclass_to_light", self.reclass_to_light),
-            ("reclass_frozen", self.reclass_frozen),
+        ];
+        counters.extend(self.classifier.counters());
+        counters.extend([
             ("buf_fallbacks", sum.buf_fallbacks),
             ("buf_high_water", sum.buf_high_water),
             ("cq_high_water", sum.cq_high_water),
-        ]
+        ]);
+        counters
     }
 
     fn uring_stats(&self) -> Option<UringCounters> {
