@@ -635,34 +635,40 @@ pub(crate) fn drive(
     // over that shard's machine (flush afterwards). Evaluates to the
     // callback's clock at return, which a retired write spin moves
     // up to `$horizon` (the callback's own instant for every other
-    // callback).
+    // callback). The `@with` arm evaluates `$body` with the shard bound
+    // to `$sh` and its `Ctx` to `$cx`, for the driver's own writes.
     macro_rules! dispatch {
         ($now:expr, $s:expr, $method:ident $(, $arg:expr)*) => {
             dispatch!(@at $now, $now, $s, $method $(, $arg)*)
         };
-        (@at $now:expr, $horizon:expr, $s:expr, $method:ident $(, $arg:expr)*) => {{
-            let sh = &mut shards[$s];
-            let mut sobs = ShardObs { inner: &mut *obs, base: sh.thread_base };
+        (@at $now:expr, $horizon:expr, $s:expr, $method:ident $(, $arg:expr)*) => {
+            dispatch!(@with $now, $horizon, $s, |sh, cx| {
+                sh.server.$method(&mut cx $(, $arg)*);
+                cx.now()
+            })
+        };
+        (@with $now:expr, $horizon:expr, $s:expr, |$sh:ident, $cx:ident| $body:expr) => {{
+            let $sh = &mut shards[$s];
+            let mut sobs = ShardObs { inner: &mut *obs, base: $sh.thread_base };
             // This shard's shedder is saturated (slots full or
             // arrivals queued).
-            let shed_active = sh
+            let shed_active = $sh
                 .shed
-                .is_some_and(|sc| sh.serving_count >= sc.max_concurrent || !sh.accept_q.is_empty());
-            let mut cx = Ctx::for_driver(
+                .is_some_and(|sc| $sh.serving_count >= sc.max_concurrent || !$sh.accept_q.is_empty());
+            let mut $cx = Ctx::for_driver(
                 $now,
                 $horizon,
-                &mut sh.cpu,
-                &mut sh.tcp,
+                &mut $sh.cpu,
+                &mut $sh.tcp,
                 &cell.profile,
-                &sh.conn_info,
-                &mut sh.cpu_out,
-                &mut sh.tcp_out,
+                &$sh.conn_info,
+                &mut $sh.cpu_out,
+                &mut $sh.tcp_out,
                 &mut sobs,
                 obs_on,
                 shed_active,
             );
-            sh.server.$method(&mut cx $(, $arg)*);
-            cx.now()
+            $body
         }};
     }
 
@@ -988,33 +994,13 @@ pub(crate) fn drive(
                                         .arg(waited),
                                 );
                             }
-                            // Driver-direct write: mirror `Ctx::write`'s
-                            // WriteCall/WriteSpin tracing exactly so
-                            // trace-derived syscall counts stay 1:1. The
-                            // rejected attempt takes the connection.
-                            let written = {
-                                let sh = &mut shards[$s];
-                                sh.conn_info[$conn] = spec;
-                                sh.tcp
-                                    .write($now, ConnId($conn), sc.reject_bytes, &mut sh.tcp_out)
-                            };
-                            if obs_on {
-                                trace(
-                                    obs,
-                                    TraceEvent::new($now, TraceKind::WriteCall)
-                                        .conn($conn)
-                                        .class(spec.class)
-                                        .arg(written as u64),
-                                );
-                                if written == 0 {
-                                    trace(
-                                        obs,
-                                        TraceEvent::new($now, TraceKind::WriteSpin)
-                                            .conn($conn)
-                                            .class(spec.class),
-                                    );
-                                }
-                            }
+                            // The rejected attempt takes the connection,
+                            // and the driver writes the rejection
+                            // through the shard's `Ctx`.
+                            shards[$s].conn_info[$conn] = spec;
+                            let written = dispatch!(@with $now, $now, $s, |_sh, cx| {
+                                cx.write(ConnId($conn), sc.reject_bytes)
+                            });
                             if written > 0 {
                                 shards[$s].serving[$conn] = Some(Serving {
                                     epoch: $ep,
