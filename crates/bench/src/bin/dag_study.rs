@@ -50,7 +50,9 @@ use asyncinv::dag::{
 };
 use asyncinv::fleet::HedgeConfig;
 use asyncinv::{fmt_f64, ServerKind, SimDuration, Table};
-use asyncinv_bench::{banner, fidelity_from_args, print_and_export};
+use asyncinv_bench::{
+    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
+};
 use asyncinv::figures::Fidelity;
 use serde::Serialize;
 
@@ -543,23 +545,7 @@ fn metastability(spec: &ServiceGraph, quick: bool, failures: &mut u32) -> Vec<Me
 /// graph, asserts no drift, replays the metastability study with its
 /// audits.
 fn run_scenario(path: &str, quick: bool) {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: could not read {path} (regenerate with --write-scenario): {e}");
-        std::process::exit(2);
-    });
-    let spec: ServiceGraph = serde_json::from_str(&body).unwrap_or_else(|e| {
-        eprintln!("error: {path} is not a valid service graph: {e}");
-        std::process::exit(2);
-    });
-    spec.validate().unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
-    assert_eq!(
-        spec,
-        scenario(),
-        "checked-in scenario drifted from source (regenerate with --write-scenario)"
-    );
+    let spec = load_scenario(path, scenario(), ServiceGraph::validate);
     banner(
         "dag_study — scenario run",
         "the composed DAG trace reconciles bitwise (counters and spans)",
@@ -579,13 +565,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--write-scenario" => {
-                let json = serde_json::to_string_pretty(&scenario()).expect("serialize scenario");
-                std::fs::create_dir_all("scenarios").expect("mkdir scenarios");
-                std::fs::write(SCENARIO, json + "\n").expect("write scenario");
-                println!("wrote {SCENARIO}");
-                return;
-            }
+            "--write-scenario" => return write_scenario(SCENARIO, &scenario()),
             "--scenario" => {
                 let path = args.next().unwrap_or_else(|| SCENARIO.to_string());
                 run_scenario(&path, quick);

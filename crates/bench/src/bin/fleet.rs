@@ -33,7 +33,9 @@ use asyncinv::fleet::{
     HedgeConfig, ShardFault,
 };
 use asyncinv::{fmt_f64, ExperimentConfig, ServerKind, SimDuration, Table};
-use asyncinv_bench::{banner, fidelity_from_args, print_and_export};
+use asyncinv_bench::{
+    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
+};
 use serde::Serialize;
 
 /// One sweep point, also exported with `--json`.
@@ -195,23 +197,7 @@ fn sweep_table(rows: &[SweepRow]) -> Table {
 /// workload and fault schedule, audits the traced budgeted run, and
 /// checks the containment claim.
 fn run_scenario(path: &str, kind: ServerKind) {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: could not read {path}: {e}");
-        std::process::exit(2);
-    });
-    let scenario: FleetScenario = serde_json::from_str(&body).unwrap_or_else(|e| {
-        eprintln!("error: {path} is not a valid FleetScenario: {e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = scenario.validate() {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    }
-    assert_eq!(
-        scenario,
-        brownout_scenario(),
-        "checked-in scenario drifted from source (regenerate with --write-scenario)"
-    );
+    let scenario = load_scenario(path, brownout_scenario(), FleetScenario::validate);
     banner(
         "fleet — shard brownout containment",
         "a retry budget plus hedging contains a single-shard brownout; \
@@ -344,14 +330,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--write-scenario" => {
-                let json =
-                    serde_json::to_string_pretty(&brownout_scenario()).expect("serialize scenario");
-                std::fs::create_dir_all("scenarios").expect("mkdir scenarios");
-                std::fs::write(SCENARIO, json + "\n").expect("write scenario");
-                println!("wrote {SCENARIO}");
-                return;
-            }
+            "--write-scenario" => return write_scenario(SCENARIO, &brownout_scenario()),
             "--scenario" => scenario = args.next(),
             // Bare `--json` targets the committed artifact under results/.
             "--json" => {

@@ -29,7 +29,9 @@
 use asyncinv::figures::Fidelity;
 use asyncinv::obs::audit;
 use asyncinv::{fmt_f64, Chart, Experiment, HybridPath, RunSummary, ServerKind, Table};
-use asyncinv_bench::{banner, fidelity_from_args, print_and_export};
+use asyncinv_bench::{
+    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
+};
 use serde::{Deserialize, Serialize};
 
 const SCENARIO: &str = "scenarios/proactor_sweep.json";
@@ -67,15 +69,7 @@ fn cell(fid: Fidelity, conc: usize, size: usize, kind: ServerKind) -> RunSummary
 }
 
 fn run_scenario(path: &str, quick: bool) {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: could not read {path} (regenerate with --write-scenario): {e}");
-        std::process::exit(2);
-    });
-    let spec: SweepScenario = serde_json::from_str(&body).unwrap_or_else(|e| {
-        eprintln!("error: {path} is not a valid sweep scenario: {e}");
-        std::process::exit(2);
-    });
-    assert_eq!(spec, scenario(), "checked-in scenario drifted from source");
+    let spec = load_scenario(path, scenario(), |_| Ok(()));
     banner(
         "proactor_sweep — scenario run",
         "ring traffic (SqSubmit/SqFlush/CqReap) reconciles bitwise with the trace",
@@ -132,11 +126,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--write-scenario" {
-            let json = serde_json::to_string_pretty(&scenario()).expect("serialize scenario");
-            std::fs::create_dir_all("scenarios").expect("mkdir scenarios");
-            std::fs::write(SCENARIO, json + "\n").expect("write scenario");
-            println!("wrote {SCENARIO}");
-            return;
+            return write_scenario(SCENARIO, &scenario());
         }
         if a == "--scenario" {
             let path = args.next().unwrap_or_else(|| {

@@ -36,7 +36,9 @@ use asyncinv::{
     fmt_f64, Experiment, ExperimentConfig, ServerKind, ShedConfig, ShedPolicy, SimDuration,
     SimTime, Table,
 };
-use asyncinv_bench::{banner, fidelity_from_args, print_and_export};
+use asyncinv_bench::{
+    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
+};
 use serde::Serialize;
 
 const SCENARIO: &str = "scenarios/retry_storm.json";
@@ -320,23 +322,7 @@ fn sweep_table(rows: &[SweepRow]) -> Table {
 /// standard cell with the storm retry policy, traced, and reconcile the
 /// injected-vs-observed fault counters through the trace audit.
 fn run_scenario(path: &str, quick: bool) {
-    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: could not read {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan: FaultPlan = serde_json::from_str(&body).unwrap_or_else(|e| {
-        eprintln!("error: {path} is not a valid FaultPlan: {e}");
-        std::process::exit(2);
-    });
-    if let Err(e) = plan.validate() {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    }
-    assert_eq!(
-        plan,
-        storm_scenario(),
-        "checked-in scenario drifted from source (regenerate with --write-scenario)"
-    );
+    let plan = load_scenario(path, storm_scenario(), FaultPlan::validate);
     banner(
         "resilience — scenario run",
         "fault events injected by the plan reconcile bitwise with the trace",
@@ -388,11 +374,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--write-scenario" {
-            let json = serde_json::to_string_pretty(&storm_scenario()).expect("serialize scenario");
-            std::fs::create_dir_all("scenarios").expect("mkdir scenarios");
-            std::fs::write(SCENARIO, json + "\n").expect("write scenario");
-            println!("wrote {SCENARIO}");
-            return;
+            return write_scenario(SCENARIO, &storm_scenario());
         }
         if a == "--scenario" {
             let path = args.next().unwrap_or_else(|| {

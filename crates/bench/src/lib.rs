@@ -1,8 +1,8 @@
 //! # asyncinv-bench — experiment harnesses
 //!
 //! One binary per table/figure of the paper (run with `cargo run --release
-//! -p asyncinv-bench --bin <name>`), plus Criterion micro-benchmarks of the
-//! simulation substrates (`cargo bench`).
+//! -p asyncinv-bench --bin <name>`), plus `kernel_bench`, the simulator's
+//! self-benchmark of its substrates.
 //!
 //! Every binary accepts `--quick` (or env `ASYNCINV_QUICK=1`) to shrink the
 //! measurement windows for smoke runs, and `--threads N` (or env
@@ -17,6 +17,7 @@ use asyncinv::fleet::{BalancerKind, FleetConfig, HedgeConfig, ShardFault, ShardS
 use asyncinv::obs::audit;
 use asyncinv::workload::RetryPolicy;
 use asyncinv::{fmt_f64, Experiment, ExperimentConfig, RunSummary, ServerKind, SimDuration, Table};
+use serde::{Deserialize, Serialize};
 
 /// Environment variable mirroring `--trace-out DIR`: directory receiving
 /// `<artifact>.trace.json` (Chrome trace-event format) and
@@ -296,6 +297,44 @@ pub fn print_and_export(name: &str, table: &Table) {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
+}
+
+/// `--write-scenario`: writes `scenario`, the source of a checked-in
+/// scenario file, to `path` under `scenarios/` as pretty JSON plus a
+/// newline.
+pub fn write_scenario<T: Serialize>(path: &str, scenario: &T) {
+    let json = serde_json::to_string_pretty(scenario).expect("serialize scenario");
+    std::fs::create_dir_all("scenarios").expect("mkdir scenarios");
+    std::fs::write(path, json + "\n").expect("write scenario");
+    println!("wrote {path}");
+}
+
+/// `--scenario <path>`: loads a checked-in scenario and asserts it has not
+/// drifted from `source`, the value [`write_scenario`] writes. A file that
+/// cannot be read or parsed, or that `validate` rejects, exits with
+/// status 2.
+pub fn load_scenario<T: Deserialize + PartialEq + std::fmt::Debug>(
+    path: &str,
+    source: T,
+    validate: impl FnOnce(&T) -> Result<(), String>,
+) -> T {
+    let fail = |msg: String| -> ! {
+        eprintln!("error: {path}{msg}");
+        std::process::exit(2);
+    };
+    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        fail(format!(" could not be read (regenerate with --write-scenario): {e}"))
+    });
+    let scenario: T = serde_json::from_str(&body)
+        .unwrap_or_else(|e| fail(format!(" is not a valid scenario: {e}")));
+    if let Err(e) = validate(&scenario) {
+        fail(format!(": {e}"));
+    }
+    assert_eq!(
+        scenario, source,
+        "checked-in scenario {path} drifted from source (regenerate with --write-scenario)"
+    );
+    scenario
 }
 
 /// Prints a standard harness header.
