@@ -7,8 +7,8 @@
 //! misprediction, while the unbounded spinner collapses (with latency) and
 //! plain Netty pays its overhead throughout.
 
-use asyncinv::workload::RequestClass;
 use asyncinv::workload::Mix;
+use asyncinv::workload::RequestClass;
 use asyncinv::{Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime};
 use asyncinv_bench::{banner, fidelity_from_args, throughput_table};
 
@@ -22,7 +22,11 @@ fn main() {
     let (warmup, measure) = fid.micro_windows();
     let drift_at = SimTime::ZERO + warmup + measure / 4;
     let mut rows = Vec::new();
-    for kind in [ServerKind::Hybrid, ServerKind::NettyLike, ServerKind::SingleThread] {
+    for kind in [
+        ServerKind::Hybrid,
+        ServerKind::NettyLike,
+        ServerKind::SingleThread,
+    ] {
         let class = RequestClass::new("drifting-page", 100).with_drift(drift_at, 100 * 1024);
         let mut cfg = ExperimentConfig::with_mix(100, Mix::new(vec![(class, 1.0)]))
             .with_latency(SimDuration::from_millis(2));

@@ -22,15 +22,21 @@ fn main() {
     let fid = fidelity_from_args();
     let (warmup, measure) = fid.micro_windows();
     let mut rows = Vec::new();
-    for &(label, resource_kb, max_extra) in
-        &[("no-push", 0usize, 0u32), ("push<=2x32KB", 32, 2), ("push<=8x16KB", 16, 8)]
-    {
+    for &(label, resource_kb, max_extra) in &[
+        ("no-push", 0usize, 0u32),
+        ("push<=2x32KB", 32, 2),
+        ("push<=8x16KB", 16, 8),
+    ] {
         let class = if max_extra == 0 {
             RequestClass::new("page", 2 * 1024)
         } else {
             RequestClass::new("page", 2 * 1024).with_push(resource_kb * 1024, max_extra)
         };
-        for kind in [ServerKind::Hybrid, ServerKind::NettyLike, ServerKind::SingleThread] {
+        for kind in [
+            ServerKind::Hybrid,
+            ServerKind::NettyLike,
+            ServerKind::SingleThread,
+        ] {
             let mut cfg = ExperimentConfig::with_mix(100, Mix::new(vec![(class.clone(), 1.0)]));
             cfg.warmup = warmup;
             cfg.measure = measure;

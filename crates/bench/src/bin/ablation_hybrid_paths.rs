@@ -4,8 +4,8 @@
 //! fractions: the map learns during warm-up and every request takes the
 //! path its class earned.
 
-use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, Table};
 use asyncinv::workload::Mix;
+use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, Table};
 use asyncinv_bench::{banner, fidelity_from_args};
 
 fn main() {

@@ -42,10 +42,7 @@ fn main() {
         ("per-core", SchedPolicy::PerCore { steal: false }),
         ("per-core+steal", SchedPolicy::PerCore { steal: true }),
     ] {
-        let mut cfg = ExperimentConfig::with_mix(
-            16,
-            asyncinv::workload::Mix::heavy_light(0.1),
-        );
+        let mut cfg = ExperimentConfig::with_mix(16, asyncinv::workload::Mix::heavy_light(0.1));
         cfg.warmup = warmup;
         cfg.measure = measure;
         cfg.cpu.cores = 4;

@@ -48,12 +48,10 @@ use asyncinv::dag::{
     dag_audit, dag_span_audit, DagRun, DagSpanStatus, DagSummary, FleetDriver, ServiceGraph,
     SlowTier,
 };
+use asyncinv::figures::Fidelity;
 use asyncinv::fleet::HedgeConfig;
 use asyncinv::{fmt_f64, ServerKind, SimDuration, Table};
-use asyncinv_bench::{
-    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
-};
-use asyncinv::figures::Fidelity;
+use asyncinv_bench::{banner, fidelity_from_args, load_scenario, print_and_export, write_scenario};
 use serde::Serialize;
 
 const SCENARIO: &str = "scenarios/dag_social.json";
@@ -73,13 +71,13 @@ fn scenario() -> ServiceGraph {
     g.tiers[1].kind = ServerKind::AsyncPool; // compose-post
     g.tiers[4].kind = ServerKind::SingleThread; // post-storage
     g.tiers[5].kind = ServerKind::Proactor; // social-graph
-    // Deep pending queue on the shared storage leaf — the bufferbloat
-    // ingredient. A full queue's sojourn time (~8 ms at healthy speed)
-    // is far past the 2.5 ms edge timeout, so once the queue fills,
-    // every call it admits is served for a caller that already gave up:
-    // 100% wasted work at 100% utilization. Whether the system *stays*
-    // there after the brownout lifts is exactly what the retry policy
-    // decides.
+                                            // Deep pending queue on the shared storage leaf — the bufferbloat
+                                            // ingredient. A full queue's sojourn time (~8 ms at healthy speed)
+                                            // is far past the 2.5 ms edge timeout, so once the queue fills,
+                                            // every call it admits is served for a caller that already gave up:
+                                            // 100% wasted work at 100% utilization. Whether the system *stays*
+                                            // there after the brownout lifts is exactly what the retry policy
+                                            // decides.
     g.tiers[4].queue_cap = 512;
     g.arrivals.rate_per_sec = 8000.0;
     g.arrivals.warmup = SimDuration::from_millis(100);
@@ -199,7 +197,11 @@ fn tree_graph(kind: ServerKind, depth: usize, fanout: usize, quick: bool) -> Ser
 /// Part 1: spin amplification across architecture × depth × fan-out.
 /// Returns the JSON rows; bumps `failures` for every violated claim.
 fn amplification(quick: bool, failures: &mut u32) -> Vec<AmpRow> {
-    let kinds = [ServerKind::SingleThread, ServerKind::NettyLike, ServerKind::Proactor];
+    let kinds = [
+        ServerKind::SingleThread,
+        ServerKind::NettyLike,
+        ServerKind::Proactor,
+    ];
     let depths: &[usize] = if quick { &[1, 2] } else { &[1, 2, 3] };
     let fanouts = [1usize, 2];
     println!(
@@ -282,9 +284,7 @@ fn amplification(quick: bool, failures: &mut u32) -> Vec<AmpRow> {
         let shallow = cell(ServerKind::SingleThread, 1, fanout);
         let deep = cell(ServerKind::SingleThread, max_depth, fanout);
         // Calls per request in a full f-ary tree of the given depth.
-        let calls = |d: usize| -> f64 {
-            (0..=d).map(|l| (fanout as f64).powi(l as i32)).sum()
-        };
+        let calls = |d: usize| -> f64 { (0..=d).map(|l| (fanout as f64).powi(l as i32)).sum() };
         let call_ratio = calls(max_depth) / calls(1);
         let amp = deep.spin_per_req / shallow.spin_per_req.max(1e-9);
         // Claim 1b: single-thread spin work compounds multiplicatively
@@ -317,7 +317,10 @@ fn amplification(quick: bool, failures: &mut u32) -> Vec<AmpRow> {
             calls(max_depth),
             call_ratio,
             fmt_f64(netty.spin_per_req, 2),
-            fmt_f64(cell(ServerKind::Proactor, max_depth, fanout).spin_per_req, 2),
+            fmt_f64(
+                cell(ServerKind::Proactor, max_depth, fanout).spin_per_req,
+                2
+            ),
         );
     }
     println!();
@@ -427,9 +430,8 @@ fn metastability(spec: &ServiceGraph, quick: bool, failures: &mut u32) -> Vec<Me
         ("budget 0.1 + hedge", &guarded.summary),
         ("unbudgeted retries", &storm.summary),
     ] {
-        let sums = |f: fn(&asyncinv::dag::TierCounters) -> u64| -> u64 {
-            s.per_tier.iter().map(f).sum()
-        };
+        let sums =
+            |f: fn(&asyncinv::dag::TierCounters) -> u64| -> u64 { s.per_tier.iter().map(f).sum() };
         let row = MetaRow {
             policy: name.into(),
             goodput: s.goodput,
@@ -481,8 +483,14 @@ fn metastability(spec: &ServiceGraph, quick: bool, failures: &mut u32) -> Vec<Me
             phase(format!("{} service", tier.name), sv);
         }
         phase("network".into(), done.iter().map(|s| s.network_ns).sum());
-        phase("retry/hedge wait".into(), done.iter().map(|s| s.wait_ns).sum());
-        println!("critical-path phases, guarded run ({} completed spans):", done.len());
+        phase(
+            "retry/hedge wait".into(),
+            done.iter().map(|s| s.wait_ns).sum(),
+        );
+        println!(
+            "critical-path phases, guarded run ({} completed spans):",
+            done.len()
+        );
         print_and_export("dag_study_phases", &pt);
     }
 

@@ -33,9 +33,7 @@ use asyncinv::fleet::{
     HedgeConfig, ShardFault,
 };
 use asyncinv::{fmt_f64, ExperimentConfig, ServerKind, SimDuration, Table};
-use asyncinv_bench::{
-    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
-};
+use asyncinv_bench::{banner, fidelity_from_args, load_scenario, print_and_export, write_scenario};
 use serde::Serialize;
 
 /// One sweep point, also exported with `--json`.
@@ -234,13 +232,15 @@ fn run_scenario(path: &str, kind: ServerKind) {
     // the browned-out shard's completions no longer inflate the healthy
     // shards' p90, so hedges for healthy-shard attempts stay tight.
     let mut keyed_cfg = scenario.fleet_config(0.1, true);
-    keyed_cfg.hedge = keyed_cfg.hedge.map(|h| HedgeConfig { per_shard: true, ..h });
+    keyed_cfg.hedge = keyed_cfg.hedge.map(|h| HedgeConfig {
+        per_shard: true,
+        ..h
+    });
     let keyed = Cluster::new(keyed_cfg).run(kind);
 
     let storm = Cluster::new(scenario.fleet_config(0.0, false)).run(kind);
 
-    let loss =
-        |s: &FleetSummary| 1.0 - s.fleet.throughput / baseline.fleet.throughput.max(1e-12);
+    let loss = |s: &FleetSummary| 1.0 - s.fleet.throughput / baseline.fleet.throughput.max(1e-12);
     let mut t = Table::new(vec![
         "policy".into(),
         "goodput[req/s]".into(),
@@ -311,13 +311,21 @@ fn run_scenario(path: &str, kind: ServerKind) {
         if contained { "<" } else { ">=" },
         n,
         fmt_f64(1.0 / n as f64, 3),
-        if contained { "CONTAINED" } else { "NOT CONTAINED" },
+        if contained {
+            "CONTAINED"
+        } else {
+            "NOT CONTAINED"
+        },
     );
     println!(
         "propagation: unbudgeted loss {} vs budgeted {}  ->  {}",
         fmt_f64(loss(&storm), 3),
         fmt_f64(loss(&budgeted), 3),
-        if propagated { "STORM SPREADS" } else { "no spread" },
+        if propagated {
+            "STORM SPREADS"
+        } else {
+            "no spread"
+        },
     );
     if !report.pass() {
         std::process::exit(1);
@@ -335,7 +343,8 @@ fn main() {
             // Bare `--json` targets the committed artifact under results/.
             "--json" => {
                 json_out = Some(
-                    args.next().unwrap_or_else(|| "results/fleet-sweep.json".into()),
+                    args.next()
+                        .unwrap_or_else(|| "results/fleet-sweep.json".into()),
                 )
             }
             _ => {}
@@ -355,7 +364,11 @@ fn main() {
     let quick = matches!(fidelity_from_args(), asyncinv::figures::Fidelity::Quick);
     let cell = sweep_cell(quick);
     let shard_counts: &[usize] = if quick { &[2, 4] } else { &[2, 4, 8] };
-    let factors: &[f64] = if quick { &[1.0, 8.0] } else { &[1.0, 4.0, 16.0] };
+    let factors: &[f64] = if quick {
+        &[1.0, 8.0]
+    } else {
+        &[1.0, 4.0, 16.0]
+    };
 
     let mut rows = Vec::new();
     for &balancer in &BalancerKind::ALL {
@@ -373,7 +386,9 @@ fn main() {
     print_and_export("fleet_sweep", &sweep_table(&rows));
 
     if let Some(out) = json_out {
-        if let Some(dir) = std::path::Path::new(&out).parent().filter(|d| !d.as_os_str().is_empty())
+        if let Some(dir) = std::path::Path::new(&out)
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
         {
             std::fs::create_dir_all(dir).expect("mkdir json output dir");
         }

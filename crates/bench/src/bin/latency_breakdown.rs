@@ -103,7 +103,11 @@ fn main() {
             n.to_string(),
             format!("{:.2}ms", per_req_us(agg.total()) / 1000.0),
         ];
-        row.extend(Phase::ALL.iter().map(|&p| fmt_f64(per_req_us(agg.get(p)), 1)));
+        row.extend(
+            Phase::ALL
+                .iter()
+                .map(|&p| fmt_f64(per_req_us(agg.get(p)), 1)),
+        );
         t.row(row);
 
         rows.push(BreakdownRow {

@@ -29,9 +29,7 @@
 use asyncinv::figures::Fidelity;
 use asyncinv::obs::audit;
 use asyncinv::{fmt_f64, Chart, Experiment, HybridPath, RunSummary, ServerKind, Table};
-use asyncinv_bench::{
-    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
-};
+use asyncinv_bench::{banner, fidelity_from_args, load_scenario, print_and_export, write_scenario};
 use serde::{Deserialize, Serialize};
 
 const SCENARIO: &str = "scenarios/proactor_sweep.json";
@@ -80,7 +78,11 @@ fn run_scenario(path: &str, quick: bool) {
         spec.kinds,
         spec.concurrency
     );
-    let fid = if quick { Fidelity::Quick } else { Fidelity::Full };
+    let fid = if quick {
+        Fidelity::Quick
+    } else {
+        Fidelity::Full
+    };
     let mut failures = 0;
     let mut t = Table::new(vec![
         "server".into(),
@@ -103,7 +105,10 @@ fn run_scenario(path: &str, quick: bool) {
             let report = audit(&summary, &rec);
             if !report.pass() {
                 failures += 1;
-                eprintln!("{} @ {size}B scenario audit failure:\n{report}", summary.server);
+                eprintln!(
+                    "{} @ {size}B scenario audit failure:\n{report}",
+                    summary.server
+                );
             }
             t.row(vec![
                 summary.server.clone(),
@@ -112,7 +117,11 @@ fn run_scenario(path: &str, quick: bool) {
                 summary.sq_submits.to_string(),
                 summary.sq_flushes.to_string(),
                 summary.cq_reaps.to_string(),
-                if report.pass() { "ok".into() } else { "FAIL".into() },
+                if report.pass() {
+                    "ok".into()
+                } else {
+                    "FAIL".into()
+                },
             ]);
         }
     }
@@ -197,7 +206,10 @@ fn main() {
 
     // --- The crossover figure: crossings/req vs response size. ---
     let series_for = |kind: ServerKind| -> Vec<(f64, f64)> {
-        let idx = ServerKind::ALL.iter().position(|&k| k == kind).expect("kind in ALL");
+        let idx = ServerKind::ALL
+            .iter()
+            .position(|&k| k == kind)
+            .expect("kind in ALL");
         sizes
             .iter()
             .zip(&runs)
@@ -217,7 +229,10 @@ fn main() {
     // --- The claims the figure makes, asserted. ---
     let idx = |kind: ServerKind| ServerKind::ALL.iter().position(|&k| k == kind).unwrap();
     let small = &runs[0];
-    let (pro, net) = (&small[idx(ServerKind::Proactor)], &small[idx(ServerKind::NettyLike)]);
+    let (pro, net) = (
+        &small[idx(ServerKind::Proactor)],
+        &small[idx(ServerKind::NettyLike)],
+    );
     let mut failures = 0;
     if pro.crossings_per_req >= net.crossings_per_req || pro.crossings_per_req <= 0.0 {
         failures += 1;
@@ -248,19 +263,17 @@ fn main() {
     let batch = p.sq_submits as f64 / p.sq_flushes.max(1) as f64;
     if batch <= 1.0 {
         failures += 1;
-        eprintln!("FAIL: submission batching factor {batch:.2} <= 1 at {}B", sizes[0]);
+        eprintln!(
+            "FAIL: submission batching factor {batch:.2} <= 1 at {}B",
+            sizes[0]
+        );
     }
     println!(
         "\nheadline: {}B  proactor {:.2} vs netty {:.2} crossings/req \
          (batch {batch:.1} SQE/flush, 0 write-spin at every size)",
         sizes[0], pro.crossings_per_req, net.crossings_per_req
     );
-    asyncinv_bench::export_observability_micro(
-        "proactor_sweep",
-        conc,
-        100,
-        ServerKind::Proactor,
-    );
+    asyncinv_bench::export_observability_micro("proactor_sweep", conc, 100, ServerKind::Proactor);
     if failures > 0 {
         std::process::exit(1);
     }

@@ -36,9 +36,7 @@ use asyncinv::{
     fmt_f64, Experiment, ExperimentConfig, ServerKind, ShedConfig, ShedPolicy, SimDuration,
     SimTime, Table,
 };
-use asyncinv_bench::{
-    banner, fidelity_from_args, load_scenario, print_and_export, write_scenario,
-};
+use asyncinv_bench::{banner, fidelity_from_args, load_scenario, print_and_export, write_scenario};
 use serde::Serialize;
 
 const SCENARIO: &str = "scenarios/retry_storm.json";
@@ -94,12 +92,7 @@ impl PhaseObserver {
     /// Time from `fault_end` until the per-bin goodput first returns to
     /// 90% of `before` (and the retry stream has dried up), or `None` if
     /// it never does before `end` — the hysteresis measurement.
-    fn recovery_time(
-        &self,
-        fault_end: SimTime,
-        end: SimTime,
-        before: f64,
-    ) -> Option<SimDuration> {
+    fn recovery_time(&self, fault_end: SimTime, end: SimTime, before: f64) -> Option<SimDuration> {
         let per_bin = before * self.bin.as_secs_f64() * 0.9;
         let (a, b) = (self.index(fault_end), self.index(end));
         for i in a..b {
@@ -306,8 +299,7 @@ fn sweep_table(rows: &[SweepRow]) -> Table {
             fmt_f64(r.during, 1),
             fmt_f64(r.after, 1),
             fmt_f64(r.recovery, 3),
-            r.recovered_ms
-                .map_or("never".into(), |ms| fmt_f64(ms, 0)),
+            r.recovered_ms.map_or("never".into(), |ms| fmt_f64(ms, 0)),
             fmt_f64(r.attempts_per_req, 3),
             r.timeouts.to_string(),
             r.retries.to_string(),
@@ -361,7 +353,11 @@ fn run_scenario(path: &str, quick: bool) {
             summary.timeouts.to_string(),
             summary.retries.to_string(),
             summary.abandoned.to_string(),
-            if report.pass() { "ok".into() } else { "FAIL".into() },
+            if report.pass() {
+                "ok".into()
+            } else {
+                "FAIL".into()
+            },
         ]);
     }
     print_and_export("resilience_scenario", &t);
@@ -422,7 +418,10 @@ fn main() {
             rows.push(run_point(&c, &phases, kind, name, "-", factor));
         }
     }
-    println!("fault intensity x retry policy ({}, slowdown for measure/4):", baseline.server);
+    println!(
+        "fault intensity x retry policy ({}, slowdown for measure/4):",
+        baseline.server
+    );
     print_and_export("resilience_sweep", &sweep_table(&rows));
 
     // --- 2. Server-side shedding under the heaviest storm. ---

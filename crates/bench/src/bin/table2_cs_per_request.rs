@@ -14,7 +14,11 @@ fn main() {
         "4 (reactor dispatches read+write separately) / 2 (merged) / 0 / 0",
     );
     let rows = asyncinv::figures::table2_cs_per_request(fidelity_from_args());
-    let mut t = Table::new(vec!["server".into(), "cs/req (measured)".into(), "paper".into()]);
+    let mut t = Table::new(vec![
+        "server".into(),
+        "cs/req (measured)".into(),
+        "paper".into(),
+    ]);
     t.numeric();
     let paper = ["4", "2", "0", "0"];
     for (r, p) in rows.iter().zip(paper) {

@@ -138,7 +138,11 @@ fn main() {
                 fmt_f64(per_req(TraceKind::ThreadDispatch), 3),
                 fmt_f64(per_req(TraceKind::WriteCall), 3),
                 fmt_f64(per_req(TraceKind::WriteSpin), 3),
-                if report.pass() { "ok".into() } else { "FAIL".into() },
+                if report.pass() {
+                    "ok".into()
+                } else {
+                    "FAIL".into()
+                },
             ]);
             if !report.pass() {
                 failures += 1;

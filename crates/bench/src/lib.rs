@@ -86,7 +86,10 @@ pub fn apply_threads_arg() -> Option<usize> {
 /// per-artifact binaries spawned by `repro_all` inherit them. Returns the
 /// (trace, metrics) directories in effect, if any.
 pub fn apply_obs_args() -> (Option<String>, Option<String>) {
-    for (flag, env) in [("--trace-out", TRACE_OUT_ENV), ("--metrics-out", METRICS_OUT_ENV)] {
+    for (flag, env) in [
+        ("--trace-out", TRACE_OUT_ENV),
+        ("--metrics-out", METRICS_OUT_ENV),
+    ] {
         let mut args = std::env::args();
         while let Some(a) = args.next() {
             let value = if a == flag {
@@ -106,7 +109,10 @@ pub fn apply_obs_args() -> (Option<String>, Option<String>) {
             }
         }
     }
-    (std::env::var(TRACE_OUT_ENV).ok(), std::env::var(METRICS_OUT_ENV).ok())
+    (
+        std::env::var(TRACE_OUT_ENV).ok(),
+        std::env::var(METRICS_OUT_ENV).ok(),
+    )
 }
 
 /// Runs one representative traced cell for `artifact` and writes the
@@ -170,11 +176,19 @@ fn write_exports(
         }
     };
     if let Some(dir) = trace_dir {
-        write(dir, format!("{artifact}.trace.json"), rec.chrome_trace_json());
+        write(
+            dir,
+            format!("{artifact}.trace.json"),
+            rec.chrome_trace_json(),
+        );
         write(dir, format!("{artifact}.trace.jsonl"), rec.jsonl());
     }
     if let Some(dir) = metrics_dir {
-        write(dir, format!("{artifact}.metrics.json"), rec.registry().to_json());
+        write(
+            dir,
+            format!("{artifact}.metrics.json"),
+            rec.registry().to_json(),
+        );
     }
 }
 
@@ -291,8 +305,8 @@ pub fn print_and_export(name: &str, table: &Table) {
     println!("{table}");
     if let Ok(dir) = std::env::var("ASYNCINV_CSV_DIR") {
         let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(&path, table.to_csv()))
+        if let Err(e) =
+            std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, table.to_csv()))
         {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
@@ -323,7 +337,9 @@ pub fn load_scenario<T: Deserialize + PartialEq + std::fmt::Debug>(
         std::process::exit(2);
     };
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        fail(format!(" could not be read (regenerate with --write-scenario): {e}"))
+        fail(format!(
+            " could not be read (regenerate with --write-scenario): {e}"
+        ))
     });
     let scenario: T = serde_json::from_str(&body)
         .unwrap_or_else(|e| fail(format!(" is not a valid scenario: {e}")));

@@ -248,7 +248,10 @@ fn read_request(stream: &mut TcpStream) -> io::Result<usize> {
         }
         buf.push(one[0]);
         if buf.len() > 256 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "request too long"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "request too long",
+            ));
         }
     }
     let line = String::from_utf8_lossy(&buf).into_owned();
