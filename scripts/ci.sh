@@ -43,8 +43,9 @@ cargo clippy -q --no-deps --workspace --all-targets \
 
 # Formatting is gated for the packages formatted so far; ROADMAP.md lists
 # the rest of the workspace.
-echo "== gate: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers) =="
-cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers
+echo "== gate: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers, asyncinv-bench, asyncinv-rt) =="
+cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers \
+    -p asyncinv-bench -p asyncinv-rt
 
 echo "== gate: dag scenario (drift check + dag/span audits) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \

@@ -24,8 +24,9 @@ cargo clippy -q --no-deps --workspace --all-targets \
     --exclude proptest --exclude serde --exclude serde_derive --exclude serde_json \
     -- -D warnings
 
-echo "== static analysis: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers) =="
-cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers
+echo "== static analysis: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers, asyncinv-bench, asyncinv-rt) =="
+cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers \
+    -p asyncinv-bench -p asyncinv-rt
 
 echo "== tests =="
 cargo test -q
