@@ -85,8 +85,7 @@ pub enum TraceKind {
     /// (initial send, an edge retry's re-send, or a hedge duplicate);
     /// `conn` is the root request, `thread` is the destination tier node,
     /// `class` is the call-instance id and `arg` is the edge index.
-    /// Emitted only by non-trivial service graphs (a 1-tier graph is
-    /// bit-identical to the bare fleet driver and emits none).
+    /// A one-tier graph has no edges and emits none.
     DagDispatch,
     /// An awaited edge reply joined at the calling tier: the caller
     /// accepted a child call's response. `thread` is the *calling* tier
