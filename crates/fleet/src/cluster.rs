@@ -14,18 +14,18 @@
 //! starts service, so a response in service always reads its own size
 //! and class.
 
-use asyncinv_cpu::{CpuEvent, CpuModel, SchedEvent, ThreadId};
+use asyncinv_cpu::CpuEvent;
 use asyncinv_fault::CompiledPlan;
 use asyncinv_metrics::{ClassSummary, CpuShare, Histogram, RunSummary, ThroughputWindow};
 use asyncinv_obs::{
-    audit, AuditCheck, AuditReport, NoopObserver, Observer, Recorder, TraceEvent, TraceKind, NONE,
+    audit, AuditCheck, AuditReport, NoopObserver, Observer, Recorder, TraceEvent, TraceKind,
 };
 use asyncinv_servers::{
-    spin_horizon, trace_codes, ConnInfo, Ctx, ExperimentConfig, ServerKind, ServerModel,
+    spin_horizon, trace_codes, ConnInfo, ExperimentConfig, Machine, ServerKind, ServerModel,
     ShedConfig, ShedPolicy,
 };
 use asyncinv_simcore::{LaneQueue, SimDuration, SimTime, Simulation};
-use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
+use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice};
 use asyncinv_workload::{ClientEvent, ClientPool, RetryBudget, RtoEstimator, TimeoutMode, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -332,14 +332,10 @@ impl Counters {
 /// One shard: a full simulated machine + architecture instance.
 struct Shard<'s> {
     server: &'s mut dyn ServerModel,
-    cpu: CpuModel,
-    tcp: TcpWorld,
-    /// The spec of the attempt in service on each connection (or of the
-    /// last one served), as `Ctx` shows it to the architecture. Written
-    /// only where an attempt takes the connection.
-    conn_info: Vec<ConnInfo>,
-    cpu_out: Vec<(SimTime, CpuEvent)>,
-    tcp_out: Vec<(SimTime, TcpEvent)>,
+    /// The machine hosting `server`. Its `conn_info` holds the spec of
+    /// the attempt in service on each connection (or of the last one
+    /// served), written only where an attempt takes the connection.
+    machine: Machine,
     /// Shard-local attempt epochs per user (monotone; identity of an
     /// attempt on this shard is `(shard, epoch)`).
     epoch: Vec<u32>,
@@ -350,46 +346,15 @@ struct Shard<'s> {
     serving_count: usize,
     shed: Option<ShedConfig>,
     compiled: CompiledPlan,
-    /// Global thread-id offset of this shard's threads in merged traces.
-    thread_base: u32,
     cnt: Counters,
 }
 
-/// Observer adapter that offsets shard-local thread ids into the fleet's
-/// merged thread-id space. Transparent when `base == 0` (shard 0), which
-/// keeps a single-server `Experiment`'s thread ids shard-local.
-struct ShardObs<'a> {
-    inner: &'a mut dyn Observer,
-    base: u32,
-}
-
-impl Observer for ShardObs<'_> {
-    fn is_enabled(&self) -> bool {
-        self.inner.is_enabled()
-    }
-    fn record(&mut self, mut ev: TraceEvent) {
-        if ev.thread != NONE {
-            ev.thread += self.base;
-        }
-        self.inner.record(ev);
-    }
-    fn run_window(&mut self, start: SimTime, end: SimTime) {
-        self.inner.run_window(start, end);
-    }
-    fn window_open(&mut self, now: SimTime) {
-        self.inner.window_open(now);
-    }
-    fn thread_name(&mut self, thread: usize, name: &str) {
-        self.inner.thread_name(thread + self.base as usize, name);
-    }
-    fn counter(&mut self, name: &str, value: u64) {
-        self.inner.counter(name, value);
-    }
-    fn gauge(&mut self, name: &str, value: f64) {
-        self.inner.gauge(name, value);
-    }
-    fn sample(&mut self, name: &str, value: u64) {
-        self.inner.sample(name, value);
+impl Shard<'_> {
+    /// `true` while this shard's shedder is saturated: service slots full
+    /// or arrivals queued.
+    fn shed_active(&self) -> bool {
+        self.shed
+            .is_some_and(|sc| self.serving_count >= sc.max_concurrent || !self.accept_q.is_empty())
     }
 }
 
@@ -543,23 +508,16 @@ pub(crate) fn drive(
     let mut clients = ClientPool::new(cell.clients.clone());
     let mut bal = cfg.balancer.build(n_shards);
 
+    let obs_on = obs.is_enabled();
     // Each shard's state in an allocation of its own: measured faster
     // than one contiguous `Vec<Shard>` on one-shard and 8-shard grids.
     let mut shards: Vec<Box<Shard>> = servers
         .into_iter()
         .enumerate()
         .map(|(s, server)| {
-            let mut tcp = TcpWorld::new(cell.tcp.clone());
-            for _ in 0..n {
-                tcp.open(SimTime::ZERO);
-            }
             Box::new(Shard {
                 server,
-                cpu: CpuModel::new(cell.cpu.clone()),
-                tcp,
-                conn_info: vec![ConnInfo::default(); n],
-                cpu_out: Vec::new(),
-                tcp_out: Vec::new(),
+                machine: Machine::new(cell, n, obs_on),
                 epoch: vec![0; n],
                 serving: vec![None; n],
                 pending_arrival: vec![None; n],
@@ -577,7 +535,6 @@ pub(crate) fn drive(
                     .find(|e| e.shard == s)
                     .map(|e| e.plan.compile(n, &cell.tcp))
                     .unwrap_or_default(),
-                thread_base: 0,
                 cnt: Counters::default(),
             })
         })
@@ -623,51 +580,22 @@ pub(crate) fn drive(
     let n_classes = cell.clients.mix.classes().len();
     let mut class_hist: Vec<Histogram> = (0..n_classes).map(|_| Histogram::new()).collect();
 
-    let obs_on = obs.is_enabled();
     if obs_on {
         obs.run_window(warm_end, end);
-        for sh in shards.iter_mut() {
-            sh.cpu.record_sched(true);
-        }
     }
 
-    // Dispatches one server callback on shard `$s` with a fresh `Ctx`
-    // over that shard's machine (flush afterwards). Evaluates to the
-    // callback's clock at return, which a retired write spin moves
-    // up to `$horizon` (the callback's own instant for every other
-    // callback). The `@with` arm evaluates `$body` with the shard bound
-    // to `$sh` and its `Ctx` to `$cx`, for the driver's own writes.
+    // Dispatches one server callback at `$now` on shard `$s`'s machine
+    // (flush afterwards). The `@with` arm evaluates `$body` with the
+    // shard bound to `$sh` and its `Ctx` to `$cx`, for the driver's own
+    // writes. Burst completions go through `Machine::on_cpu` instead.
     macro_rules! dispatch {
         ($now:expr, $s:expr, $method:ident $(, $arg:expr)*) => {
-            dispatch!(@at $now, $now, $s, $method $(, $arg)*)
+            dispatch!(@with $now, $s, |sh, cx| sh.server.$method(&mut cx $(, $arg)*))
         };
-        (@at $now:expr, $horizon:expr, $s:expr, $method:ident $(, $arg:expr)*) => {
-            dispatch!(@with $now, $horizon, $s, |sh, cx| {
-                sh.server.$method(&mut cx $(, $arg)*);
-                cx.now()
-            })
-        };
-        (@with $now:expr, $horizon:expr, $s:expr, |$sh:ident, $cx:ident| $body:expr) => {{
+        (@with $now:expr, $s:expr, |$sh:ident, $cx:ident| $body:expr) => {{
             let $sh = &mut shards[$s];
-            let mut sobs = ShardObs { inner: &mut *obs, base: $sh.thread_base };
-            // This shard's shedder is saturated (slots full or
-            // arrivals queued).
-            let shed_active = $sh
-                .shed
-                .is_some_and(|sc| $sh.serving_count >= sc.max_concurrent || !$sh.accept_q.is_empty());
-            let mut $cx = Ctx::for_driver(
-                $now,
-                $horizon,
-                &mut $sh.cpu,
-                &mut $sh.tcp,
-                &cell.profile,
-                &$sh.conn_info,
-                &mut $sh.cpu_out,
-                &mut $sh.tcp_out,
-                &mut sobs,
-                obs_on,
-                shed_active,
-            );
+            let shed_active = $sh.shed_active();
+            let mut $cx = $sh.machine.ctx($now, $now, &mut *obs, shed_active);
             $body
         }};
     }
@@ -684,35 +612,15 @@ pub(crate) fn drive(
     macro_rules! flush {
         ($r:expr) => {{
             let r: std::ops::Range<usize> = $r;
-            if obs_on {
-                for sh in &mut shards[r.clone()] {
-                    let base = sh.thread_base as usize;
-                    for se in sh.cpu.drain_sched_log() {
-                        match se {
-                            SchedEvent::Switch {
-                                at,
-                                thread,
-                                migrated,
-                            } => trace(
-                                obs,
-                                TraceEvent::new(at, TraceKind::ThreadDispatch)
-                                    .thread(thread.0 + base)
-                                    .arg(migrated as u64),
-                            ),
-                            SchedEvent::Park { at, thread } => trace(
-                                obs,
-                                TraceEvent::new(at, TraceKind::ThreadPark).thread(thread.0 + base),
-                            ),
-                        }
-                    }
-                }
+            for sh in &mut shards[r.clone()] {
+                sh.machine.trace_sched(obs);
             }
             // Most events leave most buffers empty: skip those without
             // building a drain.
             for s in r.clone() {
-                let sh = &mut shards[s];
-                if !sh.cpu_out.is_empty() {
-                    for (t, e) in sh.cpu_out.drain(..) {
+                let m = &mut shards[s].machine;
+                if !m.cpu_out.is_empty() {
+                    for (t, e) in m.cpu_out.drain(..) {
                         sim.schedule_routed(
                             t,
                             FleetEvent::Cpu {
@@ -724,9 +632,9 @@ pub(crate) fn drive(
                 }
             }
             for s in r {
-                let sh = &mut shards[s];
-                if !sh.tcp_out.is_empty() {
-                    for (t, e) in sh.tcp_out.drain(..) {
+                let m = &mut shards[s].machine;
+                if !m.tcp_out.is_empty() {
+                    for (t, e) in m.tcp_out.drain(..) {
                         sim.schedule_routed(
                             t,
                             FleetEvent::Tcp {
@@ -738,9 +646,9 @@ pub(crate) fn drive(
                 }
             }
             debug_assert!(
-                shards.iter().all(|sh| sh.cpu_out.is_empty()
-                    && sh.tcp_out.is_empty()
-                    && sh.cpu.sched_log_is_empty()),
+                shards.iter().all(|sh| sh.machine.cpu_out.is_empty()
+                    && sh.machine.tcp_out.is_empty()
+                    && sh.machine.cpu.sched_log_is_empty()),
                 "an event left output in a shard it does not name"
             );
             if !cl_out.is_empty() {
@@ -891,7 +799,7 @@ pub(crate) fn drive(
             {
                 let spec: ConnInfo = $spec;
                 let sh = &mut shards[$s];
-                sh.conn_info[$conn] = spec;
+                sh.machine.conn_info[$conn] = spec;
                 sh.serving[$conn] = Some(Serving {
                     epoch: $ep,
                     remaining: spec.response_bytes,
@@ -997,8 +905,8 @@ pub(crate) fn drive(
                             // The rejected attempt takes the connection,
                             // and the driver writes the rejection
                             // through the shard's `Ctx`.
-                            shards[$s].conn_info[$conn] = spec;
-                            let written = dispatch!(@with $now, $now, $s, |_sh, cx| {
+                            shards[$s].machine.conn_info[$conn] = spec;
+                            let written = dispatch!(@with $now, $s, |_sh, cx| {
                                 cx.write(ConnId($conn), sc.reject_bytes)
                             });
                             if written > 0 {
@@ -1201,23 +1109,12 @@ pub(crate) fn drive(
     // through `shards`, which an iterator borrow would pin.
     #[allow(clippy::needless_range_loop)]
     for s in 0..n_shards {
-        shards[s].thread_base = base;
+        shards[s].machine.thread_base = base;
         dispatch!(SimTime::ZERO, s, init, n);
-        base += shards[s].cpu.thread_count() as u32;
+        base += shards[s].machine.cpu.thread_count() as u32;
     }
-    // Architectures spawn every thread in `init`, so one naming pass
-    // covers the run.
-    if obs_on {
-        for (s, sh) in shards.iter().enumerate() {
-            for i in 0..sh.cpu.thread_count() {
-                let name = sh.cpu.thread_name(ThreadId(i));
-                if multi {
-                    obs.thread_name(sh.thread_base as usize + i, &format!("s{s}/{name}"));
-                } else {
-                    obs.thread_name(i, name);
-                }
-            }
-        }
+    for (s, sh) in shards.iter().enumerate() {
+        sh.machine.name_threads(obs, multi.then_some(s));
     }
     clients.start(&mut cl_out);
     for (s, sh) in shards.iter().enumerate() {
@@ -1244,8 +1141,13 @@ pub(crate) fn drive(
             snap = shards
                 .iter()
                 .map(|sh| {
-                    let uring = sh.server.uring_stats().unwrap_or_default();
-                    (*sh.cpu.stats(), sh.tcp.stats(), sh.cnt, uring)
+                    let (m, uring) = (&sh.machine, sh.server.uring_stats());
+                    (
+                        *m.cpu.stats(),
+                        m.tcp.stats(),
+                        sh.cnt,
+                        uring.unwrap_or_default(),
+                    )
                 })
                 .collect();
             timeouts_snap = timeouts;
@@ -1372,13 +1274,14 @@ pub(crate) fn drive(
                             TraceEvent::new(now, TraceKind::FaultInject).arg(top.code as u64),
                         );
                     }
+                    let m = &mut sh.machine;
                     asyncinv_fault::apply(
                         &top.op,
                         now,
-                        &mut sh.tcp,
-                        &mut sh.cpu,
-                        &mut sh.tcp_out,
-                        &mut sh.cpu_out,
+                        &mut m.tcp,
+                        &mut m.cpu,
+                        &mut m.tcp_out,
+                        &mut m.cpu_out,
                     )
                 };
                 for (c, dropped) in outcome.resets {
@@ -1409,28 +1312,24 @@ pub(crate) fn drive(
             }
             FleetEvent::Cpu { shard, ev } => {
                 let s = shard as usize;
-                let done = {
-                    let sh = &mut shards[s];
-                    sh.cpu.on_event(now, ev, &mut sh.cpu_out)
-                };
-                if let Some(done) = done {
-                    let horizon = if fast_forward {
+                let sh = &mut shards[s];
+                let shed_active = sh.shed_active();
+                let horizon = || {
+                    if fast_forward {
                         spin_horizon(sim.peek_time(), warm_end, end, snapped)
                     } else {
                         now
-                    };
-                    // A retired write spin moves the callback's clock.
-                    let after = dispatch!(@at now, horizon, s, on_burst, done.thread, done.tag);
-                    let sh = &mut shards[s];
-                    sh.cpu.finish_turn(after, done.thread, &mut sh.cpu_out);
-                }
+                    }
+                };
+                sh.machine
+                    .on_cpu(&mut *sh.server, now, ev, horizon, obs, shed_active);
                 Some(s)
             }
             FleetEvent::Tcp { shard, ev } => {
                 let s = shard as usize;
                 let notice = {
-                    let sh = &mut shards[s];
-                    sh.tcp.on_event(now, ev, &mut sh.tcp_out)
+                    let m = &mut shards[s].machine;
+                    m.tcp.on_event(now, ev, &mut m.tcp_out)
                 };
                 match notice {
                     TcpNotice::SpaceFreed { conn, space } => {
@@ -1440,7 +1339,7 @@ pub(crate) fn drive(
                                     obs,
                                     TraceEvent::new(now, TraceKind::SendBufDrain)
                                         .conn(conn.0)
-                                        .class(shards[s].conn_info[conn.0].class)
+                                        .class(shards[s].machine.conn_info[conn.0].class)
                                         .arg(space as u64),
                                 );
                             }
@@ -1500,9 +1399,9 @@ pub(crate) fn drive(
     let mut sys_sum = 0.0;
     let mut util_sum = 0.0;
     for (s, (sh, (cpu0, tcp0, cnt0, uring0))) in shards.iter().zip(&snap).enumerate() {
-        let cd = sh.cpu.stats().delta_since(cpu0);
+        let cd = sh.machine.cpu.stats().delta_since(cpu0);
         let bd = cd.breakdown(cell.measure, cell.cpu.cores);
-        let ts = sh.tcp.stats();
+        let ts = sh.machine.tcp.stats();
         let w = ts.write_calls - tcp0.write_calls;
         let z = ts.zero_writes - tcp0.zero_writes;
         let d = sh.cnt.delta(cnt0);

@@ -1,18 +1,20 @@
-//! One experiment cell's configuration and the server models' handle onto
-//! a simulated machine ([`Ctx`]).
+//! One experiment cell's configuration, the simulated machine that hosts a
+//! server model ([`Machine`]) and the model's handle onto it ([`Ctx`]).
 //!
 //! The drive loop that runs a cell lives in `asyncinv-fleet`: its
-//! `Experiment` is the one-shard case of the fleet's `Cluster`, and every
-//! architecture here is hosted through [`Ctx::for_driver`]. The RUBBoS
-//! macro engine ([`crate::rubbos_engine`]) keeps a loop of its own.
+//! `Experiment` is the one-shard case of the fleet's `Cluster`. The RUBBoS
+//! macro engine ([`crate::rubbos_engine`]) keeps a loop of its own. Both
+//! loops host every architecture on a [`Machine`]; each keeps its own
+//! queue and the order in which it schedules the machine's output.
 
-use asyncinv_cpu::{Burst, CpuConfig, CpuEvent, CpuModel, ThreadId};
+use asyncinv_cpu::{Burst, CpuConfig, CpuEvent, CpuModel, SchedEvent, ThreadId};
 use asyncinv_fault::FaultPlan;
 use asyncinv_obs::{Observer, TraceEvent, TraceKind};
 use asyncinv_simcore::{SimDuration, SimTime};
 use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpWorld};
 use asyncinv_workload::{ArrivalMode, ClientConfig, Mix, RetryPolicy, ThinkTime};
 
+use crate::arch::ServerModel;
 use crate::profile::ServiceProfile;
 use serde::{Deserialize, Serialize};
 
@@ -224,9 +226,8 @@ impl ExperimentConfig {
 }
 
 /// Per-connection request info exposed to server models (what the server
-/// learns by parsing the request). Public so external drivers (the fleet
-/// layer in `asyncinv-fleet`) can host architectures through
-/// [`Ctx::for_driver`].
+/// learns by parsing the request). A drive loop writes it into
+/// [`Machine::conn_info`] when a request starts service.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnInfo {
     /// Response size in bytes of the request in service on the connection.
@@ -235,23 +236,162 @@ pub struct ConnInfo {
     pub class: usize,
 }
 
-/// The server model's handle onto the simulated machine: submit CPU bursts,
+/// One simulated machine hosting a server model: its CPU scheduler, its
+/// network with every connection open at time zero, its cost model, the
+/// request info it shows the model, and the substrate output of the last
+/// callback. Both drive loops host architectures through it.
+///
+/// A `Machine` schedules nothing. After each callback the drive loop
+/// schedules what it left behind, in an order of the loop's choosing:
+/// the scheduler log ([`Machine::trace_sched`]), then `cpu_out`, then
+/// `tcp_out`. That order sets the FIFO tie-breaks among same-instant
+/// events, which the pinned fixtures depend on.
+#[derive(Debug)]
+pub struct Machine {
+    /// The machine's CPU scheduler.
+    pub cpu: CpuModel,
+    /// The machine's network; connection `i` is client `i`'s.
+    pub tcp: TcpWorld,
+    profile: ServiceProfile,
+    /// The spec of the request in service on each connection (or of the
+    /// last one served), as [`Ctx`] shows it to the model.
+    pub conn_info: Vec<ConnInfo>,
+    /// CPU events produced since the drive loop last scheduled them.
+    pub cpu_out: Vec<(SimTime, CpuEvent)>,
+    /// Network events produced since the drive loop last scheduled them.
+    pub tcp_out: Vec<(SimTime, TcpEvent)>,
+    /// Offset of this machine's thread ids in a trace that merges several
+    /// machines (0 for the first, or only, one).
+    pub thread_base: u32,
+    /// Whether the run is traced: the scheduler log is on and [`Ctx`]
+    /// records events.
+    traced: bool,
+}
+
+impl Machine {
+    /// A machine for `cfg`'s CPU, network and cost model with `conns`
+    /// connections open at time zero. A `traced` machine logs its
+    /// scheduler for [`Machine::trace_sched`]; pass the observer's
+    /// `is_enabled()`.
+    pub fn new(cfg: &ExperimentConfig, conns: usize, traced: bool) -> Self {
+        let mut cpu = CpuModel::new(cfg.cpu.clone());
+        cpu.record_sched(traced);
+        let mut tcp = TcpWorld::new(cfg.tcp.clone());
+        for _ in 0..conns {
+            tcp.open(SimTime::ZERO);
+        }
+        Machine {
+            cpu,
+            tcp,
+            profile: cfg.profile.clone(),
+            conn_info: vec![ConnInfo::default(); conns],
+            cpu_out: Vec::new(),
+            tcp_out: Vec::new(),
+            thread_base: 0,
+            traced,
+        }
+    }
+
+    /// The context for one callback at `now`. `horizon` is the earliest
+    /// instant of any event the drive loop still has pending
+    /// ([`spin_horizon`]); write-spin iterations completing strictly before
+    /// it are retired inline by [`Ctx::spin_write`], and passing `now`
+    /// retires nothing. `shed_active` is the loop's load-shedder state
+    /// ([`Ctx::shed_active`]).
+    pub fn ctx<'a>(
+        &'a mut self,
+        now: SimTime,
+        horizon: SimTime,
+        obs: &'a mut dyn Observer,
+        shed_active: bool,
+    ) -> Ctx<'a> {
+        Ctx {
+            now,
+            m: self,
+            obs,
+            shed_active,
+            horizon,
+        }
+    }
+
+    /// Delivers CPU event `ev` at `now`. When it completes a burst, the
+    /// model's [`on_burst`](crate::ServerModel::on_burst) runs with the
+    /// spin horizon `horizon()` (read after the event, so it sees the
+    /// queue as the completion does), and the thread's turn ends at the
+    /// callback's clock, which a retired write spin moves.
+    pub fn on_cpu(
+        &mut self,
+        server: &mut dyn ServerModel,
+        now: SimTime,
+        ev: CpuEvent,
+        horizon: impl FnOnce() -> SimTime,
+        obs: &mut dyn Observer,
+        shed_active: bool,
+    ) {
+        if let Some(done) = self.cpu.on_event(now, ev, &mut self.cpu_out) {
+            let after = {
+                let mut cx = self.ctx(now, horizon(), obs, shed_active);
+                server.on_burst(&mut cx, done.thread, done.tag);
+                cx.now()
+            };
+            self.cpu.finish_turn(after, done.thread, &mut self.cpu_out);
+        }
+    }
+
+    /// Records the scheduler log as `ThreadDispatch` and `ThreadPark`
+    /// events at this machine's thread ids, emptying it. Does nothing on
+    /// an untraced machine, whose log stays empty.
+    #[inline]
+    pub fn trace_sched(&mut self, obs: &mut dyn Observer) {
+        if !self.traced {
+            return;
+        }
+        let base = self.thread_base as usize;
+        for se in self.cpu.drain_sched_log() {
+            obs.record(match se {
+                SchedEvent::Switch {
+                    at,
+                    thread,
+                    migrated,
+                } => TraceEvent::new(at, TraceKind::ThreadDispatch)
+                    .thread(thread.0 + base)
+                    .arg(migrated as u64),
+                SchedEvent::Park { at, thread } => {
+                    TraceEvent::new(at, TraceKind::ThreadPark).thread(thread.0 + base)
+                }
+            });
+        }
+    }
+
+    /// Names every thread in a traced run's observer, at this machine's
+    /// thread ids; a fleet `shard` prefixes each name with `s{shard}/`.
+    /// Architectures spawn every thread in `init`, so one pass after it
+    /// covers the run.
+    pub fn name_threads(&self, obs: &mut dyn Observer, shard: Option<usize>) {
+        if !self.traced {
+            return;
+        }
+        for i in 0..self.cpu.thread_count() {
+            let id = self.thread_base as usize + i;
+            let name = self.cpu.thread_name(ThreadId(i));
+            match shard {
+                Some(s) => obs.thread_name(id, &format!("s{s}/{name}")),
+                None => obs.thread_name(id, name),
+            }
+        }
+    }
+}
+
+/// The server model's handle onto its [`Machine`]: submit CPU bursts,
 /// perform socket writes, inspect the current request.
 ///
-/// A fresh `Ctx` is constructed for every callback; follow-up events the
-/// substrates produce are flushed to the simulation queue by the drive
-/// loop after the callback returns.
+/// A fresh `Ctx` is built for every callback ([`Machine::ctx`]); follow-up
+/// events the substrates produce are scheduled by the drive loop after
+/// the callback returns.
 pub struct Ctx<'a> {
     now: SimTime,
-    cpu: &'a mut CpuModel,
-    tcp: &'a mut TcpWorld,
-    profile: &'a ServiceProfile,
-    conn_info: &'a [ConnInfo],
-    cpu_out: &'a mut Vec<(SimTime, CpuEvent)>,
-    tcp_out: &'a mut Vec<(SimTime, TcpEvent)>,
+    m: &'a mut Machine,
     obs: &'a mut dyn Observer,
-    /// Cached `obs.is_enabled()` so the disabled path is one local branch.
-    obs_on: bool,
     /// `true` while the driver's load shedder is saturated (service slots
     /// exhausted or arrivals parked in the accept queue). Architectures
     /// with adaptive policies (the hybrid router's reclassification) freeze
@@ -269,54 +409,12 @@ impl std::fmt::Debug for Ctx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("now", &self.now)
-            .field("obs_on", &self.obs_on)
+            .field("traced", &self.m.traced)
             .finish_non_exhaustive()
     }
 }
 
-impl<'a> Ctx<'a> {
-    /// Builds a context for a drive loop hosting a [`ServerModel`]: the
-    /// fleet loop in `asyncinv-fleet` (one machine, network and
-    /// architecture per shard) and the RUBBoS engine's Tomcat tier. Drivers
-    /// must construct a fresh `Ctx` per callback and flush `cpu_out` /
-    /// `tcp_out` into the simulation queue after the callback returns.
-    ///
-    /// `horizon` is the earliest instant of any event the driver still has
-    /// pending ([`spin_horizon`]); write-spin iterations completing strictly
-    /// before it are retired inline by [`Ctx::spin_write`]. A driver that
-    /// cannot see its next pending event passes `now`, which retires
-    /// nothing.
-    ///
-    /// [`ServerModel`]: crate::ServerModel
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_driver(
-        now: SimTime,
-        horizon: SimTime,
-        cpu: &'a mut CpuModel,
-        tcp: &'a mut TcpWorld,
-        profile: &'a ServiceProfile,
-        conn_info: &'a [ConnInfo],
-        cpu_out: &'a mut Vec<(SimTime, CpuEvent)>,
-        tcp_out: &'a mut Vec<(SimTime, TcpEvent)>,
-        obs: &'a mut dyn Observer,
-        obs_on: bool,
-        shed_active: bool,
-    ) -> Self {
-        Ctx {
-            now,
-            cpu,
-            tcp,
-            profile,
-            conn_info,
-            cpu_out,
-            tcp_out,
-            obs,
-            obs_on,
-            shed_active,
-            horizon,
-        }
-    }
-
+impl Ctx<'_> {
     /// Current virtual time. A [`Ctx::spin_write`] that retires iterations
     /// moves it forward within the callback.
     pub fn now(&self) -> SimTime {
@@ -325,24 +423,26 @@ impl<'a> Ctx<'a> {
 
     /// The cost model.
     pub fn profile(&self) -> &ServiceProfile {
-        self.profile
+        &self.m.profile
     }
 
     /// Spawns a server thread (blocked until its first burst).
     pub fn spawn_thread(&mut self, name: impl Into<String>) -> ThreadId {
-        self.cpu.spawn_thread(name)
+        self.m.cpu.spawn_thread(name)
     }
 
     /// Submits a CPU burst for `tid`; completion is delivered back to the
     /// model via [`ServerModel::on_burst`](crate::ServerModel::on_burst)
     /// with `tag`.
     pub fn submit(&mut self, tid: ThreadId, burst: Burst, tag: u64) {
-        self.cpu.submit(self.now, tid, burst, tag, self.cpu_out);
+        self.m
+            .cpu
+            .submit(self.now, tid, burst, tag, &mut self.m.cpu_out);
     }
 
     /// Non-blocking `socket.write()` on `conn` (counted, may return 0).
     pub fn write(&mut self, conn: ConnId, len: usize) -> usize {
-        let written = self.tcp.write(self.now, conn, len, self.tcp_out);
+        let written = self.m.tcp.write(self.now, conn, len, &mut self.m.tcp_out);
         self.trace_write(self.now, conn, written);
         written
     }
@@ -351,10 +451,10 @@ impl<'a> Ctx<'a> {
     /// exactly: one WriteCall per syscall, one WriteSpin per zero return.
     #[inline]
     fn trace_write(&mut self, at: SimTime, conn: ConnId, written: usize) {
-        if !self.obs_on {
+        if !self.m.traced {
             return;
         }
-        let class = self.conn_info[conn.0].class;
+        let class = self.m.conn_info[conn.0].class;
         self.obs.record(
             TraceEvent::new(at, TraceKind::WriteCall)
                 .conn(conn.0)
@@ -394,56 +494,61 @@ impl<'a> Ctx<'a> {
         cycle: &[Burst],
     ) -> usize {
         let written = self.write(conn, len);
-        if written > 0 || self.horizon <= self.now || !self.tcp.conn(conn).write_stalled() {
+        if written > 0 || self.horizon <= self.now || !self.m.tcp.conn(conn).write_stalled() {
             return written;
         }
         // Bursts and sends this callback already produced are pending too.
         let horizon = self
+            .m
             .cpu_out
             .iter()
             .map(|&(t, _)| t)
-            .chain(self.tcp_out.iter().map(|&(t, _)| t))
+            .chain(self.m.tcp_out.iter().map(|&(t, _)| t))
             .fold(self.horizon, SimTime::min);
-        let retired = self.cpu.retire_cycles(self.now, tid, cycle, horizon);
+        let retired = self.m.cpu.retire_cycles(self.now, tid, cycle, horizon);
         if retired.cycles == 0 {
             return 0;
         }
         let start = self.now;
-        if self.obs_on {
+        if self.m.traced {
             for i in 1..=retired.cycles {
                 self.trace_write(start + retired.period * i, conn, 0);
             }
         }
         self.now = start + retired.period * retired.cycles;
-        self.tcp.retire_zero_writes(conn, self.now, retired.cycles);
+        self.m
+            .tcp
+            .retire_zero_writes(conn, self.now, retired.cycles);
         0
     }
 
     /// Blocking-write kernel continuation (not counted as a syscall).
     pub fn write_continue(&mut self, conn: ConnId, len: usize) -> usize {
-        self.tcp.write_continue(self.now, conn, len, self.tcp_out)
+        self.m
+            .tcp
+            .write_continue(self.now, conn, len, &mut self.m.tcp_out)
     }
 
     /// Free send-buffer space on `conn`.
     pub fn space(&self, conn: ConnId) -> usize {
-        self.tcp.conn(conn).space()
+        self.m.tcp.conn(conn).space()
     }
 
     /// Response size of the request currently in service on `conn`.
     pub fn response_bytes(&self, conn: ConnId) -> usize {
-        self.conn_info[conn.0].response_bytes
+        self.m.conn_info[conn.0].response_bytes
     }
 
     /// Request class (index into the workload mix) of the request in
     /// service on `conn`.
     pub fn request_class(&self, conn: ConnId) -> usize {
-        self.conn_info[conn.0].class
+        self.m.conn_info[conn.0].class
     }
 
     /// `true` when structured tracing is enabled; server models guard
     /// their [`Ctx::emit`] call sites with this to keep disabled runs free.
     pub fn trace_enabled(&self) -> bool {
-        self.obs_on
+        self.m.traced
     }
 
     /// `true` while the driver's server-side load shedder is actively
@@ -475,15 +580,15 @@ impl<'a> Ctx<'a> {
         thread: Option<ThreadId>,
         arg: u64,
     ) {
-        if !self.obs_on {
+        if !self.m.traced {
             return;
         }
         let mut ev = TraceEvent::new(self.now, kind).arg(arg);
         if let Some(c) = conn {
-            ev = ev.conn(c.0).class(self.conn_info[c.0].class);
+            ev = ev.conn(c.0).class(self.m.conn_info[c.0].class);
         }
         if let Some(t) = thread {
-            ev = ev.thread(t.0);
+            ev = ev.thread(t.0 + self.m.thread_base as usize);
         }
         self.obs.record(ev);
     }
@@ -519,11 +624,11 @@ mod tests {
 
     /// A machine whose only thread is finishing a burst at `t0`, and a
     /// connection whose send buffer is full: the state a spinner writes in.
-    fn stalled() -> (CpuModel, TcpWorld, ThreadId, ConnId, SimTime) {
-        let mut cpu = CpuModel::new(CpuConfig::single_core());
-        let tid = cpu.spawn_thread("spinner");
+    fn stalled() -> (Machine, ThreadId, ConnId, SimTime) {
+        let mut m = Machine::new(&ExperimentConfig::micro(1, 100), 1, false);
+        let tid = m.cpu.spawn_thread("spinner");
         let mut out = Vec::new();
-        cpu.submit(
+        m.cpu.submit(
             SimTime::ZERO,
             tid,
             Burst::user(SimDuration::from_micros(1)),
@@ -532,51 +637,34 @@ mod tests {
         );
         let (t0, ev) = out.pop().expect("burst scheduled");
         assert!(
-            cpu.on_event(t0, ev, &mut out).is_some(),
+            m.cpu.on_event(t0, ev, &mut out).is_some(),
             "the thread is finishing"
         );
-        let mut tcp = TcpWorld::new(TcpConfig::default());
-        let conn = tcp.open(SimTime::ZERO);
-        assert!(tcp.write(SimTime::ZERO, conn, 64 * 1024, &mut Vec::new()) > 0);
-        assert!(tcp.conn(conn).write_stalled());
-        (cpu, tcp, tid, conn, t0)
+        let conn = ConnId(0);
+        assert!(m.tcp.write(SimTime::ZERO, conn, 64 * 1024, &mut Vec::new()) > 0);
+        assert!(m.tcp.conn(conn).write_stalled());
+        (m, tid, conn, t0)
     }
 
     /// Runs one `spin_write` from `t0` with the driver horizon 1 ms out and
     /// `pending` already produced by the callback; returns where the
     /// callback's clock ends and the write calls counted.
     fn spin_from(pending: Option<SimDuration>) -> (SimDuration, u64) {
-        let (mut cpu, mut tcp, tid, conn, t0) = stalled();
-        let profile = ServiceProfile::default();
-        let conn_info = [ConnInfo::default()];
-        let mut cpu_out: Vec<(SimTime, CpuEvent)> = Vec::new();
+        let (mut m, tid, conn, t0) = stalled();
         if let Some(d) = pending {
             let ev = CpuEvent::BurstDone {
                 core: asyncinv_cpu::CoreId(0),
                 token: u64::MAX,
             };
-            cpu_out.push((t0 + d, ev));
+            m.cpu_out.push((t0 + d, ev));
         }
-        let mut tcp_out = Vec::new();
-        let mut obs = NoopObserver;
+        let zero = spin_bursts(&ServiceProfile::default(), 0);
         let horizon = t0 + SimDuration::from_millis(1);
-        let mut cx = Ctx::for_driver(
-            t0,
-            horizon,
-            &mut cpu,
-            &mut tcp,
-            &profile,
-            &conn_info,
-            &mut cpu_out,
-            &mut tcp_out,
-            &mut obs,
-            false,
-            false,
-        );
-        let zero = spin_bursts(&profile, 0);
+        let mut obs = NoopObserver;
+        let mut cx = m.ctx(t0, horizon, &mut obs, false);
         assert_eq!(cx.spin_write(tid, conn, 1024, &zero), 0);
         let moved = cx.now().duration_since(t0);
-        (moved, tcp.stats().write_calls)
+        (moved, m.tcp.stats().write_calls)
     }
 
     #[test]
@@ -601,25 +689,12 @@ mod tests {
     /// A driver that passes `now` as the horizon retires nothing.
     #[test]
     fn spin_write_without_a_horizon_retires_nothing() {
-        let (mut cpu, mut tcp, tid, conn, t0) = stalled();
-        let profile = ServiceProfile::default();
-        let conn_info = [ConnInfo::default()];
-        let (mut cpu_out, mut tcp_out, mut obs) = (Vec::new(), Vec::new(), NoopObserver);
-        let mut cx = Ctx::for_driver(
-            t0,
-            t0,
-            &mut cpu,
-            &mut tcp,
-            &profile,
-            &conn_info,
-            &mut cpu_out,
-            &mut tcp_out,
-            &mut obs,
-            false,
-            false,
-        );
-        assert_eq!(cx.spin_write(tid, conn, 1024, &spin_bursts(&profile, 0)), 0);
+        let (mut m, tid, conn, t0) = stalled();
+        let zero = spin_bursts(&ServiceProfile::default(), 0);
+        let mut obs = NoopObserver;
+        let mut cx = m.ctx(t0, t0, &mut obs, false);
+        assert_eq!(cx.spin_write(tid, conn, 1024, &zero), 0);
         assert_eq!(cx.now(), t0);
-        assert_eq!(cpu.stats().retired_bursts, 0);
+        assert_eq!(m.cpu.stats().retired_bursts, 0);
     }
 }

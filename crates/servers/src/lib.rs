@@ -51,7 +51,7 @@ pub mod trace_codes;
 
 pub use arch::{ServerKind, ServerModel};
 pub use engine::{
-    spin_horizon, ConnInfo, Ctx, ExperimentConfig, HybridPath, ShedConfig, ShedPolicy,
+    spin_horizon, ConnInfo, Ctx, ExperimentConfig, HybridPath, Machine, ShedConfig, ShedPolicy,
 };
 pub use profile::ServiceProfile;
 

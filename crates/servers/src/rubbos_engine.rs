@@ -18,17 +18,17 @@
 //! concurrency, which is what the architecture comparison depends on (the
 //! worker pool exceeds the ~35 concurrent requests either way).
 
-use asyncinv_cpu::{CpuConfig, CpuEvent, CpuModel, SchedEvent, ThreadId};
+use asyncinv_cpu::{CpuConfig, CpuEvent};
 use asyncinv_metrics::{Histogram, ThroughputWindow};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
 use asyncinv_simcore::{LadderQueue, SimDuration, SimRng, SimTime, Simulation};
-use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpNotice, TcpWorld};
+use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpNotice};
 use asyncinv_workload::rubbos::{interactions, Interaction, Navigator, RubbosConfig};
 use asyncinv_workload::{ClientConfig, Mix, Station, StationEvent};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::arch::ServerKind;
-use crate::engine::{spin_horizon, ConnInfo, Ctx, ExperimentConfig};
+use crate::engine::{spin_horizon, ConnInfo, ExperimentConfig, Machine};
 use crate::profile::ServiceProfile;
 
 /// Per-interaction results of a RUBBoS run.
@@ -273,13 +273,13 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
         ..base
     };
     let mut server = kind.build(&engine_cfg);
+    let obs_on = obs.is_enabled();
+    let mut m = Machine::new(&engine_cfg, users, obs_on);
 
     // The standing population is every user's pending think time: random
     // instants spread over seconds, where the ladder's hold cost beats
     // the heap's (DESIGN.md §7).
     let mut sim: Simulation<MEvent, LadderQueue<MEvent>> = Simulation::default();
-    let mut cpu = CpuModel::new(cfg.cpu.clone());
-    let mut tcp = TcpWorld::new(cfg.tcp.clone());
     let mut db = Station::new(
         "mysql",
         cfg.workload.db_servers,
@@ -289,13 +289,6 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
     let mut rng = SimRng::new(cfg.workload.seed);
     let mut navs: Vec<Navigator> = (0..users).map(|_| Navigator::new()).collect();
     let mut reqs: Vec<Option<MacroReq>> = vec![None; users];
-    let mut conn_info = vec![ConnInfo::default(); users];
-    for _ in 0..users {
-        tcp.open(SimTime::ZERO);
-    }
-
-    let mut cpu_out: Vec<(SimTime, CpuEvent)> = Vec::new();
-    let mut tcp_out: Vec<(SimTime, TcpEvent)> = Vec::new();
     let mut db_out: Vec<(SimTime, StationEvent)> = Vec::new();
 
     let one_way = cfg.tcp.one_way();
@@ -304,57 +297,17 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
     let mut hist = Histogram::new();
     let mut ia_hist: Vec<Histogram> = (0..table.len()).map(|_| Histogram::new()).collect();
 
-    let obs_on = obs.is_enabled();
     if obs_on {
         obs.run_window(warm_end, end);
-        cpu.record_sched(true);
     }
 
-    macro_rules! ctx {
-        ($now:expr) => {
-            ctx!($now, $now)
-        };
-        ($now:expr, $horizon:expr) => {
-            Ctx::for_driver(
-                $now,
-                $horizon,
-                &mut cpu,
-                &mut tcp,
-                &cfg.profile,
-                &conn_info,
-                &mut cpu_out,
-                &mut tcp_out,
-                &mut *obs,
-                obs_on,
-                // The macro engine has no load shedder.
-                false,
-            )
-        };
-    }
     macro_rules! flush {
         () => {
-            if obs_on {
-                for se in cpu.drain_sched_log() {
-                    match se {
-                        SchedEvent::Switch {
-                            at,
-                            thread,
-                            migrated,
-                        } => obs.record(
-                            TraceEvent::new(at, TraceKind::ThreadDispatch)
-                                .thread(thread.0)
-                                .arg(migrated as u64),
-                        ),
-                        SchedEvent::Park { at, thread } => {
-                            obs.record(TraceEvent::new(at, TraceKind::ThreadPark).thread(thread.0))
-                        }
-                    }
-                }
-            }
-            for (t, e) in cpu_out.drain(..) {
+            m.trace_sched(obs);
+            for (t, e) in m.cpu_out.drain(..) {
                 sim.schedule_at(t, MEvent::Cpu(e));
             }
-            for (t, e) in tcp_out.drain(..) {
+            for (t, e) in m.tcp_out.drain(..) {
                 sim.schedule_at(t, MEvent::Tcp(e));
             }
             for (t, e) in db_out.drain(..) {
@@ -363,15 +316,9 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
         };
     }
 
-    {
-        let mut cx = ctx!(SimTime::ZERO);
-        server.init(&mut cx, users);
-    }
-    if obs_on {
-        for i in 0..cpu.thread_count() {
-            obs.thread_name(i, cpu.thread_name(ThreadId(i)));
-        }
-    }
+    // The macro engine has no load shedder: every `Ctx` passes `false`.
+    server.init(&mut m.ctx(SimTime::ZERO, SimTime::ZERO, obs, false), users);
+    m.name_threads(obs, None);
     // Stagger session starts across one think-time mean.
     let stagger_ns = cfg.workload.think.mean().as_nanos().max(1);
     for u in 0..users {
@@ -381,13 +328,13 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
     flush!();
 
     // CpuStats is Copy: snapshots never allocate on the event loop.
-    let mut cpu_snap = *cpu.stats();
+    let mut cpu_snap = *m.cpu.stats();
     let mut db_busy_snap = SimDuration::ZERO;
     let mut snapped = false;
 
     loop {
         if !snapped && sim.peek_time().is_none_or(|t| t >= warm_end) {
-            cpu_snap = *cpu.stats();
+            cpu_snap = *m.cpu.stats();
             db_busy_snap = db.busy_time();
             snapped = true;
             if obs_on {
@@ -401,7 +348,7 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
             MEvent::Send { user } => {
                 let idx = navs[user].step(&mut rng);
                 let inter = &table[idx];
-                conn_info[user] = ConnInfo {
+                m.conn_info[user] = ConnInfo {
                     response_bytes: inter.response_bytes,
                     class: idx,
                 };
@@ -434,34 +381,26 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
                     obs.record(
                         TraceEvent::new(now, TraceKind::RequestArrive)
                             .conn(conn.0)
-                            .class(conn_info[conn.0].class)
-                            .arg(conn_info[conn.0].response_bytes as u64),
+                            .class(m.conn_info[conn.0].class)
+                            .arg(m.conn_info[conn.0].response_bytes as u64),
                     );
                 }
-                let mut cx = ctx!(now);
-                server.on_request(&mut cx, conn);
+                server.on_request(&mut m.ctx(now, now, obs, false), conn);
             }
             MEvent::Cpu(cev) => {
-                if let Some(done) = cpu.on_event(now, cev, &mut cpu_out) {
-                    let horizon = if cfg.fast_forward {
+                let horizon = || {
+                    if cfg.fast_forward {
                         spin_horizon(sim.peek_time(), warm_end, end, snapped)
                     } else {
                         now
-                    };
-                    // A retired write spin moves the callback's clock.
-                    let after = {
-                        let mut cx = ctx!(now, horizon);
-                        server.on_burst(&mut cx, done.thread, done.tag);
-                        cx.now()
-                    };
-                    cpu.finish_turn(after, done.thread, &mut cpu_out);
-                }
+                    }
+                };
+                m.on_cpu(&mut *server, now, cev, horizon, obs, false);
             }
-            MEvent::Tcp(tev) => match tcp.on_event(now, tev, &mut tcp_out) {
+            MEvent::Tcp(tev) => match m.tcp.on_event(now, tev, &mut m.tcp_out) {
                 TcpNotice::SpaceFreed { conn, space } => {
                     if space > 0 {
-                        let mut cx = ctx!(now);
-                        server.on_writable(&mut cx, conn);
+                        server.on_writable(&mut m.ctx(now, now, obs, false), conn);
                     }
                 }
                 TcpNotice::Delivered { conn, bytes } => {
@@ -480,13 +419,13 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
                         window.record(done_at);
                         if done_at >= warm_end && done_at < end {
                             hist.record(rt);
-                            ia_hist[conn_info[user].class].record(rt);
+                            ia_hist[m.conn_info[user].class].record(rt);
                         }
                         if obs_on {
                             obs.record(
                                 TraceEvent::new(done_at, TraceKind::Completion)
                                     .conn(user)
-                                    .class(conn_info[user].class)
+                                    .class(m.conn_info[user].class)
                                     .arg(rt.as_nanos()),
                             );
                             if done_at >= warm_end && done_at < end {
@@ -503,7 +442,7 @@ fn run_macro(cfg: &RubbosExperiment, kind: ServerKind, obs: &mut dyn Observer) -
         flush!();
     }
 
-    let cpu_delta = cpu.stats().delta_since(&cpu_snap);
+    let cpu_delta = m.cpu.stats().delta_since(&cpu_snap);
     let breakdown = cpu_delta.breakdown(cfg.measure, cfg.cpu.cores);
     let db_busy = db.busy_time() - db_busy_snap;
     let measure_s = cfg.measure.as_secs_f64();
