@@ -208,10 +208,9 @@ impl Observer for Recorder {
             TraceKind::Completion if ev.class != NONE => {
                 let c = ev.class as usize;
                 if self.class_hist_names.len() <= c {
-                    self.class_hist_names
-                        .extend((self.class_hist_names.len()..=c).map(|i| {
-                            format!("rt_ns_class_{i}")
-                        }));
+                    self.class_hist_names.extend(
+                        (self.class_hist_names.len()..=c).map(|i| format!("rt_ns_class_{i}")),
+                    );
                 }
                 self.registry.hist_record(&self.class_hist_names[c], ev.arg);
             }

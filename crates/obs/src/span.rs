@@ -367,7 +367,12 @@ impl SpanAssembler {
             tree.attempts[p.hedge].outcome = AttemptOutcome::Completed;
             let (fire, waited) = p.fire;
             let from = SimTime::from_nanos(fire.as_nanos().saturating_sub(waited)).max(tree.start);
-            relabel(&mut tree.segments, from, fire.min(tree.end), Phase::HedgeWait);
+            relabel(
+                &mut tree.segments,
+                from,
+                fire.min(tree.end),
+                Phase::HedgeWait,
+            );
             tree.phases = PhaseBreakdown::from_segments(&tree.segments);
         } else {
             tree.attempts[p.hedge].outcome = AttemptOutcome::Cancelled;
@@ -391,10 +396,7 @@ impl SpanAssembler {
         // this connection (e.g. a cancelled hedge shard finishing up);
         // they belong to no span. The buffer is time-ordered, so they
         // form a prefix: count the reconciled kinds and skip past.
-        let split = buf
-            .iter()
-            .position(|e| e.time >= t0)
-            .unwrap_or(buf.len());
+        let split = buf.iter().position(|e| e.time >= t0).unwrap_or(buf.len());
         for ev in &buf[..split] {
             match ev.kind {
                 TraceKind::Retry => self.stray_retries += 1,
@@ -403,8 +405,14 @@ impl SpanAssembler {
                 _ => {}
             }
         }
-        let (tree, pending, strays) =
-            build_tree(c as u32, closing, status, t0, end, &self.conns[c].events[split..]);
+        let (tree, pending, strays) = build_tree(
+            c as u32,
+            closing,
+            status,
+            t0,
+            end,
+            &self.conns[c].events[split..],
+        );
         self.stray_cancels += strays;
         // Keep the buffer's capacity for the connection's next request.
         self.conns[c].events.clear();
@@ -487,9 +495,10 @@ fn build_tree(
                 push_seg(&mut segments, seg_start, ev.time, state);
                 state = Phase::RetryBackoff;
                 seg_start = seg_start.max(ev.time);
-                backoff_until = Some(ev.time.saturating_add(
-                    asyncinv_simcore::SimDuration::from_nanos(ev.arg),
-                ));
+                backoff_until = Some(
+                    ev.time
+                        .saturating_add(asyncinv_simcore::SimDuration::from_nanos(ev.arg)),
+                );
             }
             Step::Close => {
                 // Completion/Abandon is the window's last event; the tail
@@ -819,7 +828,9 @@ mod tests {
     use super::*;
 
     fn ev(t: u64, kind: TraceKind, conn: usize, arg: u64) -> TraceEvent {
-        TraceEvent::new(SimTime::from_nanos(t), kind).conn(conn).arg(arg)
+        TraceEvent::new(SimTime::from_nanos(t), kind)
+            .conn(conn)
+            .arg(arg)
     }
 
     #[test]

@@ -106,9 +106,7 @@ pub fn spans_chrome_json(forest: &SpanForest) -> String {
             tid,
         ));
         for a in &tree.attempts {
-            let shard = a
-                .shard
-                .map_or_else(|| "-".to_string(), |s| s.to_string());
+            let shard = a.shard.map_or_else(|| "-".to_string(), |s| s.to_string());
             let name = format!(
                 "{} #{} shard={} [{}]",
                 a.kind.name(),
@@ -166,9 +164,7 @@ pub fn spans_jsonl(forest: &SpanForest) -> String {
             .iter()
             .map(|p| (p.name().to_string(), Value::UInt(tree.phases.get(*p))))
             .collect();
-        let mut m: Vec<(String, Value)> = vec![
-            ("conn".into(), Value::UInt(u64::from(tree.conn))),
-        ];
+        let mut m: Vec<(String, Value)> = vec![("conn".into(), Value::UInt(u64::from(tree.conn)))];
         if tree.class != NONE {
             m.push(("class".into(), Value::UInt(u64::from(tree.class))));
         }
@@ -267,7 +263,9 @@ mod tests {
     fn forest() -> SpanForest {
         let mut asm = SpanAssembler::new();
         let ev = |t: u64, kind: TraceKind, arg: u64| {
-            TraceEvent::new(SimTime::from_nanos(t), kind).conn(0).arg(arg)
+            TraceEvent::new(SimTime::from_nanos(t), kind)
+                .conn(0)
+                .arg(arg)
         };
         asm.push(ev(100, TraceKind::RequestArrive, 0));
         asm.push(ev(100, TraceKind::QueueEnter, 1));
