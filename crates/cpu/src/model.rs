@@ -402,10 +402,7 @@ impl CpuModel {
             "a retired cycle needs at least one burst, none of zero length"
         );
         let period: SimDuration = cycle.iter().map(|b| self.scaled(b.duration)).sum();
-        let none = Retired {
-            cycles: 0,
-            period,
-        };
+        let none = Retired { cycles: 0, period };
         let ThreadState::Finishing(core) = self.threads[tid.0].state else {
             return none;
         };
@@ -430,7 +427,11 @@ impl CpuModel {
             // runs out mid-burst renews on the spot. Either way the budget
             // wraps every `time_slice`, and a boundary that falls exactly
             // on the last completion leaves it empty, as a burst end would.
-            let first = if slice.is_zero() { self.cfg.time_slice } else { slice };
+            let first = if slice.is_zero() {
+                self.cfg.time_slice
+            } else {
+                slice
+            };
             if busy < first {
                 first - busy
             } else {
@@ -467,7 +468,10 @@ impl CpuModel {
             self.threads[tid.0].state = ThreadState::Blocked;
             self.cores[core.0].current = None;
             if self.sched_log_on {
-                self.sched_log.push(SchedEvent::Park { at: now, thread: tid });
+                self.sched_log.push(SchedEvent::Park {
+                    at: now,
+                    thread: tid,
+                });
             }
             self.dispatch_core(now, core, out);
         }
@@ -784,7 +788,11 @@ mod tests {
         assert_eq!(now.as_micros(), 10);
         assert_eq!(c, Completion { thread: t, tag: 42 });
         assert_eq!(d.cpu.stats().user_time, us(10));
-        assert_eq!(d.cpu.stats().context_switches, 0, "idle -> first thread is free");
+        assert_eq!(
+            d.cpu.stats().context_switches,
+            0,
+            "idle -> first thread is free"
+        );
     }
 
     #[test]
@@ -898,7 +906,11 @@ mod tests {
         assert_eq!(ca.thread, a);
         assert_eq!(cb.thread, b);
         assert!(ta < tb);
-        assert!(d.cpu.stats().preemptions >= 3, "preemptions: {}", d.cpu.stats().preemptions);
+        assert!(
+            d.cpu.stats().preemptions >= 3,
+            "preemptions: {}",
+            d.cpu.stats().preemptions
+        );
         assert_eq!(d.cpu.stats().user_time, us(500));
     }
 
@@ -1011,10 +1023,7 @@ mod tests {
         // 50 spins x 10us = 500us of spinning; B (30us) must slot in at the
         // first 100us slice boundary, not after the whole spin chain.
         let done = b_done_at.expect("victim never ran");
-        assert!(
-            done.as_micros() < 200,
-            "victim finished too late: {done}"
-        );
+        assert!(done.as_micros() < 200, "victim finished too late: {done}");
         assert!(d.cpu.stats().preemptions >= 1);
     }
 
@@ -1073,7 +1082,8 @@ mod tests {
     /// the machine dry: every completion (time, thread, tag) in order, and
     /// the final statistics without the retired-burst count.
     fn run_dry(d: &mut Driver, now: SimTime) -> (Vec<(u64, usize, u64)>, CpuStats) {
-        d.cpu.submit(now, ThreadId(0), Burst::syscall(us(3)), 999, &mut d.out);
+        d.cpu
+            .submit(now, ThreadId(0), Burst::syscall(us(3)), 999, &mut d.out);
         d.cpu.finish_turn(now, ThreadId(0), &mut d.out);
         d.flush();
         let mut log = Vec::new();
@@ -1150,10 +1160,16 @@ mod tests {
         // Alone: the horizon alone bounds it (strictly before).
         let (mut d, t0) = spin_setup(&cfg, us(1), false, 1.0);
         let r = d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(90));
-        assert_eq!((r.cycles, r.period), (9, us(9)), "the 10th ends at the horizon");
+        assert_eq!(
+            (r.cycles, r.period),
+            (9, us(9)),
+            "the 10th ends at the horizon"
+        );
         // A waiter: only what fits in the 99 us of slice left.
         let (mut d, t0) = spin_setup(&cfg, us(1), true, 1.0);
-        let r = d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(10_000));
+        let r = d
+            .cpu
+            .retire_cycles(t0, ThreadId(0), &cycle, t0 + us(10_000));
         assert_eq!(r.cycles, 11);
         assert_eq!(d.cpu.cores[0].slice_remaining, us(0));
     }
@@ -1166,11 +1182,21 @@ mod tests {
         assert_eq!(d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0).cycles, 0);
         // A frozen core starts nothing before the stall lifts.
         d.cpu.cores[0].frozen_until = t0 + us(1);
-        assert_eq!(d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(500)).cycles, 0);
+        assert_eq!(
+            d.cpu
+                .retire_cycles(t0, ThreadId(0), &cycle, t0 + us(500))
+                .cycles,
+            0
+        );
         d.cpu.cores[0].frozen_until = SimTime::ZERO;
         // A blocked thread is not mid-callback.
         d.cpu.finish_turn(t0, ThreadId(0), &mut d.out);
-        assert_eq!(d.cpu.retire_cycles(t0, ThreadId(0), &cycle, t0 + us(500)).cycles, 0);
+        assert_eq!(
+            d.cpu
+                .retire_cycles(t0, ThreadId(0), &cycle, t0 + us(500))
+                .cycles,
+            0
+        );
         assert_eq!(d.cpu.stats().retired_bursts, 0);
     }
 
@@ -1250,7 +1276,9 @@ mod tests {
     fn sched_log_switch_count_equals_stats_counter() {
         let mut d = Driver::new(CpuConfig::single_core());
         d.cpu.record_sched(true);
-        let threads: Vec<_> = (0..6).map(|i| d.cpu.spawn_thread(format!("t{i}"))).collect();
+        let threads: Vec<_> = (0..6)
+            .map(|i| d.cpu.spawn_thread(format!("t{i}")))
+            .collect();
         for (i, &t) in threads.iter().enumerate() {
             d.submit(t, Burst::user(us(10)), i as u64);
         }
@@ -1289,7 +1317,9 @@ mod tests {
             ..CpuConfig::single_core()
         };
         let mut d = Driver::new(cfg);
-        let threads: Vec<_> = (0..10).map(|i| d.cpu.spawn_thread(format!("t{i}"))).collect();
+        let threads: Vec<_> = (0..10)
+            .map(|i| d.cpu.spawn_thread(format!("t{i}")))
+            .collect();
         for (i, &t) in threads.iter().enumerate() {
             d.submit(t, Burst::user(us(10)), i as u64);
         }
