@@ -145,7 +145,12 @@ impl Connection {
     /// # Panics
     ///
     /// Panics if `len` is zero; model code should skip empty writes.
-    pub fn write(&mut self, now: SimTime, len: usize, out: &mut Vec<(SimDuration, ConnEvent)>) -> usize {
+    pub fn write(
+        &mut self,
+        now: SimTime,
+        len: usize,
+        out: &mut Vec<(SimDuration, ConnEvent)>,
+    ) -> usize {
         assert!(len > 0, "zero-length write");
         self.maybe_idle_reset(now);
         self.last_activity = now;
@@ -212,7 +217,12 @@ impl Connection {
     ///
     /// Returns the free buffer space after the ACK, so callers can raise a
     /// writable notification.
-    pub fn on_ack(&mut self, now: SimTime, bytes: usize, out: &mut Vec<(SimDuration, ConnEvent)>) -> usize {
+    pub fn on_ack(
+        &mut self,
+        now: SimTime,
+        bytes: usize,
+        out: &mut Vec<(SimDuration, ConnEvent)>,
+    ) -> usize {
         debug_assert!(bytes <= self.in_flight, "ACK for bytes never sent");
         self.in_flight -= bytes;
         self.stats.bytes_acked += bytes as u64;
@@ -566,7 +576,10 @@ mod tests {
             .iter()
             .find(|(_, e)| matches!(e, ConnEvent::AckArrived(_)))
             .unwrap();
-        assert!(delivered.0 < acked.0, "client sees data before server sees ACK");
+        assert!(
+            delivered.0 < acked.0,
+            "client sees data before server sees ACK"
+        );
         assert_eq!(acked.0, conn.config().rtt());
     }
 
@@ -624,7 +637,11 @@ mod tests {
         conn.on_ack(SimTime::from_micros(200), flight, &mut out);
         let w = conn.write_continue(SimTime::from_micros(200), 8 * KB, &mut out);
         assert!(w > 0);
-        assert_eq!(conn.stats().write_calls, 1, "kernel refill is not a syscall");
+        assert_eq!(
+            conn.stats().write_calls,
+            1,
+            "kernel refill is not a syscall"
+        );
         assert_eq!(conn.stats().zero_writes, 0);
     }
 
@@ -639,10 +656,7 @@ mod tests {
 
     #[test]
     fn loss_delays_completion() {
-        let lossy = TcpConfig {
-            loss: 0.3,
-            ..lan()
-        };
+        let lossy = TcpConfig { loss: 0.3, ..lan() };
         let (_, t_lossy) = drain(Connection::new(SimTime::ZERO, lossy), 100 * KB);
         let (_, t_clean) = drain(Connection::new(SimTime::ZERO, lan()), 100 * KB);
         assert!(
@@ -654,10 +668,7 @@ mod tests {
 
     #[test]
     fn loss_counter_tracks_retransmits() {
-        let lossy = TcpConfig {
-            loss: 0.5,
-            ..lan()
-        };
+        let lossy = TcpConfig { loss: 0.5, ..lan() };
         let mut conn = Connection::new(SimTime::ZERO, lossy);
         let mut out = Vec::new();
         let mut hits = 0;
@@ -670,10 +681,7 @@ mod tests {
 
     #[test]
     fn loss_is_deterministic_per_seed() {
-        let cfg = TcpConfig {
-            loss: 0.2,
-            ..lan()
-        };
+        let cfg = TcpConfig { loss: 0.2, ..lan() };
         let (c1, t1) = drain(Connection::new(SimTime::ZERO, cfg.clone()), 50 * KB);
         let (c2, t2) = drain(Connection::new(SimTime::ZERO, cfg), 50 * KB);
         assert_eq!((c1, t1), (c2, t2));

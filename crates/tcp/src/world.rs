@@ -187,9 +187,18 @@ impl TcpWorld {
                 self.scratch.clear();
                 let space = self.conns[ev.conn.0].on_ack(now, bytes, &mut self.scratch);
                 for (d, e) in self.scratch.drain(..) {
-                    out.push((now + d, TcpEvent { conn: ev.conn, kind: e }));
+                    out.push((
+                        now + d,
+                        TcpEvent {
+                            conn: ev.conn,
+                            kind: e,
+                        },
+                    ));
                 }
-                TcpNotice::SpaceFreed { conn: ev.conn, space }
+                TcpNotice::SpaceFreed {
+                    conn: ev.conn,
+                    space,
+                }
             }
             ConnEvent::Delivered(bytes) => {
                 self.conns[ev.conn.0].on_delivered(bytes);
