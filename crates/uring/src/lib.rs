@@ -315,7 +315,8 @@ impl Ring {
     pub fn acquire_buf(&mut self) -> bool {
         if self.bufs_in_use < self.cfg.registered_buffers {
             self.bufs_in_use += 1;
-            self.counters.buf_high_water = self.counters.buf_high_water.max(self.bufs_in_use as u64);
+            self.counters.buf_high_water =
+                self.counters.buf_high_water.max(self.bufs_in_use as u64);
             true
         } else {
             self.counters.buf_fallbacks += 1;
