@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 contract plus the static-analysis, formatting,
 # scenario, results/ drift and benchmark-golden gates, in one short
-# command. This
-# is the subset of scripts/smoke.sh a PR must keep green before anything
-# else is worth running.
+# command. This is what a PR must keep green before anything else is
+# worth running; scripts/smoke.sh runs it first, then the steps it lacks.
 #
 #   scripts/ci.sh
 
@@ -43,9 +42,9 @@ cargo clippy -q --no-deps --workspace --all-targets \
 
 # Formatting is gated for the packages formatted so far; ROADMAP.md lists
 # the rest of the workspace.
-echo "== gate: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers, asyncinv-bench, asyncinv-rt) =="
+echo "== gate: rustfmt (asyncinv-metrics, -fleet, -dag, -simcore, -servers, -bench, -rt, -obs, -cpu, -tcp, -uring) =="
 cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers \
-    -p asyncinv-bench -p asyncinv-rt
+    -p asyncinv-bench -p asyncinv-rt -p asyncinv-obs -p asyncinv-cpu -p asyncinv-tcp -p asyncinv-uring
 
 echo "== gate: dag scenario (drift check + dag/span audits) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
