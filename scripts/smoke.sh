@@ -3,45 +3,19 @@
 #
 #   scripts/smoke.sh
 #
-# Builds release binaries, runs the static-analysis gate (detlint + the
-# clippy mirror), runs the full test suite, reproduces every paper
-# artifact at Quick fidelity through the parallel cell runner, and runs
-# the kernel self-benchmark at Quick fidelity.
+# Runs scripts/ci.sh first (the release build, both test lanes, the
+# release fixtures, detlint, the clippy mirror, rustfmt, the DAG
+# scenario, the results/ drift gate and the benchmark goldens), then only
+# the steps it lacks: every paper artifact at Quick fidelity through the
+# parallel cell runner, the exporter round trips, the trace and span
+# audits, the proactor, resilience and fleet scenario lanes, the fleet
+# sweep, the one-tier DAG property test in release, and the kernel
+# self-benchmark at Quick fidelity.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release) =="
-cargo build --release
-
-echo "== static analysis: detlint (determinism + trace-schema coverage) =="
-cargo run --release -p detlint -- check --json results/detlint-report.json
-
-# As in scripts/ci.sh: no warnings in this repository's own packages;
-# the vendored stand-ins are not linted.
-echo "== static analysis: clippy mirror (disallowed methods/types, no warnings) =="
-cargo clippy -q --no-deps --workspace --all-targets \
-    --exclude proptest --exclude serde --exclude serde_derive --exclude serde_json \
-    -- -D warnings
-
-echo "== static analysis: rustfmt (asyncinv-metrics, asyncinv-fleet, asyncinv-dag, asyncinv-simcore, asyncinv-servers, asyncinv-bench, asyncinv-rt) =="
-cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers \
-    -p asyncinv-bench -p asyncinv-rt
-
-echo "== tests =="
-cargo test -q
-
-# `--workspace`: a bare `cargo test` runs only the root package's tests,
-# not those of crates/* and vendor/*.
-echo "== workspace crate tests =="
-cargo test -q --workspace --exclude asyncinv-lab
-
-# The pinned-digest fixtures again in the release profile, the build the
-# benchmark and results/ use: debug_assert!s are compiled out there and
-# integer arithmetic wraps, so a result that leans on either shows here.
-echo "== pinned-digest fixtures (release build) =="
-cargo test -q --release --test engine_fixture --test fleet_fixture \
-    --test dag_fixture --test rubbos_fixture
+scripts/ci.sh
 
 echo "== artifact smoke (Quick fidelity, parallel runner) =="
 cargo run --release -p asyncinv-bench --bin repro_all -- --quick
@@ -92,32 +66,9 @@ test -s results/fleet-sweep.json
 echo "== dag: one-tier composition + audits =="
 cargo test -q --release --test prop_dag
 
-echo "== dag: checked-in social-network scenario, traced + audited =="
-cargo run --release -p asyncinv-bench --bin dag_study -- \
-    --quick --scenario scenarios/dag_social.json
-
-# Same gate as scripts/ci.sh: each tracked results/<bin>.txt is the
-# stdout of that release bench binary at full fidelity, and dag_study and
-# latency_breakdown rewrite their tracked JSON.
-echo "== results/ drift (every tracked artifact regenerates byte-identical) =="
-for f in $(git ls-files 'results/*.txt'); do
-    env -u ASYNCINV_QUICK cargo run -q --release -p asyncinv-bench \
-        --bin "$(basename "$f" .txt)" > "$f"
-done
-env -u ASYNCINV_QUICK cargo run -q --release -p asyncinv-bench --bin latency_breakdown > /dev/null
-git diff --exit-code -- results/
-
 echo "== kernel bench sweep (quick; asserts runner + fault-plane + spin bit-identity) =="
 ASYNCINV_BENCH_OUT="$obs_dir/BENCH_kernel.quick.json" \
     cargo run --release -p asyncinv-bench --bin kernel_bench -- --quick
 test -s "$obs_dir/BENCH_kernel.quick.json"
-
-echo "== benchmark tests + seed-1 goldens (every workload's cell digests) =="
-cargo test --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
-    --repeats 1 --trace 0 --results "$obs_dir/benchmark.json" | tee "$obs_dir/benchmark.out"
-# The binary exits 0 even when cells fail; the verdict is the last line.
-tail -n 1 "$obs_dir/benchmark.out" | grep -q '^{"correct":true,' \
-    || { echo "benchmark goldens: cells failed (see above)"; exit 1; }
 
 echo "smoke OK"
