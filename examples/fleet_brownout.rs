@@ -23,64 +23,24 @@
 //! (including the per-shard route/hedge/cancel/retry counters) via
 //! [`asyncinv::fleet::fleet_audit`].
 //!
+//! The scenario file is owned by the `fleet` bench binary, which writes
+//! it (`--write-scenario`) and checks it for drift (`--scenario`).
+//!
 //! ```sh
 //! cargo run --release --example fleet_brownout
-//! cargo run --release --example fleet_brownout -- --write  # regenerate JSON
 //! ```
 
-use asyncinv::fleet::{fleet_audit, BalancerKind, BrownoutSpec, Cluster, FleetScenario,
-    FleetSummary, HedgeConfig};
+use asyncinv::fleet::{fleet_audit, Cluster, FleetScenario, FleetSummary};
 use asyncinv::prelude::*;
 
 const SCENARIO: &str = "scenarios/shard_brownout.json";
 
-/// The checked-in scenario, reproducibly: `--write` serializes this.
-fn scenario() -> FleetScenario {
-    FleetScenario {
-        name: "shard-brownout".into(),
-        shards: 4,
-        concurrency: 192,
-        response_bytes: 10 * 1024,
-        seed: 42,
-        think: SimDuration::from_millis(8),
-        balancer: BalancerKind::RoundRobin,
-        hedge: Some(HedgeConfig {
-            percentile: 0.9,
-            initial_delay: SimDuration::from_millis(5),
-            min_samples: 64,
-            per_shard: false,
-        }),
-        timeout: SimDuration::from_millis(25),
-        max_retries: 5,
-        warmup: SimDuration::from_millis(200),
-        measure: SimDuration::from_secs(1),
-        brownout: BrownoutSpec {
-            shard: 0,
-            at: SimDuration::from_millis(300),
-            factor: 50.0,
-            duration: SimDuration::from_millis(800),
-        },
-    }
-}
-
 fn main() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SCENARIO);
-    if std::env::args().any(|a| a == "--write") {
-        let json = serde_json::to_string_pretty(&scenario()).expect("serialize scenario");
-        std::fs::create_dir_all(path.parent().expect("scenario dir")).expect("mkdir scenarios");
-        std::fs::write(&path, json + "\n").expect("write scenario");
-        println!("wrote {}", path.display());
-        return;
-    }
     let body = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {} (regenerate with --write): {e}", path.display()));
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let sc: FleetScenario = serde_json::from_str(&body).expect("parse scenario");
     sc.validate().expect("valid scenario");
-    assert_eq!(
-        sc,
-        scenario(),
-        "checked-in scenario drifted from source (regenerate with --write)"
-    );
 
     let kind = ServerKind::NettyLike;
     let n = sc.shards;

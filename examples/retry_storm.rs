@@ -21,32 +21,20 @@
 //! to the healthy state within ~0.6 s. No retries at all recovers
 //! instantly but abandons every request the fault touched.
 //!
+//! The scenario file is owned by the `resilience` bench binary, which
+//! writes it (`--write-scenario`) and checks it for drift (`--scenario`).
+//!
 //! ```sh
 //! cargo run --release --example retry_storm
-//! cargo run --release --example retry_storm -- --write   # regenerate JSON
 //! ```
 
-use asyncinv::fault::{FaultEvent, FaultKind, FaultPlan};
+use asyncinv::fault::FaultPlan;
 use asyncinv::obs::{Observer, TraceEvent, TraceKind};
 use asyncinv::prelude::*;
 use asyncinv::workload::{ArrivalMode, RetryPolicy};
 use asyncinv::Chart;
 
 const SCENARIO: &str = "scenarios/retry_storm.json";
-
-/// The checked-in scenario, reproducibly: `--write` serializes this.
-fn scenario() -> FaultPlan {
-    FaultPlan {
-        seed: 2209,
-        events: vec![FaultEvent {
-            at: SimDuration::from_millis(700),
-            fault: FaultKind::Slowdown {
-                factor: 16.0,
-                duration: Some(SimDuration::from_millis(500)),
-            },
-        }],
-    }
-}
 
 /// Bins completions and timeouts per 100 ms so the collapse and the
 /// (non-)recovery are visible as time series.
@@ -82,18 +70,10 @@ impl Observer for Bins {
 
 fn main() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SCENARIO);
-    if std::env::args().any(|a| a == "--write") {
-        let json = serde_json::to_string_pretty(&scenario()).expect("serialize scenario");
-        std::fs::create_dir_all(path.parent().expect("scenario dir")).expect("mkdir scenarios");
-        std::fs::write(&path, json + "\n").expect("write scenario");
-        println!("wrote {}", path.display());
-        return;
-    }
     let body = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {} (regenerate with --write): {e}", path.display()));
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let plan: FaultPlan = serde_json::from_str(&body).expect("parse scenario");
     plan.validate().expect("valid scenario");
-    assert_eq!(plan, scenario(), "checked-in scenario drifted from source");
 
     let mut cfg = ExperimentConfig::micro(300, 10 * 1024);
     cfg.warmup = SimDuration::from_millis(200);
