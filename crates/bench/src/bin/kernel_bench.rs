@@ -5,12 +5,15 @@
 //! speedup over a serial run, the costs of the proactor, tracing,
 //! span assembly, an empty fault plan and stepwise write spins, and the
 //! DAG driver on the benchmark's social graph. Every row records
-//! min/median/max over several runs.
+//! min/median/max over several runs and the host's core count.
 //!
 //! ```sh
 //! cargo run --release -p asyncinv-bench --bin kernel_bench             # full
 //! cargo run --release -p asyncinv-bench --bin kernel_bench -- --quick  # smoke
 //! ```
+//!
+//! `--quick` runs every row once, on shorter hold loops and a smaller
+//! span-fleet cell, and still asserts what each row ran.
 //!
 //! Results are printed as tables and written to `BENCH_kernel.json`
 //! (override the path with `ASYNCINV_BENCH_OUT`). The committed copy at the
@@ -31,12 +34,12 @@ use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, S
 use asyncinv_simcore::{EventQueue, LadderQueue, LaneQueue, QueueBackend};
 use serde::Serialize;
 
-/// Runs behind every row. Queue types alternate within each hold run,
-/// and the two sides of every paired row alternate which goes first, so
-/// host drift hits both alike.
+/// Runs behind every row of a full run (`--quick` makes one). Queue
+/// types alternate within each hold run, and the sides of every paired
+/// row alternate which goes first, so host drift hits them alike.
 const RUNS: usize = 5;
 
-/// Min/median/max of one measurement over [`RUNS`] runs.
+/// Min/median/max of one measurement over its runs.
 #[derive(Debug, Serialize)]
 struct Spread {
     min: f64,
@@ -80,11 +83,15 @@ fn time_ms(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// [`RUNS`] timings (ms) of each of two variants, run in turn with the
+/// `runs` timings (ms) of each of two variants, run in turn with the
 /// first alternating from run to run.
-fn time_pair(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (Vec<f64>, Vec<f64>) {
+fn time_pair(
+    runs: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (Vec<f64>, Vec<f64>) {
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    for run in 0..RUNS {
+    for run in 0..runs {
         if run % 2 == 0 {
             xs.push(a());
             ys.push(b());
@@ -154,6 +161,7 @@ struct RunnerRow {
     cells: usize,
     threads: usize,
     runs: usize,
+    host_cores: usize,
     serial_ms: Spread,
     parallel_ms: Spread,
     speedup: Spread,
@@ -168,6 +176,7 @@ struct RunnerRow {
 struct ProactorRow {
     cells: usize,
     runs: usize,
+    host_cores: usize,
     netty_ms: Spread,
     proactor_ms: Spread,
     ratio: Spread,
@@ -179,6 +188,7 @@ struct ProactorRow {
 struct ObsRow {
     cells: usize,
     runs: usize,
+    host_cores: usize,
     untraced_ms: Spread,
     traced_ms: Spread,
     overhead_pct: Spread,
@@ -201,6 +211,7 @@ struct ObsRow {
 struct FleetObsRow {
     shards: usize,
     runs: usize,
+    host_cores: usize,
     untraced_ms: Spread,
     traced_ms: Spread,
     trace_overhead_pct: Spread,
@@ -216,6 +227,7 @@ struct FleetObsRow {
 struct FaultRow {
     cells: usize,
     runs: usize,
+    host_cores: usize,
     no_plan_ms: Spread,
     empty_plan_ms: Spread,
     overhead_pct: Spread,
@@ -229,6 +241,7 @@ struct FaultRow {
 struct SpinRow {
     cells: usize,
     runs: usize,
+    host_cores: usize,
     stepwise_ms: Spread,
     fast_forward_ms: Spread,
     speedup: Spread,
@@ -404,6 +417,7 @@ fn main() {
     );
     let quick = std::env::args().any(|a| a == "--quick");
     let holds: u64 = if quick { 200_000 } else { 2_000_000 };
+    let runs = if quick { 1 } else { RUNS };
 
     let host_cores = configured_threads();
 
@@ -422,7 +436,7 @@ fn main() {
         .into_iter()
         .flat_map(|population| queues.map(|(name, probe)| (population, name, probe, Vec::new())))
         .collect();
-    for _ in 0..RUNS {
+    for _ in 0..runs {
         for (population, _, probe, samples) in &mut rates {
             samples.push(probe(*population, holds));
         }
@@ -448,19 +462,19 @@ fn main() {
         hold.push(HoldRow {
             backend: backend.into(),
             population,
-            runs: RUNS,
+            runs,
             host_cores,
             events_per_sec,
         });
     }
-    println!("\nhold model (pop-one/push-one, constant population; {RUNS} runs):\n{hold_table}");
+    println!("\nhold model (pop-one/push-one, constant population; {runs} runs):\n{hold_table}");
 
     // --- 1b. CPU-scheduler dispatch and the TCP send path, each alone. ---
     const CYCLES: u64 = 100_000;
     const RESPONSES: usize = 200;
     let mut dispatch_ns = Vec::new();
     let mut send = Vec::new();
-    for _ in 0..RUNS {
+    for _ in 0..runs {
         dispatch_ns.push(dispatch_ns_per_cycle(CYCLES));
         send.push(send_ns_per_write(RESPONSES));
     }
@@ -471,7 +485,7 @@ fn main() {
     );
     let cpu_dispatch = CpuDispatchRow {
         cycles: CYCLES,
-        runs: RUNS,
+        runs,
         host_cores,
         ns_per_cycle: Spread::of(dispatch_ns),
     };
@@ -479,26 +493,26 @@ fn main() {
         responses: RESPONSES,
         response_bytes: RESPONSE_BYTES,
         write_calls,
-        runs: RUNS,
+        runs,
         host_cores,
         ns_per_write: Spread::of(send.iter().map(|&(ns, _)| ns).collect()),
     };
     println!(
-        "\ncpu dispatch: {CYCLES} cycles of a 1 µs burst on one core ({RUNS} runs, median \
+        "\ncpu dispatch: {CYCLES} cycles of a 1 µs burst on one core ({runs} runs, median \
          [min–max])  {:.1} ns/cycle",
         cpu_dispatch.ns_per_cycle
     );
     println!(
-        "\ntcp send: {RESPONSES} responses of 100 KB, {write_calls} write calls ({RUNS} runs, \
+        "\ntcp send: {RESPONSES} responses of 100 KB, {write_calls} write calls ({runs} runs, \
          median [min–max])  {:.1} ns/write",
         tcp_send.ns_per_write
     );
 
     // --- 2. Full experiment cells end to end on the fleet loop. ---
     let cells = grid();
-    let wall_ms = Spread::of((0..RUNS).map(|_| time_grid(&cells)).collect());
+    let wall_ms = Spread::of((0..runs).map(|_| time_grid(&cells)).collect());
     println!(
-        "\nfixed Quick cell grid, serial ({RUNS} runs): {} cells  min {} ms  median {}  max {}",
+        "\nfixed Quick cell grid, serial ({runs} runs): {} cells  min {} ms  median {}  max {}",
         cells.len(),
         fmt_f64(wall_ms.min, 0),
         fmt_f64(wall_ms.median, 0),
@@ -507,7 +521,7 @@ fn main() {
     let grid_rows = vec![GridRow {
         backend: LaneQueue::<u64>::NAME.into(),
         cells: cells.len(),
-        runs: RUNS,
+        runs,
         host_cores,
         wall_ms,
     }];
@@ -530,18 +544,20 @@ fn main() {
         })
     };
     let (netty, ring) = time_pair(
+        runs,
         || time_kind(ServerKind::NettyLike),
         || time_kind(ServerKind::Proactor),
     );
     let proactor = ProactorRow {
         cells: combos.len(),
-        runs: RUNS,
+        runs,
+        host_cores,
         ratio: Spread::of_pairs(&netty, &ring, |n, p| p / n.max(1e-9)),
         netty_ms: Spread::of(netty),
         proactor_ms: Spread::of(ring),
     };
     println!(
-        "\nproactor: {} cells untraced ({RUNS} runs, median [min–max])  netty {} ms  \
+        "\nproactor: {} cells untraced ({runs} runs, median [min–max])  netty {} ms  \
          proactor {} ms  ratio {:.2}",
         proactor.cells, proactor.netty_ms, proactor.proactor_ms, proactor.ratio
     );
@@ -553,20 +569,28 @@ fn main() {
     }
 
     // --- 3. Parallel runner speedup on the same grid, per thread count. ---
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    let mut serial_ms = Vec::new();
-    let mut parallel_ms: Vec<Vec<f64>> = THREADS.iter().map(|_| Vec::new()).collect();
-    for _ in 0..RUNS {
-        let mut serial = Vec::new();
-        serial_ms.push(time_ms(|| serial = run_cells(Fidelity::Quick, &cells, 1)));
-        for (&threads, samples) in THREADS.iter().zip(&mut parallel_ms) {
-            let mut parallel = Vec::new();
-            samples.push(time_ms(|| {
-                parallel = run_cells(Fidelity::Quick, &cells, threads)
+    // Pass 0 is the serial reference, pass `i` the runner on `PASSES[i]`
+    // threads; odd runs time the passes in reverse, as `time_pair` does.
+    const PASSES: [usize; 5] = [1, 1, 2, 4, 8];
+    let mut pass_ms: Vec<Vec<f64>> = vec![Vec::new(); PASSES.len()];
+    for run in 0..runs {
+        let mut results = vec![Vec::new(); PASSES.len()];
+        for i in 0..PASSES.len() {
+            let pass = if run % 2 == 0 {
+                i
+            } else {
+                PASSES.len() - 1 - i
+            };
+            pass_ms[pass].push(time_ms(|| {
+                results[pass] = run_cells(Fidelity::Quick, &cells, PASSES[pass])
             }));
-            assert_eq!(serial, parallel, "parallel run must be bit-identical");
         }
+        assert!(
+            results.iter().all(|r| *r == results[0]),
+            "parallel run must be bit-identical"
+        );
     }
+    let serial_ms = pass_ms.remove(0);
     let mut runner = Vec::new();
     let mut runner_table = Table::new(vec![
         "threads".into(),
@@ -575,11 +599,12 @@ fn main() {
         "speedup".into(),
     ]);
     runner_table.numeric();
-    for (threads, parallel) in THREADS.into_iter().zip(parallel_ms) {
+    for (&threads, parallel) in PASSES[1..].iter().zip(pass_ms) {
         let row = RunnerRow {
             cells: cells.len(),
             threads,
-            runs: RUNS,
+            runs,
+            host_cores,
             speedup: Spread::of_pairs(&serial_ms, &parallel, |s, p| s / p.max(1e-9)),
             serial_ms: Spread::of(serial_ms.clone()),
             parallel_ms: Spread::of(parallel),
@@ -593,13 +618,14 @@ fn main() {
         runner.push(row);
     }
     println!(
-        "\nrunner: {} cells, host reports {host_cores} core(s) ({RUNS} runs, median \
+        "\nrunner: {} cells, host reports {host_cores} core(s) ({runs} runs, median \
          [min–max]):\n{runner_table}",
         cells.len()
     );
 
     // --- 4. Observability overhead: untraced vs fully traced grid. ---
     let (untraced, traced) = time_pair(
+        runs,
         || time_grid(&cells),
         || {
             time_ms(|| {
@@ -613,13 +639,14 @@ fn main() {
     );
     let observability = ObsRow {
         cells: cells.len(),
-        runs: RUNS,
+        runs,
+        host_cores,
         overhead_pct: Spread::of_pairs(&untraced, &traced, overhead_pct),
         untraced_ms: Spread::of(untraced),
         traced_ms: Spread::of(traced),
     };
     println!(
-        "\nobservability: {} cells ({RUNS} runs, median [min–max])  untraced {} ms  \
+        "\nobservability: {} cells ({runs} runs, median [min–max])  untraced {} ms  \
          traced {} ms  overhead {:.1}%",
         observability.cells,
         observability.untraced_ms,
@@ -636,6 +663,7 @@ fn main() {
     };
     let mut span_ms = Vec::new();
     let (fleet_untraced, fleet_traced) = time_pair(
+        runs,
         || {
             time_ms(|| {
                 drop(std::hint::black_box(
@@ -665,7 +693,8 @@ fn main() {
     );
     let fleet_observability = FleetObsRow {
         shards: 3,
-        runs: RUNS,
+        runs,
+        host_cores,
         trace_overhead_pct: Spread::of_pairs(&fleet_untraced, &fleet_traced, overhead_pct),
         span_overhead_pct: Spread::of_pairs(&fleet_traced, &span_ms, |t, s| {
             s / t.max(1e-9) * 100.0
@@ -675,7 +704,7 @@ fn main() {
         span_assembly_ms: Spread::of(span_ms),
     };
     println!(
-        "\nfleet observability: 3 shards (stressed span cell; {RUNS} runs, median [min–max])  \
+        "\nfleet observability: 3 shards (stressed span cell; {runs} runs, median [min–max])  \
          untraced {:.1} ms  traced {:.1} ms (overhead {:.1}%)  span assembly {:.1} ms \
          (+{:.1}% over traced)",
         fleet_observability.untraced_ms,
@@ -708,6 +737,7 @@ fn main() {
     };
     let plain = run_grid(None).0;
     let (no_plan, empty_plan) = time_pair(
+        runs,
         || run_grid(None).1,
         || {
             let (empty, ms) = run_grid(Some(asyncinv::fault::FaultPlan::default()));
@@ -717,13 +747,14 @@ fn main() {
     );
     let fault_plane = FaultRow {
         cells: cells.len(),
-        runs: RUNS,
+        runs,
+        host_cores,
         overhead_pct: Spread::of_pairs(&no_plan, &empty_plan, overhead_pct),
         no_plan_ms: Spread::of(no_plan),
         empty_plan_ms: Spread::of(empty_plan),
     };
     println!(
-        "\nfault plane: {} cells ({RUNS} runs, median [min–max])  no plan {} ms  \
+        "\nfault plane: {} cells ({runs} runs, median [min–max])  no plan {} ms  \
          empty plan {} ms  overhead {:.1}% (summaries bit-identical)",
         fault_plane.cells,
         fault_plane.no_plan_ms,
@@ -769,6 +800,7 @@ fn main() {
     };
     let retired = run_spin(true).0;
     let (stepwise, fast_forward) = time_pair(
+        runs,
         || {
             let (stepwise, ms) = run_spin(false);
             assert_eq!(
@@ -781,13 +813,14 @@ fn main() {
     );
     let spin_fast_forward = SpinRow {
         cells: retired.len(),
-        runs: RUNS,
+        runs,
+        host_cores,
         speedup: Spread::of_pairs(&stepwise, &fast_forward, |s, f| s / f.max(1e-9)),
         stepwise_ms: Spread::of(stepwise),
         fast_forward_ms: Spread::of(fast_forward),
     };
     println!(
-        "\nspin fast-forward: {} spinner cells (100 KB, LAN + 5 ms; {RUNS} runs, median \
+        "\nspin fast-forward: {} spinner cells (100 KB, LAN + 5 ms; {runs} runs, median \
          [min–max])  stepwise {} ms  fast-forward {} ms  speedup {:.2}x (summaries \
          bit-identical)",
         spin_fast_forward.cells,
@@ -822,6 +855,7 @@ fn main() {
     };
     let (guarded_calls, storm_calls) = (calls(&guarded), calls(&storm));
     let (guarded_ms, storm_ms) = time_pair(
+        runs,
         || time_ms(|| drop(std::hint::black_box(guarded.run()))),
         || time_ms(|| drop(std::hint::black_box(storm.run()))),
     );
@@ -833,7 +867,7 @@ fn main() {
     .map(|(policy, run, calls_dispatched, ms)| DagRow {
         policy: policy.into(),
         seed: run.graph().seed,
-        runs: RUNS,
+        runs,
         host_cores,
         calls_dispatched,
         wall_ms: Spread::of(ms),
@@ -841,7 +875,7 @@ fn main() {
     .collect();
     for row in &dag {
         println!(
-            "\ndag/{}: social graph, 1 s window ({RUNS} runs, median [min–max])  {} ms  \
+            "\ndag/{}: social graph, 1 s window ({runs} runs, median [min–max])  {} ms  \
              {} calls dispatched",
             row.policy, row.wall_ms, row.calls_dispatched
         );
