@@ -37,8 +37,8 @@ const SCENARIO: &str = "scenarios/shard_brownout.json";
 
 fn main() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SCENARIO);
-    let body = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let body =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let sc: FleetScenario = serde_json::from_str(&body).expect("parse scenario");
     sc.validate().expect("valid scenario");
 

@@ -70,8 +70,8 @@ impl Observer for Bins {
 
 fn main() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SCENARIO);
-    let body = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let body =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let plan: FaultPlan = serde_json::from_str(&body).expect("parse scenario");
     plan.validate().expect("valid scenario");
 
