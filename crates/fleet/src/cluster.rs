@@ -612,8 +612,10 @@ pub(crate) fn drive(
     macro_rules! flush {
         ($r:expr) => {{
             let r: std::ops::Range<usize> = $r;
-            for sh in &mut shards[r.clone()] {
-                sh.machine.trace_sched(obs);
+            if obs_on {
+                for sh in &mut shards[r.clone()] {
+                    sh.machine.trace_sched(obs);
+                }
             }
             // Most events leave most buffers empty: skip those without
             // building a drain.

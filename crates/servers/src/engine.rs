@@ -236,16 +236,11 @@ pub struct ConnInfo {
     pub class: usize,
 }
 
-/// One simulated machine hosting a server model: its CPU scheduler, its
-/// network with every connection open at time zero, its cost model, the
-/// request info it shows the model, and the substrate output of the last
-/// callback. Both drive loops host architectures through it.
-///
-/// A `Machine` schedules nothing. After each callback the drive loop
-/// schedules what it left behind, in an order of the loop's choosing:
-/// the scheduler log ([`Machine::trace_sched`]), then `cpu_out`, then
-/// `tcp_out`. That order sets the FIFO tie-breaks among same-instant
-/// events, which the pinned fixtures depend on.
+/// One simulated machine hosting a server model; both drive loops host
+/// architectures on it. It schedules nothing: after each callback the
+/// loop drains the scheduler log ([`Machine::trace_sched`]), then
+/// `cpu_out`, then `tcp_out` into its own queue, an order that sets the
+/// FIFO tie-breaks the pinned fixtures depend on.
 #[derive(Debug)]
 pub struct Machine {
     /// The machine's CPU scheduler.
@@ -260,18 +255,15 @@ pub struct Machine {
     pub cpu_out: Vec<(SimTime, CpuEvent)>,
     /// Network events produced since the drive loop last scheduled them.
     pub tcp_out: Vec<(SimTime, TcpEvent)>,
-    /// Offset of this machine's thread ids in a trace that merges several
-    /// machines (0 for the first, or only, one).
+    /// Offset of this machine's thread ids in a trace that merges several.
     pub thread_base: u32,
-    /// Whether the run is traced: the scheduler log is on and [`Ctx`]
-    /// records events.
+    /// Whether the run is traced (scheduler log on, [`Ctx`] recording).
     traced: bool,
 }
 
 impl Machine {
     /// A machine for `cfg`'s CPU, network and cost model with `conns`
-    /// connections open at time zero. A `traced` machine logs its
-    /// scheduler for [`Machine::trace_sched`]; pass the observer's
+    /// connections open at time zero; `traced` is the observer's
     /// `is_enabled()`.
     pub fn new(cfg: &ExperimentConfig, conns: usize, traced: bool) -> Self {
         let mut cpu = CpuModel::new(cfg.cpu.clone());
@@ -293,11 +285,8 @@ impl Machine {
     }
 
     /// The context for one callback at `now`. `horizon` is the earliest
-    /// instant of any event the drive loop still has pending
-    /// ([`spin_horizon`]); write-spin iterations completing strictly before
-    /// it are retired inline by [`Ctx::spin_write`], and passing `now`
-    /// retires nothing. `shed_active` is the loop's load-shedder state
-    /// ([`Ctx::shed_active`]).
+    /// instant of any event the loop has pending ([`spin_horizon`]), before
+    /// which [`Ctx::spin_write`] retires iterations; `now` retires none.
     pub fn ctx<'a>(
         &'a mut self,
         now: SimTime,
@@ -307,6 +296,7 @@ impl Machine {
     ) -> Ctx<'a> {
         Ctx {
             now,
+            obs_on: self.traced,
             m: self,
             obs,
             shed_active,
@@ -314,10 +304,9 @@ impl Machine {
         }
     }
 
-    /// Delivers CPU event `ev` at `now`. When it completes a burst, the
-    /// model's [`on_burst`](crate::ServerModel::on_burst) runs with the
-    /// spin horizon `horizon()` (read after the event, so it sees the
-    /// queue as the completion does), and the thread's turn ends at the
+    /// Delivers CPU event `ev` at `now`. A completed burst runs the model's
+    /// [`on_burst`](crate::ServerModel::on_burst) with the spin horizon
+    /// `horizon()`, read after the event, and ends the thread's turn at the
     /// callback's clock, which a retired write spin moves.
     pub fn on_cpu(
         &mut self,
@@ -338,9 +327,8 @@ impl Machine {
         }
     }
 
-    /// Records the scheduler log as `ThreadDispatch` and `ThreadPark`
-    /// events at this machine's thread ids, emptying it. Does nothing on
-    /// an untraced machine, whose log stays empty.
+    /// Records and empties the scheduler log as `ThreadDispatch` and
+    /// `ThreadPark` events at this machine's thread ids (traced runs only).
     #[inline]
     pub fn trace_sched(&mut self, obs: &mut dyn Observer) {
         if !self.traced {
@@ -363,10 +351,9 @@ impl Machine {
         }
     }
 
-    /// Names every thread in a traced run's observer, at this machine's
-    /// thread ids; a fleet `shard` prefixes each name with `s{shard}/`.
-    /// Architectures spawn every thread in `init`, so one pass after it
-    /// covers the run.
+    /// Names every thread at this machine's thread ids (traced runs only),
+    /// prefixed `s{shard}/` for a fleet shard. Architectures spawn every
+    /// thread in `init`, so one pass after it covers the run.
     pub fn name_threads(&self, obs: &mut dyn Observer, shard: Option<usize>) {
         if !self.traced {
             return;
@@ -392,6 +379,9 @@ pub struct Ctx<'a> {
     now: SimTime,
     m: &'a mut Machine,
     obs: &'a mut dyn Observer,
+    /// The machine's `traced`, cached so the disabled path is one local
+    /// branch.
+    obs_on: bool,
     /// `true` while the driver's load shedder is saturated (service slots
     /// exhausted or arrivals parked in the accept queue). Architectures
     /// with adaptive policies (the hybrid router's reclassification) freeze
@@ -409,7 +399,7 @@ impl std::fmt::Debug for Ctx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("now", &self.now)
-            .field("traced", &self.m.traced)
+            .field("obs_on", &self.obs_on)
             .finish_non_exhaustive()
     }
 }
@@ -451,7 +441,7 @@ impl Ctx<'_> {
     /// exactly: one WriteCall per syscall, one WriteSpin per zero return.
     #[inline]
     fn trace_write(&mut self, at: SimTime, conn: ConnId, written: usize) {
-        if !self.m.traced {
+        if !self.obs_on {
             return;
         }
         let class = self.m.conn_info[conn.0].class;
@@ -510,7 +500,7 @@ impl Ctx<'_> {
             return 0;
         }
         let start = self.now;
-        if self.m.traced {
+        if self.obs_on {
             for i in 1..=retired.cycles {
                 self.trace_write(start + retired.period * i, conn, 0);
             }
@@ -548,7 +538,7 @@ impl Ctx<'_> {
     /// `true` when structured tracing is enabled; server models guard
     /// their [`Ctx::emit`] call sites with this to keep disabled runs free.
     pub fn trace_enabled(&self) -> bool {
-        self.m.traced
+        self.obs_on
     }
 
     /// `true` while the driver's server-side load shedder is actively
@@ -580,7 +570,7 @@ impl Ctx<'_> {
         thread: Option<ThreadId>,
         arg: u64,
     ) {
-        if !self.m.traced {
+        if !self.obs_on {
             return;
         }
         let mut ev = TraceEvent::new(self.now, kind).arg(arg);
