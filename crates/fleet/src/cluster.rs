@@ -586,7 +586,7 @@ pub(crate) fn drive(
 
     // Dispatches one server callback at `$now` on shard `$s`'s machine
     // (flush afterwards). The `@with` arm evaluates `$body` with the
-    // shard bound to `$sh` and its `Ctx` to `$cx`, for the driver's own
+    // shard bound to `$sh` and its `Ctx` to `$cx`, for the loop's own
     // writes. Burst completions go through `Machine::on_cpu` instead.
     macro_rules! dispatch {
         ($now:expr, $s:expr, $method:ident $(, $arg:expr)*) => {
