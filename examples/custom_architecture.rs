@@ -58,7 +58,9 @@ impl StagedPipeline {
             0 => (Burst::syscall(p.epoll_wakeup), tag(P_HOP1, conn)),
             1 => (Burst::user(p.dispatch_cost), tag(P_HOP2, conn)),
             _ => (
-                Burst::user(p.read_syscall + p.parse_cost + p.compute(ctx.response_bytes(ConnId(conn)))),
+                Burst::user(
+                    p.read_syscall + p.parse_cost + p.compute(ctx.response_bytes(ConnId(conn))),
+                ),
                 tag(P_WORK, conn),
             ),
         }

@@ -71,16 +71,17 @@ fn real_kernel() {
     let server = asyncinv_rt::MiniServer::start(asyncinv_rt::ServerMode::SingleLoopSpin)
         .expect("bind loopback");
     let n = 64 * 1024 * 1024;
-    let got = asyncinv_rt::fetch_slowly(server.addr(), n, Duration::from_millis(300))
-        .expect("fetch");
+    let got =
+        asyncinv_rt::fetch_slowly(server.addr(), n, Duration::from_millis(300)).expect("fetch");
     assert_eq!(got, n);
     println!("  spinner: {}", server.stats());
     server.shutdown();
 
     let server = asyncinv_rt::MiniServer::start(asyncinv_rt::ServerMode::ThreadPerConn)
         .expect("bind loopback");
-    let got = asyncinv_rt::fetch_slowly(server.addr(), 16 * 1024 * 1024, Duration::from_millis(200))
-        .expect("fetch");
+    let got =
+        asyncinv_rt::fetch_slowly(server.addr(), 16 * 1024 * 1024, Duration::from_millis(200))
+            .expect("fetch");
     assert_eq!(got, 16 * 1024 * 1024);
     println!("  blocking: {}", server.stats());
     server.shutdown();

@@ -68,8 +68,12 @@ fn the_gate_rejects_all_zero_weights_from_json() {
 
 #[test]
 fn the_gate_rejects_negative_or_overflowing_weights_from_json() {
-    assert!(fleet(mix_json(&[100, 200], "-1.0, 2.0")).validate().is_err());
-    assert!(fleet(mix_json(&[100, 200], "1e308, 1e308")).validate().is_err());
+    assert!(fleet(mix_json(&[100, 200], "-1.0, 2.0"))
+        .validate()
+        .is_err());
+    assert!(fleet(mix_json(&[100, 200], "1e308, 1e308"))
+        .validate()
+        .is_err());
 }
 
 #[test]

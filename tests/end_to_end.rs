@@ -2,8 +2,8 @@
 //! `asyncinv` facade, checking system-level invariants the paper's
 //! analysis relies on.
 
-use asyncinv::prelude::*;
 use asyncinv::littles_law_residual;
+use asyncinv::prelude::*;
 
 fn quick(concurrency: usize, bytes: usize) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::micro(concurrency, bytes);
@@ -59,7 +59,11 @@ fn cpu_utilization_sane() {
 /// saturation for the well-behaved architectures.
 #[test]
 fn throughput_rises_to_saturation() {
-    for kind in [ServerKind::SyncThread, ServerKind::SingleThread, ServerKind::NettyLike] {
+    for kind in [
+        ServerKind::SyncThread,
+        ServerKind::SingleThread,
+        ServerKind::NettyLike,
+    ] {
         let t1 = Experiment::new(quick(1, 100)).run(kind).throughput;
         let t8 = Experiment::new(quick(8, 100)).run(kind).throughput;
         assert!(
@@ -81,7 +85,10 @@ fn small_response_ranking() {
     let fix = exp.run(ServerKind::AsyncPoolFix).throughput;
     let pool = exp.run(ServerKind::AsyncPool).throughput;
 
-    assert!((hybrid - single).abs() / single < 0.02, "hybrid tracks singleT");
+    assert!(
+        (hybrid - single).abs() / single < 0.02,
+        "hybrid tracks singleT"
+    );
     assert!(single > netty, "singleT beats netty on light traffic");
     assert!(sync > pool, "sync beats the 4-switch pool");
     assert!(fix > pool, "2 switches beat 4");
@@ -152,14 +159,20 @@ fn advisor_diagnoses_real_runs() {
     let s = Experiment::new(cfg).run(ServerKind::SingleThread);
     let found: Vec<_> = diagnose(&s).iter().map(|f| f.pathology).collect();
     assert!(found.contains(&Pathology::WriteSpin), "{found:?}");
-    assert!(found.contains(&Pathology::LatencyAmplifiedSpin), "{found:?}");
+    assert!(
+        found.contains(&Pathology::LatencyAmplifiedSpin),
+        "{found:?}"
+    );
 
     // The same workload through the hybrid: no spin findings.
     let cfg = quick(50, 100 * 1024).with_latency(SimDuration::from_millis(5));
     let s = Experiment::new(cfg).run(ServerKind::Hybrid);
     let found: Vec<_> = diagnose(&s).iter().map(|f| f.pathology).collect();
     assert!(!found.contains(&Pathology::WriteSpin), "{found:?}");
-    assert!(!found.contains(&Pathology::LatencyAmplifiedSpin), "{found:?}");
+    assert!(
+        !found.contains(&Pathology::LatencyAmplifiedSpin),
+        "{found:?}"
+    );
 
     // The 4-switch reactor pool: dispatch overhead at low concurrency.
     let s = Experiment::new(quick(1, 100)).run(ServerKind::AsyncPool);

@@ -59,10 +59,14 @@ fn trace_parts(rec: &Recorder) -> [(&'static str, u64); 4] {
     let names = rec.thread_names().iter().fold(Fnv::new(), |h, n| h.str(n));
     let mut counters: Vec<(&str, u64)> = rec.registry().counters().collect();
     counters.sort();
-    let counters = counters.iter().fold(Fnv::new(), |h, (n, v)| h.str(n).u64(*v));
+    let counters = counters
+        .iter()
+        .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(*v));
     let mut gauges: Vec<(&str, f64)> = rec.registry().gauges().collect();
     gauges.sort_by(|a, b| a.0.cmp(b.0));
-    let gauges = gauges.iter().fold(Fnv::new(), |h, (n, v)| h.str(n).u64(v.to_bits()));
+    let gauges = gauges
+        .iter()
+        .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(v.to_bits()));
     [
         ("events", events.0),
         ("names", names.0),
@@ -136,15 +140,27 @@ fn faults(seed: u64) -> FaultPlan {
 fn cells() -> Vec<(String, Experiment, ServerKind)> {
     let mut out = Vec::new();
     for kind in ServerKind::ALL {
-        out.push((format!("lan-0.1kb/{kind}"), Experiment::new(base(8, 100, 0)), kind));
+        out.push((
+            format!("lan-0.1kb/{kind}"),
+            Experiment::new(base(8, 100, 0)),
+            kind,
+        ));
     }
     for kind in ServerKind::ALL {
         let exp = Experiment::new(base(4, 100 * 1024, 5_000));
         out.push((format!("wan-100kb/{kind}"), exp, kind));
     }
     let stepwise = Experiment::new(base(4, 100 * 1024, 5_000)).fast_forward(false);
-    out.push(("wan-100kb-stepwise/SingleT-Async".into(), stepwise, ServerKind::SingleThread));
-    for policy in [ShedPolicy::DropNew, ShedPolicy::DropOldest, ShedPolicy::RejectFast] {
+    out.push((
+        "wan-100kb-stepwise/SingleT-Async".into(),
+        stepwise,
+        ServerKind::SingleThread,
+    ));
+    for policy in [
+        ShedPolicy::DropNew,
+        ShedPolicy::DropOldest,
+        ShedPolicy::RejectFast,
+    ] {
         for kind in [ServerKind::NettyLike, ServerKind::AsyncPool] {
             let mut cfg = base(24, 10 * 1024, 500);
             cfg.retry = retry(TimeoutMode::Fixed);
@@ -155,18 +171,32 @@ fn cells() -> Vec<(String, Experiment, ServerKind)> {
                 policy,
                 reject_bytes: 256,
             });
-            out.push((format!("resilience-{policy:?}/{kind}"), Experiment::new(cfg), kind));
+            out.push((
+                format!("resilience-{policy:?}/{kind}"),
+                Experiment::new(cfg),
+                kind,
+            ));
         }
     }
-    for kind in [ServerKind::SyncThread, ServerKind::Hybrid, ServerKind::Proactor] {
+    for kind in [
+        ServerKind::SyncThread,
+        ServerKind::Hybrid,
+        ServerKind::Proactor,
+    ] {
         let mut cfg = base(16, 10 * 1024, 1_000);
         cfg.retry = retry(TimeoutMode::Rto);
         cfg.faults = Some(faults(4));
         out.push((format!("rto/{kind}"), Experiment::new(cfg), kind));
     }
-    for kind in [ServerKind::SingleThread, ServerKind::NettyLike, ServerKind::Staged] {
+    for kind in [
+        ServerKind::SingleThread,
+        ServerKind::NettyLike,
+        ServerKind::Staged,
+    ] {
         let mut cfg = base(16, 10 * 1024, 200);
-        cfg.clients.arrivals = ArrivalMode::Open { rate_per_sec: 14_000.0 };
+        cfg.clients.arrivals = ArrivalMode::Open {
+            rate_per_sec: 14_000.0,
+        };
         cfg.retry = retry(TimeoutMode::Fixed);
         out.push((format!("open-loop/{kind}"), Experiment::new(cfg), kind));
     }
@@ -178,7 +208,10 @@ fn compute() -> String {
     let mut table = String::new();
     for (name, exp, kind) in cells() {
         let (summary, debug) = exp.run_detailed(kind);
-        let debug = debug.iter().fold(Fnv::new(), |h, (n, v)| h.str(n).u64(*v)).0;
+        let debug = debug
+            .iter()
+            .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(*v))
+            .0;
         let (traced, rec) = exp.run_traced(kind);
         assert_eq!(summary, traced, "{name}: tracing changed the summary");
         let mut parts = vec![("summary", summary_digest(&summary)), ("debug", debug)];

@@ -7,7 +7,11 @@ use proptest::prelude::*;
 /// Drives a set of threads, each with a fixed list of bursts, to
 /// completion. Returns (total user+sys time charged, completions, final
 /// time, context switches).
-fn run_schedule(cores: usize, slice_us: u64, plans: &[Vec<(u64, bool)>]) -> (u64, usize, SimTime, u64) {
+fn run_schedule(
+    cores: usize,
+    slice_us: u64,
+    plans: &[Vec<(u64, bool)>],
+) -> (u64, usize, SimTime, u64) {
     let cfg = CpuConfig {
         cores,
         time_slice: SimDuration::from_micros(slice_us),

@@ -58,9 +58,16 @@ fn one_tier_graph_is_composed_and_passes_both_audits() {
         assert!(report.pass(), "{kind:?}: dag audit failed:\n{report}");
         let spans = dag_span_audit(&traced.spans, &rec);
         assert!(spans.pass(), "{kind:?}: span audit failed:\n{spans}");
-        assert!(traced.summary.completed > 0, "{kind:?}: the tier must serve requests");
+        assert!(
+            traced.summary.completed > 0,
+            "{kind:?}: the tier must serve requests"
+        );
         assert_eq!(traced.summary.per_tier.len(), 1);
-        assert_eq!(run.run().summary, traced.summary, "{kind:?}: tracing moved the summary");
+        assert_eq!(
+            run.run().summary,
+            traced.summary,
+            "{kind:?}: tracing moved the summary"
+        );
     }
 }
 
@@ -80,9 +87,16 @@ fn composed_dag_passes_both_audits() {
     };
     assert!(out.summary.completed > 0);
     assert!(sums(|t| t.hedges) > 0, "the hedge plane must fire");
-    assert!(sums(|t| t.edge_timeouts) > 0, "the brownout must cause edge timeouts");
+    assert!(
+        sums(|t| t.edge_timeouts) > 0,
+        "the brownout must cause edge timeouts"
+    );
     for s in &out.spans {
-        assert!(s.conserves(), "span {} phases must telescope bitwise", s.req);
+        assert!(
+            s.conserves(),
+            "span {} phases must telescope bitwise",
+            s.req
+        );
         if s.status == DagSpanStatus::Completed {
             assert!(s.attempts.iter().any(|a| a.won));
         }

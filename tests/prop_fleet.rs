@@ -43,9 +43,17 @@ fn one_shard_fleet_has_no_fleet_plane() {
         let bare = Experiment::new(retrying_cell()).run(kind);
         for balancer in BalancerKind::ALL {
             let fleet = Cluster::new(FleetConfig::new(retrying_cell(), 1, balancer)).run(kind);
-            assert_eq!(bare, fleet.fleet, "{kind}/{}: balancer leaked in", balancer.name());
+            assert_eq!(
+                bare,
+                fleet.fleet,
+                "{kind}/{}: balancer leaked in",
+                balancer.name()
+            );
             assert_eq!(fleet.per_shard.len(), 1);
-            assert_eq!(fleet.fleet.shard_routes, 0, "no fleet counters at one shard");
+            assert_eq!(
+                fleet.fleet.shard_routes, 0,
+                "no fleet counters at one shard"
+            );
             assert_eq!(fleet.fleet.hedges, 0);
         }
     }
@@ -132,7 +140,11 @@ fn per_shard_hedging_diverges_from_pooled_under_asymmetry() {
         assert!(report.pass(), "{name} hedge audit failed:\n{report}");
         assert!(s.fleet.hedges > 0, "{name} hedging must actually fire");
     }
-    assert_eq!(keyed, Cluster::new(mk(true)).run(kind), "keyed run must be deterministic");
+    assert_eq!(
+        keyed,
+        Cluster::new(mk(true)).run(kind),
+        "keyed run must be deterministic"
+    );
     assert_ne!(
         pooled, keyed,
         "per-shard estimators must change hedge timing under an asymmetric fleet"
@@ -142,11 +154,16 @@ fn per_shard_hedging_diverges_from_pooled_under_asymmetry() {
 /// A stressed 3-shard fleet with every plane engaged: retries, hedging,
 /// a mid-run slowdown on shard 1 and a shed override on shard 2.
 fn stressed() -> FleetConfig {
-    let mut cfg = FleetConfig::new(retrying_cell(), 3, BalancerKind::PowerOfTwoChoices {
-        seed: 0x5eed,
-    });
+    let mut cfg = FleetConfig::new(
+        retrying_cell(),
+        3,
+        BalancerKind::PowerOfTwoChoices { seed: 0x5eed },
+    );
     cfg.cell.trace_capacity = 1 << 16;
-    cfg.hedge = Some(HedgeConfig { min_samples: 16, ..HedgeConfig::default() });
+    cfg.hedge = Some(HedgeConfig {
+        min_samples: 16,
+        ..HedgeConfig::default()
+    });
     cfg.shard_faults = vec![ShardFault {
         shard: 1,
         plan: FaultPlan {
@@ -182,7 +199,10 @@ fn stressed_fleet_engages_every_plane_and_passes_the_audit() {
     assert!(report.pass(), "stressed fleet audit failed:\n{report}");
     assert!(a.fleet.fault_events > 0, "the fault must actually fire");
     assert!(a.fleet.hedges > 0, "hedging must actually fire");
-    assert!(a.fleet.shed_dropped > 0, "the shed override must actually shed");
+    assert!(
+        a.fleet.shed_dropped > 0,
+        "the shed override must actually shed"
+    );
 }
 
 /// `TimeoutMode::Rto` reaches fleets: the loop arms the client-wide RTO
@@ -207,13 +227,25 @@ fn rto_fleet_differs_from_fixed() {
 /// and each shard reports its own architecture.
 #[test]
 fn mixed_fleet_runs_are_deterministic() {
-    let kinds = [ServerKind::NettyLike, ServerKind::SyncThread, ServerKind::SingleThread];
+    let kinds = [
+        ServerKind::NettyLike,
+        ServerKind::SyncThread,
+        ServerKind::SingleThread,
+    ];
     let fleet = Cluster::new(FleetConfig::new(cell(), 3, BalancerKind::LeastOutstanding));
     let a = fleet.run_mixed(&kinds);
-    assert_eq!(a, fleet.run_mixed(&kinds), "mixed fleet must be bitwise identical");
+    assert_eq!(
+        a,
+        fleet.run_mixed(&kinds),
+        "mixed fleet must be bitwise identical"
+    );
     for (shard, kind) in a.per_shard.iter().zip(kinds) {
         assert_eq!(shard.server, kind.to_string());
-        assert!(shard.completions > 0, "shard {} completed nothing", shard.shard);
+        assert!(
+            shard.completions > 0,
+            "shard {} completed nothing",
+            shard.shard
+        );
     }
 }
 

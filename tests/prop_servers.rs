@@ -2,8 +2,8 @@
 //! concurrency, response size, latency) cells, system-level invariants
 //! must hold.
 
-use asyncinv::prelude::*;
 use asyncinv::littles_law_residual;
+use asyncinv::prelude::*;
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = ServerKind> {
@@ -11,8 +11,8 @@ fn kind_strategy() -> impl Strategy<Value = ServerKind> {
 }
 
 fn cell(kind: ServerKind, conc: usize, bytes: usize, lat_us: u64, seed: u64) -> RunSummary {
-    let mut cfg = ExperimentConfig::micro(conc, bytes)
-        .with_latency(SimDuration::from_micros(lat_us));
+    let mut cfg =
+        ExperimentConfig::micro(conc, bytes).with_latency(SimDuration::from_micros(lat_us));
     cfg.warmup = SimDuration::from_millis(200);
     cfg.measure = SimDuration::from_millis(800);
     cfg.clients.seed = seed;

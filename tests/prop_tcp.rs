@@ -1,7 +1,7 @@
 //! Property tests of the TCP send-path model.
 
-use asyncinv_lab::tcp::{SendBufPolicy, TcpConfig, TcpNotice, TcpWorld};
 use asyncinv_lab::simcore::{SimDuration, SimTime};
+use asyncinv_lab::tcp::{SendBufPolicy, TcpConfig, TcpNotice, TcpWorld};
 use proptest::prelude::*;
 
 // A small facade over the crate's public API to drive a transfer to
@@ -24,9 +24,14 @@ fn drain_with_invariants(
         let c = world.conn(conn);
         prop_assert!(c.buffered() <= c.capacity(), "buffer overflow");
         prop_assert!(c.in_flight() <= c.buffered(), "in-flight exceeds buffered");
-        prop_assert!(c.cwnd() >= c.config().init_cwnd() || c.config().cwnd_cap() < c.config().init_cwnd());
+        prop_assert!(
+            c.cwnd() >= c.config().init_cwnd() || c.config().cwnd_cap() < c.config().init_cwnd()
+        );
 
-        prop_assert!(!out.is_empty(), "stalled with {delivered}/{total} delivered");
+        prop_assert!(
+            !out.is_empty(),
+            "stalled with {delivered}/{total} delivered"
+        );
         out.sort_by_key(|(t, _)| *t);
         let (t, ev) = out.remove(0);
         prop_assert!(t >= now, "network event in the past");

@@ -36,7 +36,11 @@ fn parallel_grid_equals_serial_cell_for_cell() {
     let parallel = run_cells(Fidelity::Quick, &cells, 4);
     assert_eq!(serial.len(), cells.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(s, p, "cell {i} ({:?}) diverged between serial and parallel", cells[i]);
+        assert_eq!(
+            s, p,
+            "cell {i} ({:?}) diverged between serial and parallel",
+            cells[i]
+        );
     }
 }
 
