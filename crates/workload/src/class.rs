@@ -347,8 +347,18 @@ mod tests {
         let all_light = Mix::heavy_light(0.0);
         let all_heavy = Mix::heavy_light(1.0);
         for _ in 0..100 {
-            assert_eq!(all_light.classes()[all_light.sample(&mut rng)].name.as_ref(), "light");
-            assert_eq!(all_heavy.classes()[all_heavy.sample(&mut rng)].name.as_ref(), "heavy");
+            assert_eq!(
+                all_light.classes()[all_light.sample(&mut rng)]
+                    .name
+                    .as_ref(),
+                "light"
+            );
+            assert_eq!(
+                all_heavy.classes()[all_heavy.sample(&mut rng)]
+                    .name
+                    .as_ref(),
+                "heavy"
+            );
         }
     }
 
@@ -368,9 +378,20 @@ mod tests {
             .iter()
             .filter(|c| c.response_bytes < 16 * 1024)
             .count();
-        assert!(light > 140, "heavy-tailed sizes: most classes light, got {light}");
-        let max = mix.classes().iter().map(|c| c.response_bytes).max().unwrap();
-        assert!(max > 20 * 1024, "the tail must reach large sizes, max {max}");
+        assert!(
+            light > 140,
+            "heavy-tailed sizes: most classes light, got {light}"
+        );
+        let max = mix
+            .classes()
+            .iter()
+            .map(|c| c.response_bytes)
+            .max()
+            .unwrap();
+        assert!(
+            max > 20 * 1024,
+            "the tail must reach large sizes, max {max}"
+        );
         // Deterministic per seed.
         assert_eq!(mix, Mix::web_realistic(200, 1.0, 0.7, 100, 200 * 1024, 7));
     }

@@ -174,7 +174,10 @@ impl ClientPool {
             ArrivalMode::Closed => {
                 for i in 0..self.users.len() {
                     let jitter = SimDuration::from_nanos(self.rng.gen_range(1_000_000));
-                    out.push((SimTime::ZERO + jitter, ClientEvent::Send { user: UserId(i) }));
+                    out.push((
+                        SimTime::ZERO + jitter,
+                        ClientEvent::Send { user: UserId(i) },
+                    ));
                 }
             }
             ArrivalMode::Open { .. } => {
@@ -408,7 +411,9 @@ mod tests {
             });
             let mut out = Vec::new();
             p.start(&mut out);
-            (0..2).map(|i| p.next_request(SimTime::ZERO, UserId(i)).class).collect::<Vec<_>>()
+            (0..2)
+                .map(|i| p.next_request(SimTime::ZERO, UserId(i)).class)
+                .collect::<Vec<_>>()
         };
         assert_eq!(specs(9), specs(9));
     }

@@ -108,8 +108,8 @@ impl RetryPolicy {
     /// Backoff before retry number `attempt` (0-based), with jitter drawn
     /// from `rng`. Deterministic given the RNG state.
     pub fn backoff_for(&self, attempt: u32, rng: &mut SimRng) -> SimDuration {
-        let base = self.backoff_base.as_nanos() as f64
-            * self.backoff_mult.powi(attempt.min(63) as i32);
+        let base =
+            self.backoff_base.as_nanos() as f64 * self.backoff_mult.powi(attempt.min(63) as i32);
         let capped = base.min(self.backoff_cap.as_nanos() as f64).max(0.0);
         let jitter = if self.jitter_frac > 0.0 {
             capped * self.jitter_frac * rng.next_f64()

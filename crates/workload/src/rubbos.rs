@@ -133,7 +133,12 @@ impl Navigator {
         const STORE_COMMENT: usize = 12;
         match idx {
             STORIES_OF_THE_DAY => &[VIEW_STORY, BROWSE_CATEGORIES, OLDER_STORIES, SEARCH],
-            VIEW_STORY => &[VIEW_COMMENT, POST_COMMENT_FORM, VIEW_USER, STORIES_OF_THE_DAY],
+            VIEW_STORY => &[
+                VIEW_COMMENT,
+                POST_COMMENT_FORM,
+                VIEW_USER,
+                STORIES_OF_THE_DAY,
+            ],
             VIEW_COMMENT => &[VIEW_COMMENT, POST_COMMENT_FORM, VIEW_STORY],
             BROWSE_CATEGORIES => &[BROWSE_BY_CATEGORY],
             BROWSE_BY_CATEGORY => &[VIEW_STORY, OLDER_STORIES],

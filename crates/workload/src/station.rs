@@ -47,9 +47,17 @@ impl Station {
     /// # Panics
     ///
     /// Panics if `servers` is zero or the mean service time is zero.
-    pub fn new(name: impl Into<String>, servers: usize, mean_service: SimDuration, seed: u64) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        servers: usize,
+        mean_service: SimDuration,
+        seed: u64,
+    ) -> Self {
         assert!(servers > 0, "a station needs at least one server");
-        assert!(!mean_service.is_zero(), "mean service time must be positive");
+        assert!(
+            !mean_service.is_zero(),
+            "mean service time must be positive"
+        );
         Station {
             name: name.into(),
             servers,

@@ -10,8 +10,7 @@ use serde::{Deserialize, Serialize};
 /// time between the consecutive requests sent from the same thread to be
 /// zero, thus we can precisely control the concurrency"); RUBBoS uses an
 /// exponential think time with a 7-second mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum ThinkTime {
     /// No think time: the user is always either waiting for a response or
     /// sending the next request.
@@ -43,7 +42,6 @@ impl ThinkTime {
         }
     }
 }
-
 
 #[cfg(test)]
 mod tests {
