@@ -1,5 +1,6 @@
 //! Self-benchmark of the simulation kernel: raw queue throughput of the
-//! heap and the ladder, CPU-scheduler dispatch and the TCP send path
+//! lane queue without lanes (the default queue, a plain heap) and the
+//! ladder, CPU-scheduler dispatch and the TCP send path
 //! alone, full experiment-cell wall-clock on the fleet
 //! loop (which runs on the lane queue), the parallel cell runner's
 //! speedup over a serial run, the costs of the proactor, tracing,
@@ -31,7 +32,7 @@ use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
 use asyncinv::substrate::{Burst, CpuConfig, CpuModel, TcpConfig, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table};
-use asyncinv_simcore::{EventQueue, LadderQueue, LaneQueue, QueueBackend};
+use asyncinv_simcore::{LadderQueue, LaneQueue, QueueBackend};
 use serde::Serialize;
 
 /// Runs behind every row of a full run (`--quick` makes one). Queue
@@ -412,7 +413,7 @@ type HoldProbe = fn(u64, u64) -> f64;
 fn main() {
     asyncinv_bench::banner(
         "kernel_bench — simulation-kernel self-benchmark",
-        "heap vs ladder on hold loads; the cell grid on the fleet loop's lane queue; \
+        "lanes vs ladder on hold loads; the cell grid on the fleet loop's lane queue; \
          parallel runner cuts grid wall-clock",
     );
     let quick = std::env::args().any(|a| a == "--quick");
@@ -424,8 +425,8 @@ fn main() {
     // --- 1. Hold model: the kernel's steady-state op rate per queue type. ---
     let queues: [(&str, HoldProbe); 2] = [
         (
-            EventQueue::<u64>::NAME,
-            hold_events_per_sec::<EventQueue<u64>>,
+            LaneQueue::<u64>::NAME,
+            hold_events_per_sec::<LaneQueue<u64>>,
         ),
         (
             LadderQueue::<u64>::NAME,

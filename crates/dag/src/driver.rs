@@ -378,8 +378,6 @@ struct Engine<'a> {
     /// lane; service completions, root arrivals, hedge fires and brownout
     /// marks go to the heap.
     sim: Simulation<DagEvent, LaneQueue<DagEvent>>,
-    /// Per edge: the lane of its latency and the lane of its timeout.
-    edge_lanes: Vec<(usize, usize)>,
     rng: SimRng,
     stations: Vec<TierStation>,
     /// The calls of the trees that may still be reached, by dispatch-order
@@ -438,23 +436,10 @@ impl<'a> Engine<'a> {
             .map(|e| e.hedge.as_ref().map(HedgeEstimator::new))
             .collect();
         let enabled = obs.is_enabled();
-        // One lane per distinct edge latency or timeout.
-        let mut delays: Vec<SimDuration> = g
+        let delays: Vec<SimDuration> = g
             .edges
             .iter()
             .flat_map(|e| [e.latency, e.timeout])
-            .collect();
-        delays.sort_unstable();
-        delays.dedup();
-        let lane = |d: SimDuration| {
-            delays
-                .binary_search(&d)
-                .expect("every edge delay has a lane")
-        };
-        let edge_lanes = g
-            .edges
-            .iter()
-            .map(|e| (lane(e.latency), lane(e.timeout)))
             .collect();
         Engine {
             out_edges: g.out_edges(),
@@ -465,7 +450,6 @@ impl<'a> Engine<'a> {
             obs,
             enabled,
             sim: Simulation::with_backend(LaneQueue::new(&delays)),
-            edge_lanes,
             rng: SimRng::new(g.seed),
             insts: Window::new(),
             ctls: Window::new(),
@@ -745,8 +729,7 @@ impl<'a> Engine<'a> {
         };
         let e_idx = self.ctls[c].edge as usize;
         let e = &self.g.edges[e_idx];
-        let to = e.to;
-        let (latency_lane, timeout_lane) = self.edge_lanes[e_idx];
+        let (to, latency, timeout) = (e.to, e.latency, e.timeout);
         let id = self.insts.push(Inst::new(
             req,
             to,
@@ -774,10 +757,10 @@ impl<'a> Engine<'a> {
                 .arg(e_idx as u64),
         );
         self.sim
-            .schedule_lane(latency_lane, DagEvent::NodeArrive(id));
+            .schedule_routed(now + latency, DagEvent::NodeArrive(id));
         if !hedge {
-            self.sim.schedule_lane(
-                timeout_lane,
+            self.sim.schedule_routed(
+                now + timeout,
                 DagEvent::EdgeTimeout {
                     parent,
                     slot: slot as u32,
@@ -914,8 +897,8 @@ impl<'a> Engine<'a> {
                 self.rts.push(rt.as_nanos());
             }
         } else {
-            let (latency_lane, _) = self.edge_lanes[edge];
-            self.sim.schedule_lane(latency_lane, DagEvent::Reply(id));
+            let latency = self.g.edges[edge].latency;
+            self.sim.schedule_routed(now + latency, DagEvent::Reply(id));
         }
     }
 

@@ -492,18 +492,13 @@ pub(crate) fn drive(
     let policy = cell.retry;
     let retry_on = policy.enabled();
     let timeout = policy.timeout.unwrap_or_default();
-    // One lane per distinct fixed delay; an RTO-mode timeout varies, so
-    // it has none.
+    // One lane per fixed delay; an RTO-mode timeout varies, so it has
+    // none.
     let fixed_timeout = retry_on && policy.timeout_mode == TimeoutMode::Fixed;
-    let mut delays: Vec<SimDuration> = Vec::new();
-    for d in [SimDuration::ZERO, cell.tcp.one_way(), cell.tcp.rtt()]
+    let delays: Vec<SimDuration> = [SimDuration::ZERO, cell.tcp.one_way(), cell.tcp.rtt()]
         .into_iter()
         .chain(fixed_timeout.then_some(timeout))
-    {
-        if !delays.contains(&d) {
-            delays.push(d);
-        }
-    }
+        .collect();
     let mut sim = Simulation::with_backend(LaneQueue::new(&delays));
     let mut clients = ClientPool::new(cell.clients.clone());
     let mut bal = cfg.balancer.build(n_shards);

@@ -1,30 +1,29 @@
 //! Pluggable event-queue backends for [`Simulation`](crate::Simulation).
 //!
 //! The kernel's hot loop is "pop the earliest event, maybe push a few
-//! follow-ups". Three queue shapes implement it behind [`QueueBackend`],
+//! follow-ups". Two queue shapes implement it behind [`QueueBackend`],
 //! and each engine names the one that suits its standing population in
 //! code, as the `Q` type parameter of its `Simulation`; no config picks
 //! one:
 //!
-//! * the binary heap ([`EventQueue`](crate::EventQueue)), the default:
-//!   the best constants at the standing populations experiment cells hold
-//!   (tens to a few thousand events).
+//! * the lane queue ([`LaneQueue`](crate::LaneQueue)): a binary heap plus
+//!   one FIFO per fixed delay, declared by the model that owns the
+//!   simulation. With no lanes it is the plain heap, the default: the
+//!   best constants at the standing populations experiment cells hold
+//!   (tens to a few thousand events). The fleet drive loop (one-way
+//!   delay, RTT, fixed retry timeout) and the service-graph engine (edge
+//!   latencies and timeouts) run on it with lanes.
 //! * the ladder queue ([`LadderQueue`](crate::LadderQueue)): a hold cost
 //!   that stays flat from 10k to 100k+ events. The RUBBoS engine runs on
 //!   it, because its users' random think times keep a wide spread of
 //!   timestamps pending.
-//! * the lane queue ([`LaneQueue`](crate::LaneQueue)): a heap plus one
-//!   FIFO per fixed delay, declared by the model that owns the simulation.
-//!   The fleet drive loop (one-way delay, RTT, fixed retry timeout) and
-//!   the service-graph engine (edge latencies and timeouts) run on it.
 //!
 //! A queue that picks a shape at run time pays its dispatch on every
-//! operation, so none does. All three deliver byte-identical event
+//! operation, so none does. Both deliver byte-identical event
 //! orderings; property tests in `tests/prop_simcore.rs` enforce this.
 
 use crate::ladder::LadderQueue;
 use crate::lanes::LaneQueue;
-use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 /// A stable min-priority queue of timestamped events, usable as the
@@ -37,7 +36,7 @@ use crate::time::SimTime;
 /// reproducibility: swapping backends must never change simulation
 /// results, only wall-clock performance.
 pub trait QueueBackend<E>: Default {
-    /// Short human-readable backend name ("heap", "ladder", "lanes").
+    /// Short human-readable backend name ("lanes", "ladder").
     const NAME: &'static str;
 
     /// Enqueues `event` for delivery at `time`.
@@ -60,34 +59,6 @@ pub trait QueueBackend<E>: Default {
 
     /// Removes all pending events.
     fn clear(&mut self);
-}
-
-impl<E> QueueBackend<E> for EventQueue<E> {
-    const NAME: &'static str = "heap";
-
-    #[inline]
-    fn push(&mut self, time: SimTime, event: E) {
-        EventQueue::push(self, time, event);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-
-    fn clear(&mut self) {
-        EventQueue::clear(self);
-    }
 }
 
 impl<E> QueueBackend<E> for LadderQueue<E> {
@@ -120,7 +91,7 @@ impl<E> QueueBackend<E> for LadderQueue<E> {
 
 /// The lane queue as a backend. Its lanes are declared by the model that
 /// owns the simulation, and `Q::default()` gives a queue with no lanes (a
-/// plain heap).
+/// plain heap), the default backend.
 impl<E> QueueBackend<E> for LaneQueue<E> {
     const NAME: &'static str = "lanes";
 
@@ -162,10 +133,8 @@ mod tests {
                 .map(|(_, e)| e)
                 .collect()
         }
-        assert_eq!(drain(EventQueue::new()), [1, 2]);
         assert_eq!(drain(LadderQueue::new()), [1, 2]);
         assert_eq!(drain(LaneQueue::default()), [1, 2]);
-        assert_eq!(<EventQueue<u32> as QueueBackend<u32>>::NAME, "heap");
         assert_eq!(<LadderQueue<u32> as QueueBackend<u32>>::NAME, "ladder");
         assert_eq!(<LaneQueue<u32> as QueueBackend<u32>>::NAME, "lanes");
     }

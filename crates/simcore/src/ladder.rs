@@ -341,7 +341,7 @@ mod tests {
     fn interleaved_push_pop_hold_pattern() {
         // The hold model: pop one, push one slightly in the future.
         let mut lq = LadderQueue::new();
-        let mut heap = crate::EventQueue::new();
+        let mut heap = crate::LaneQueue::default();
         for i in 0..1000u64 {
             let t = SimTime::from_nanos((i * 7919) % 4096);
             lq.push(t, i);
@@ -424,7 +424,7 @@ mod tests {
         // to empty and refills — exercising bottom reuse, rung
         // exhaustion, and top reopening in one loop.
         let mut lq = LadderQueue::new();
-        let mut heap = crate::EventQueue::new();
+        let mut heap = crate::LaneQueue::default();
         let mut id = 0u64;
         for i in 0..256u64 {
             let t = SimTime::from_nanos((i * 37) % 512);

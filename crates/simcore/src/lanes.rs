@@ -8,41 +8,41 @@
 //! events at arbitrary times in a binary heap. Every entry is stamped
 //! from one sequence counter, and [`LaneQueue::pop`] takes the least
 //! `(time, seq)` among the heap head and the lane heads, so the queue
-//! delivers exactly [`EventQueue`](crate::EventQueue)'s order.
+//! delivers exactly the order of its heap alone. A queue with no lanes
+//! ([`LaneQueue::default`]) is that heap, and it is the default queue of
+//! [`Simulation`](crate::Simulation).
 //!
 //! The queue caches the earliest lane head. A push changes it only when
 //! its lane was empty, so [`LaneQueue::peek_time`] is O(1) and a pop
 //! compares the cached head with the heap head once; the lane fronts are
 //! rescanned only after a pop takes a lane entry.
 //!
-//! The lane an event uses is chosen by the caller when it schedules the
-//! event, from a property it already knows (the delay), so no operation
-//! pays a run-time switch.
+//! The lane an event uses follows from its delay, which the caller
+//! already knows when it schedules the event
+//! ([`LaneQueue::push_routed`]).
 
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::queue::Entry;
 use crate::time::{SimDuration, SimTime};
 
 /// A stable min-priority queue with fixed-delay lanes.
 ///
-/// Events pushed with [`LaneQueue::push`] go to a binary heap; events
-/// pushed with [`LaneQueue::push_lane`] go to the FIFO of one of the
-/// delays declared at construction, and [`LaneQueue::push_routed`] picks
-/// the lane from the event's delay. Pops deliver ascending `(time,
-/// insertion order)` across both, the [`QueueBackend`](crate::QueueBackend)
-/// contract. Use it through
-/// [`Simulation::schedule_lane`](crate::Simulation::schedule_lane) or
+/// Events pushed with [`LaneQueue::push`] go to a binary heap, and
+/// [`LaneQueue::push_routed`] puts an event on the FIFO of its delay when
+/// that delay was declared at construction. Pops deliver ascending
+/// `(time, insertion order)` across both, the
+/// [`QueueBackend`](crate::QueueBackend) contract. Use it through
 /// [`Simulation::schedule_routed`](crate::Simulation::schedule_routed),
-/// which supply the clock.
+/// which supplies the clock.
 ///
 /// ```
 /// use asyncinv_simcore::{LaneQueue, SimDuration, SimTime};
 ///
 /// let mut q = LaneQueue::new(&[SimDuration::from_micros(5)]);
 /// let now = SimTime::ZERO;
-/// q.push_lane(0, now, "hop");                 // fires at 5 µs
-/// q.push(SimTime::from_micros(5), "service"); // same instant, pushed later
+/// q.push_routed(now, SimTime::from_micros(5), "hop"); // the 5 µs lane
+/// q.push(SimTime::from_micros(5), "service");         // same instant, pushed later
 /// q.push(SimTime::from_micros(1), "tick");
 /// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
 /// assert_eq!(order, ["tick", "hop", "service"]);
@@ -54,6 +54,40 @@ pub struct LaneQueue<E> {
     /// The earliest lane front, `None` when every lane is empty.
     head: Option<Head>,
     seq: u64,
+}
+
+/// A queued event with its delivery time and insertion sequence number.
+/// Its ordering is reversed so a `BinaryHeap` (a max-heap) pops the least
+/// `(time, seq)`.
+#[derive(Debug)]
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse so the BinaryHeap (a max-heap) pops the earliest entry.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
 }
 
 #[derive(Debug)]
@@ -71,18 +105,21 @@ struct Head {
 }
 
 impl<E> LaneQueue<E> {
-    /// Creates an empty queue with one lane per entry of `delays`, in
-    /// order (lane `i` delays by `delays[i]`; equal delays are allowed).
+    /// Creates an empty queue with one lane per distinct delay in
+    /// `delays`, in the order each first appears.
     pub fn new(delays: &[SimDuration]) -> Self {
-        LaneQueue {
-            heap: BinaryHeap::new(),
-            lanes: delays
-                .iter()
-                .map(|&delay| Lane {
+        let mut lanes: Vec<Lane<E>> = Vec::new();
+        for &delay in delays {
+            if lanes.iter().all(|l| l.delay != delay) {
+                lanes.push(Lane {
                     delay,
                     fifo: VecDeque::new(),
-                })
-                .collect(),
+                });
+            }
+        }
+        LaneQueue {
+            heap: BinaryHeap::new(),
+            lanes,
             head: None,
             seq: 0,
         }
@@ -100,27 +137,16 @@ impl<E> LaneQueue<E> {
         self.heap.push(entry);
     }
 
-    /// Enqueues `event` on `lane`, for delivery the lane's delay after
-    /// `now`.
+    /// Enqueues `event` for delivery at `time`: on the lane whose delay
+    /// is `time − now`, else on the heap. Either way it pops at the same
+    /// place; a lane only spares the heap's sort.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range, or if `now` is earlier than the
-    /// `now` of an earlier push onto this lane (a lane stays sorted only
-    /// while its pushes move forward in time).
-    pub fn push_lane(&mut self, lane: usize, now: SimTime, event: E) {
-        let time = now + self.lanes[lane].delay;
-        self.append(lane, time, event);
-    }
-
-    /// Enqueues `event` for delivery at `time`: on the first lane whose
-    /// delay is `time − now`, else on the heap. Either way it pops at the
-    /// same place; a lane only spares the heap's sort.
-    ///
-    /// # Panics
-    ///
-    /// As [`LaneQueue::push_lane`] when a lane is taken, and in debug
-    /// builds if `time` is earlier than `now`
+    /// Panics if a lane is taken and `time` is earlier than the time of
+    /// the last event on that lane (a lane stays sorted only while its
+    /// pushes move forward in time), and in debug builds if `time` is
+    /// earlier than `now`
     /// ([`Simulation::schedule_routed`](crate::Simulation::schedule_routed)
     /// checks that in every build).
     pub fn push_routed(&mut self, now: SimTime, time: SimTime, event: E) {
@@ -232,16 +258,84 @@ impl<E> Default for LaneQueue<E> {
 mod tests {
     use super::*;
 
+    /// Pushes `event` through [`LaneQueue::push_routed`] at `now` plus
+    /// the delay of `lane`.
+    fn on_lane<E>(q: &mut LaneQueue<E>, lane: usize, now: SimTime, event: E) {
+        let time = now + q.lanes[lane].delay;
+        q.push_routed(now, time, event);
+    }
+
+    #[test]
+    fn pops_in_time_order() {
+        let mut q = LaneQueue::default();
+        q.push(SimTime::from_nanos(30), 3);
+        q.push(SimTime::from_nanos(10), 1);
+        q.push(SimTime::from_nanos(20), 2);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn ties_are_fifo() {
+        let mut q = LaneQueue::default();
+        let t = SimTime::from_nanos(7);
+        for i in 0..100 {
+            q.push(t, i);
+        }
+        for i in 0..100 {
+            let (pt, e) = q.pop().unwrap();
+            assert_eq!(pt, t);
+            assert_eq!(e, i);
+        }
+    }
+
+    #[test]
+    fn fifo_survives_interleaved_pops() {
+        let mut q = LaneQueue::default();
+        let t = SimTime::from_nanos(5);
+        q.push(t, 'a');
+        q.push(t, 'b');
+        assert_eq!(q.pop().unwrap().1, 'a');
+        q.push(t, 'c');
+        assert_eq!(q.pop().unwrap().1, 'b');
+        assert_eq!(q.pop().unwrap().1, 'c');
+    }
+
+    #[test]
+    fn peek_time_reports_earliest() {
+        let mut q = LaneQueue::default();
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::from_nanos(9), ());
+        q.push(SimTime::from_nanos(4), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(4)));
+    }
+
+    #[test]
+    fn len_and_clear() {
+        let mut q = LaneQueue::default();
+        for i in 0..5u8 {
+            q.push(SimTime::from_nanos(u64::from(i)), i);
+        }
+        assert_eq!(q.len(), 5);
+        assert!(!q.is_empty());
+        q.clear();
+        assert!(q.is_empty());
+    }
+
     #[test]
     fn lanes_and_heap_interleave_in_time_then_insertion_order() {
         let us = SimDuration::from_micros;
+        // A repeated delay declares one lane.
         let mut q = LaneQueue::new(&[us(3), us(1), us(3)]);
+        assert_eq!(q.lanes.len(), 2);
         let t0 = SimTime::ZERO;
-        q.push_lane(0, t0, 'a'); // 3
+        on_lane(&mut q, 0, t0, 'a'); // 3
         q.push(SimTime::from_micros(3), 'b'); // 3, after a
-        q.push_lane(1, t0, 'c'); // 1
-        q.push_lane(2, t0, 'd'); // 3, after b
-        q.push_lane(1, SimTime::from_micros(2), 'e'); // 3, after d
+        on_lane(&mut q, 1, t0, 'c'); // 1
+        on_lane(&mut q, 0, t0, 'd'); // 3, after b
+        on_lane(&mut q, 1, SimTime::from_micros(2), 'e'); // 3, after d
         assert_eq!(q.len(), 5);
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -253,19 +347,19 @@ mod tests {
     #[should_panic(expected = "out of time order")]
     fn a_lane_rejects_pushes_back_in_time() {
         let mut q = LaneQueue::new(&[SimDuration::from_micros(1)]);
-        q.push_lane(0, SimTime::from_micros(5), ());
-        q.push_lane(0, SimTime::from_micros(4), ());
+        on_lane(&mut q, 0, SimTime::from_micros(5), ());
+        on_lane(&mut q, 0, SimTime::from_micros(4), ());
     }
 
     #[test]
     fn clear_keeps_the_lanes() {
         let mut q = LaneQueue::new(&[SimDuration::from_nanos(7)]);
-        q.push_lane(0, SimTime::ZERO, 1);
+        on_lane(&mut q, 0, SimTime::ZERO, 1);
         q.push(SimTime::from_nanos(2), 2);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.push_lane(0, SimTime::from_nanos(1), 3);
+        on_lane(&mut q, 0, SimTime::from_nanos(1), 3);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(8), 3)));
     }
 
@@ -284,9 +378,9 @@ mod tests {
     #[test]
     fn after_a_lane_pop_the_head_can_stay_on_the_same_lane() {
         let mut q = lanes(&[5, 10]);
-        q.push_lane(0, NS(0), 'a'); // 5, seq 0
-        q.push_lane(1, NS(0), 'b'); // 10, seq 1
-        q.push_lane(0, NS(1), 'c'); // 6, seq 2
+        on_lane(&mut q, 0, NS(0), 'a'); // 5, seq 0
+        on_lane(&mut q, 1, NS(0), 'b'); // 10, seq 1
+        on_lane(&mut q, 0, NS(1), 'c'); // 6, seq 2
         assert_eq!(head(&q), Some((5, 0, 0)));
         assert_eq!(q.pop(), Some((NS(5), 'a')));
         assert_eq!(head(&q), Some((6, 2, 0)));
@@ -296,8 +390,8 @@ mod tests {
     #[test]
     fn after_a_lane_pop_the_head_can_move_to_another_lane() {
         let mut q = lanes(&[1, 3]);
-        q.push_lane(1, NS(0), 'a'); // 3, seq 0
-        q.push_lane(0, NS(0), 'b'); // 1, seq 1: earlier, takes the head
+        on_lane(&mut q, 1, NS(0), 'a'); // 3, seq 0
+        on_lane(&mut q, 0, NS(0), 'b'); // 1, seq 1: earlier, takes the head
         assert_eq!(head(&q), Some((1, 1, 0)));
         assert_eq!(q.pop(), Some((NS(1), 'b')));
         assert_eq!(head(&q), Some((3, 0, 1)));
@@ -308,8 +402,8 @@ mod tests {
     #[test]
     fn after_a_lane_pop_the_heap_can_hold_the_earliest_event() {
         let mut q = lanes(&[2, 9]);
-        q.push_lane(0, NS(0), 'a'); // 2
-        q.push_lane(1, NS(0), 'b'); // 9
+        on_lane(&mut q, 0, NS(0), 'a'); // 2
+        on_lane(&mut q, 1, NS(0), 'b'); // 9
         q.push(NS(4), 'c');
         assert_eq!(q.pop(), Some((NS(2), 'a')));
         assert_eq!(head(&q), Some((9, 1, 1)));
@@ -325,9 +419,9 @@ mod tests {
         // The higher lane's front was pushed first: seq, not the lane
         // index, decides, on a push into an empty lane and on a rescan.
         let mut q = lanes(&[2, 4, 1]);
-        q.push_lane(2, NS(0), 'a'); // 1, seq 0
-        q.push_lane(1, NS(0), 'b'); // 4, seq 1
-        q.push_lane(0, NS(2), 'c'); // 4, seq 2
+        on_lane(&mut q, 2, NS(0), 'a'); // 1, seq 0
+        on_lane(&mut q, 1, NS(0), 'b'); // 4, seq 1
+        on_lane(&mut q, 0, NS(2), 'c'); // 4, seq 2
         assert_eq!(head(&q), Some((1, 0, 2)));
         assert_eq!(q.pop(), Some((NS(1), 'a')));
         assert_eq!(head(&q), Some((4, 1, 1)));
@@ -337,21 +431,21 @@ mod tests {
         assert_eq!(q.pop(), Some((NS(4), 'c')));
         assert_eq!(q.pop(), Some((NS(4), 'd')));
         // An empty lane's push that ties the head in time does not take it.
-        q.push_lane(0, NS(4), 'e'); // 6, seq 4
-        q.push_lane(1, NS(2), 'f'); // 6, seq 5
+        on_lane(&mut q, 0, NS(4), 'e'); // 6, seq 4
+        on_lane(&mut q, 1, NS(2), 'f'); // 6, seq 5
         assert_eq!(head(&q), Some((6, 4, 0)));
     }
 
     #[test]
     fn clear_drops_the_head() {
         let mut q = lanes(&[3]);
-        q.push_lane(0, NS(0), 'a');
+        on_lane(&mut q, 0, NS(0), 'a');
         assert_eq!(head(&q), Some((3, 0, 0)));
         q.clear();
         assert_eq!(head(&q), None);
         assert!(q.pop().is_none());
         q.push(NS(9), 'b');
-        q.push_lane(0, NS(1), 'c'); // 4
+        on_lane(&mut q, 0, NS(1), 'c'); // 4
         assert_eq!(head(&q), Some((4, 2, 0)));
         assert_eq!(q.pop(), Some((NS(4), 'c')));
         assert_eq!(q.pop(), Some((NS(9), 'b')));

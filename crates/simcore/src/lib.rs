@@ -9,22 +9,22 @@
 //! The kernel is deliberately small and dependency-free:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`EventQueue`] / [`LadderQueue`] — stable priority queues of
+//! * [`LaneQueue`] / [`LadderQueue`] — stable priority queues of
 //!   timestamped events (ties broken by insertion order so runs are
-//!   reproducible), unified by the [`QueueBackend`] trait. The binary
-//!   heap is the default; the ladder suits standing populations in the
-//!   tens of thousands.
-//! * [`LaneQueue`] — a heap plus one FIFO lane per fixed delay, for
-//!   models whose events mostly sit at a few known delays (network
-//!   hops, ACKs, fixed timeouts). It pops the heap's exact order.
+//!   reproducible), unified by the [`QueueBackend`] trait. The lane
+//!   queue is a binary heap plus one FIFO lane per fixed delay, for
+//!   models whose events mostly sit at a few known delays (network hops,
+//!   ACKs, fixed timeouts); with no lanes it is the plain heap, the
+//!   default. The ladder suits standing populations in the tens of
+//!   thousands. Both pop the same order.
 //!
 //!   Each engine names its queue in code, as its `Simulation`'s type
 //!   parameter; configs never name one. The fleet drive loop and the
 //!   service-graph engine run on lanes, the RUBBoS engine on the ladder.
 //! * [`Simulation`] — clock + pluggable queue backend + scheduling API;
-//!   defaults to the binary heap; [`Simulation::schedule_lane`] schedules
-//!   on a lane, and [`Simulation::schedule_routed`] on the lane of the
-//!   event's delay if there is one.
+//!   defaults to a lane queue with no lanes, and
+//!   [`Simulation::schedule_routed`] schedules on the lane of the event's
+//!   delay if there is one.
 //! * [`SimRng`] — a seedable xoshiro256++ PRNG so experiments are
 //!   deterministic without depending on platform entropy.
 //!
@@ -55,7 +55,6 @@
 mod backend;
 mod ladder;
 mod lanes;
-mod queue;
 mod rng;
 mod sim;
 mod time;
@@ -63,7 +62,6 @@ mod time;
 pub use backend::QueueBackend;
 pub use ladder::LadderQueue;
 pub use lanes::LaneQueue;
-pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sim::Simulation;
 pub use time::{SimDuration, SimTime};

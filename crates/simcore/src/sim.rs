@@ -4,7 +4,6 @@ use std::marker::PhantomData;
 
 use crate::backend::QueueBackend;
 use crate::lanes::LaneQueue;
-use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A discrete-event simulation: virtual clock, event queue, scheduling API.
@@ -16,13 +15,13 @@ use crate::time::{SimDuration, SimTime};
 /// the queue and the model.
 ///
 /// The queue shape is a type parameter implementing [`QueueBackend`]; the
-/// default is the binary heap ([`EventQueue`]). Every backend delivers the
-/// exact same event ordering (stable FIFO on equal timestamps), so the
-/// choice affects wall-clock speed only, and each engine makes it in code:
-/// the ladder ([`LadderQueue`](crate::LadderQueue)) suits standing
-/// populations in the tens of thousands, and the lane queue
-/// ([`LaneQueue`]) suits models whose events mostly sit at a few fixed
-/// delays ([`Simulation::schedule_lane`], [`Simulation::schedule_routed`]).
+/// default is a [`LaneQueue`] with no lanes, a plain binary heap. Every
+/// backend delivers the exact same event ordering (stable FIFO on equal
+/// timestamps), so the choice affects wall-clock speed only, and each
+/// engine makes it in code: the ladder ([`LadderQueue`](crate::LadderQueue))
+/// suits standing populations in the tens of thousands, and a lane queue
+/// with lanes suits models whose events mostly sit at a few fixed delays
+/// ([`Simulation::schedule_routed`]).
 ///
 /// ```
 /// use asyncinv_simcore::{Simulation, SimDuration};
@@ -38,7 +37,7 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(sim.now().as_micros(), 4);
 /// ```
 #[derive(Debug)]
-pub struct Simulation<E, Q = EventQueue<E>>
+pub struct Simulation<E, Q = LaneQueue<E>>
 where
     Q: QueueBackend<E>,
 {
@@ -50,14 +49,14 @@ where
 
 impl<E> Simulation<E> {
     /// Creates a simulation with the clock at [`SimTime::ZERO`] and the
-    /// default binary-heap queue backend.
+    /// default queue backend, a lane queue with no lanes.
     ///
     /// (Like `HashMap::new`, this constructor is defined only for the
     /// default backend so plain `Simulation::new()` infers; use
     /// [`Simulation::with_backend`] or `Q::default()` via
     /// [`Default::default`] to pick another shape.)
     pub fn new() -> Self {
-        Simulation::with_backend(EventQueue::new())
+        Simulation::with_backend(LaneQueue::default())
     }
 }
 
@@ -149,25 +148,6 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
 }
 
 impl<E> Simulation<E, LaneQueue<E>> {
-    /// Schedules `event` on `lane` of the [`LaneQueue`], to fire the
-    /// lane's fixed delay after the current time. Because the clock never
-    /// runs backwards, each lane stays sorted without a heap.
-    ///
-    /// ```
-    /// use asyncinv_simcore::{LaneQueue, SimDuration, Simulation};
-    ///
-    /// let hop = SimDuration::from_micros(200);
-    /// let mut sim = Simulation::with_backend(LaneQueue::new(&[hop]));
-    /// sim.schedule_lane(0, "reply");
-    /// sim.schedule(SimDuration::from_micros(50), "service");
-    /// assert_eq!(sim.next_event().unwrap().1, "service");
-    /// let (t, e) = sim.next_event().unwrap();
-    /// assert_eq!((t.as_micros(), e), (200, "reply"));
-    /// ```
-    pub fn schedule_lane(&mut self, lane: usize, event: E) {
-        self.queue.push_lane(lane, self.now, event);
-    }
-
     /// Every pending event, in no particular order ([`LaneQueue::events`]).
     ///
     /// A model that keeps state for what its pending events refer to can
@@ -176,10 +156,10 @@ impl<E> Simulation<E, LaneQueue<E>> {
     /// visits every pending event, so call it rarely.
     ///
     /// ```
-    /// use asyncinv_simcore::{LaneQueue, SimDuration, Simulation};
+    /// use asyncinv_simcore::{SimDuration, Simulation};
     ///
-    /// let mut sim = Simulation::with_backend(LaneQueue::new(&[SimDuration::from_micros(1)]));
-    /// sim.schedule_lane(0, 7);
+    /// let mut sim = Simulation::new();
+    /// sim.schedule(SimDuration::from_micros(1), 7);
     /// sim.schedule(SimDuration::from_micros(3), 9);
     /// let mut pending: Vec<_> = sim.pending_events().copied().collect();
     /// pending.sort();
@@ -306,6 +286,5 @@ mod tests {
         }
         let ladder = run(Simulation::<u32, LadderQueue<u32>>::default());
         assert_eq!(run(Simulation::new()), ladder);
-        assert_eq!(run(Simulation::<u32, LaneQueue<u32>>::default()), ladder);
     }
 }

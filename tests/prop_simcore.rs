@@ -3,7 +3,7 @@
 use asyncinv_lab::asyncinv::BackendKind;
 use asyncinv_lab::servers::ExperimentConfig;
 use asyncinv_lab::simcore::{
-    EventQueue, LadderQueue, LaneQueue, QueueBackend, SimDuration, SimRng, SimTime, Simulation,
+    LadderQueue, LaneQueue, QueueBackend, SimDuration, SimRng, SimTime, Simulation,
 };
 use proptest::prelude::*;
 
@@ -12,7 +12,7 @@ proptest! {
     /// order, with FIFO ties.
     #[test]
     fn queue_pops_sorted_stable(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
+        let mut q = LaneQueue::default();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_nanos(t), (t, i));
         }
@@ -65,13 +65,13 @@ proptest! {
         prop_assert!(sim.now() >= deadline || sim.pending() == 0);
     }
 
-    /// Both kernel backends — the binary heap and the ladder queue —
-    /// produce byte-identical pop sequences for arbitrary interleavings of
-    /// pushes and pops. This is the property that lets a run pin either
-    /// backend without changing its results.
+    /// Both kernel backends — the lane queue without lanes (a binary heap)
+    /// and the ladder queue — produce byte-identical pop sequences for
+    /// arbitrary interleavings of pushes and pops. This is the property
+    /// that lets a run pin either backend without changing its results.
     #[test]
     fn backends_pop_identically(ops in prop::collection::vec((0u64..50_000, any::<bool>()), 1..500)) {
-        let mut heap = EventQueue::new();
+        let mut heap = LaneQueue::default();
         let mut lad = LadderQueue::new();
         let mut next_id = 0u64;
         for (t, do_pop) in ops {
@@ -103,7 +103,7 @@ proptest! {
         bursts in prop::collection::vec((0u64..64, 1usize..12, any::<bool>()), 1..120),
     ) {
         let mut lad = LadderQueue::new();
-        let mut heap = EventQueue::new();
+        let mut heap = LaneQueue::default();
         let mut next_id = 0u64;
         for (t, reps, do_pop) in bursts {
             for _ in 0..reps {
@@ -141,7 +141,7 @@ proptest! {
         ops in prop::collection::vec((0u64..2_000, any::<bool>(), 0usize..6), 1..200),
     ) {
         let mut lad = LadderQueue::new();
-        let mut heap = EventQueue::new();
+        let mut heap = LaneQueue::default();
         for (next_id, (t, far, pops)) in (0u64..).zip(ops) {
             // Far pushes land ~10^9 ns past the near cluster, guaranteeing
             // they spill into the top whatever the active edges are.
@@ -185,11 +185,11 @@ proptest! {
 
     /// The lane queue pops what the heap pops. Random interleavings of
     /// `schedule_at` and `schedule_routed` (arbitrary future times, some
-    /// on a lane's delay), `schedule_lane` on 1–6 lanes (delays of zero,
-    /// duplicate delays, and delays landing on the instants heap events
-    /// use), `next_event`, `next_event_before` (the fleet loop's pop) and
-    /// clears go to a lane simulation and, as plain schedules, to
-    /// `Simulation::new()`; the popped `(time, event)` stream,
+    /// on a lane's delay), `schedule_routed` onto 1–6 lanes (delays of
+    /// zero, duplicate delays, and delays landing on the instants heap
+    /// events use), `next_event`, `next_event_before` (the fleet loop's
+    /// pop) and clears go to a lane simulation and, as plain schedules, to
+    /// `Simulation::new()` (no lanes); the popped `(time, event)` stream,
     /// `peek_time`, `pending` and the clock must agree after every call,
     /// and `pending_events` must yield exactly the events scheduled and
     /// not yet popped or cleared.
@@ -223,9 +223,9 @@ proptest! {
                     next_id += 1;
                 }
                 10..=20 => {
-                    let lane = lane % delays.len();
-                    lanes.schedule_lane(lane, next_id);
-                    heap.schedule(delays[lane], next_id);
+                    let delay = delays[lane % delays.len()];
+                    lanes.schedule_routed(lanes.now() + delay, next_id);
+                    heap.schedule(delay, next_id);
                     pending.push(next_id);
                     next_id += 1;
                 }
