@@ -154,7 +154,7 @@ pub mod workload {
 pub mod substrate {
     pub use asyncinv_cpu::{
         Burst, BurstKind, Completion, CoreId, CpuConfig, CpuEvent, CpuModel, CpuStats, Retired,
-        SchedPolicy, CpuTimeBreakdown, StatsWindow, ThreadId,
+        SchedPolicy, CpuTimeBreakdown, ThreadId,
     };
     pub use asyncinv_tcp::{
         ConnId, ConnStats, Connection, SendBufPolicy, TcpConfig, TcpEvent, TcpNotice, TcpWorld,

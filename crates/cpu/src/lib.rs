@@ -73,4 +73,4 @@ mod stats;
 pub use burst::{Burst, BurstKind};
 pub use config::{CpuConfig, SchedPolicy};
 pub use model::{Completion, CoreId, CpuEvent, CpuModel, Retired, SchedEvent, ThreadId};
-pub use stats::{CpuStats, CpuTimeBreakdown, StatsWindow};
+pub use stats::{CpuStats, CpuTimeBreakdown};

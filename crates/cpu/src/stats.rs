@@ -1,6 +1,6 @@
 //! Scheduler accounting.
 
-use asyncinv_simcore::{SimDuration, SimTime};
+use asyncinv_simcore::SimDuration;
 
 /// Cumulative scheduler statistics.
 ///
@@ -137,31 +137,6 @@ fn ratio(num: SimDuration, den: SimDuration) -> f64 {
     }
 }
 
-/// Convenience for measuring a window: capture at start and end.
-#[derive(Debug, Clone)]
-pub struct StatsWindow {
-    start_time: SimTime,
-    start_stats: CpuStats,
-}
-
-impl StatsWindow {
-    /// Opens a window at `now` with the current `stats` snapshot.
-    pub fn open(now: SimTime, stats: &CpuStats) -> Self {
-        StatsWindow {
-            start_time: now,
-            start_stats: *stats,
-        }
-    }
-
-    /// Closes the window, producing the delta stats and elapsed time.
-    pub fn close(&self, now: SimTime, stats: &CpuStats) -> (CpuStats, SimDuration) {
-        (
-            stats.delta_since(&self.start_stats),
-            now.duration_since(self.start_time),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,22 +184,6 @@ mod tests {
         let d = late.delta_since(&early);
         assert_eq!(d.context_switches, 7);
         assert_eq!(d.user_time, us(15));
-    }
-
-    #[test]
-    fn window_capture() {
-        let s0 = CpuStats {
-            context_switches: 2,
-            ..CpuStats::default()
-        };
-        let w = StatsWindow::open(SimTime::from_micros(100), &s0);
-        let s1 = CpuStats {
-            context_switches: 9,
-            ..CpuStats::default()
-        };
-        let (delta, elapsed) = w.close(SimTime::from_micros(160), &s1);
-        assert_eq!(delta.context_switches, 7);
-        assert_eq!(elapsed, us(60));
     }
 
     #[test]
