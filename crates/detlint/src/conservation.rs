@@ -160,11 +160,7 @@ impl ConservationConfig {
             &["s", "fleet"],
             "fleet-audit per-shard sums (cluster::fleet_audit)",
         );
-        let crate_roots = [
-            "simcore", "core", "tcp", "cpu", "servers", "workload", "fault", "metrics", "obs",
-            "bench", "fleet", "uring", "dag",
-        ];
-        let mut forbid_unsafe_roots: Vec<PathBuf> = crate_roots
+        let mut forbid_unsafe_roots: Vec<PathBuf> = crate::SIM_CRATES
             .iter()
             .map(|c| PathBuf::from(format!("crates/{c}/src/lib.rs")))
             .collect();

@@ -37,6 +37,13 @@ pub use lints::{LintOptions, LINTS};
 
 use serde::Value;
 
+/// The simulation crates under `crates/`: the determinism lints scan
+/// each one's `src`, and each one's `src/lib.rs` must forbid unsafe code.
+pub(crate) const SIM_CRATES: [&str; 13] = [
+    "simcore", "core", "tcp", "cpu", "servers", "workload", "fault", "metrics", "obs", "bench",
+    "fleet", "uring", "dag",
+];
+
 /// Which files the determinism lints scan and how.
 #[derive(Debug, Clone)]
 pub struct WorkspaceConfig {
@@ -66,11 +73,7 @@ impl WorkspaceConfig {
     /// * `crates/detlint/` — this crate's fixtures contain violations on
     ///   purpose.
     pub fn repo_default() -> Self {
-        let crates = [
-            "simcore", "core", "tcp", "cpu", "servers", "workload", "fault", "metrics", "obs",
-            "bench", "fleet", "uring",
-        ];
-        let mut lint_dirs: Vec<PathBuf> = crates
+        let mut lint_dirs: Vec<PathBuf> = SIM_CRATES
             .iter()
             .map(|c| PathBuf::from(format!("crates/{c}/src")))
             .collect();
