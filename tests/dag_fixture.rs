@@ -13,70 +13,17 @@
 
 use asyncinv::dag::{DagOutcome, DagRun, EdgeSpec, FleetDriver, ServiceGraph, SlowTier, TierSpec};
 use asyncinv::fleet::HedgeConfig;
-use asyncinv::obs::Recorder;
 use asyncinv::prelude::*;
+use common::{debug_digest, trace_parts, Fnv};
 use std::fmt::Write as _;
+
+mod common;
 
 const FIXTURE: &str = "tests/fixtures/dag_digests.txt";
 
-/// FNV-1a, 64-bit.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(mut self, b: &[u8]) -> Self {
-        for &x in b {
-            self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-        self
-    }
-    fn u64(self, v: u64) -> Self {
-        self.bytes(&v.to_le_bytes())
-    }
-    fn str(self, s: &str) -> Self {
-        self.u64(s.len() as u64).bytes(s.as_bytes())
-    }
-}
-
-/// The traced run's externally visible state, one digest per part.
-fn trace_parts(rec: &Recorder) -> [(&'static str, u64); 4] {
-    let mut events = Fnv::new();
-    for ev in rec.events() {
-        events = events
-            .u64(ev.time.as_nanos())
-            .u64(ev.kind.index() as u64)
-            .u64(u64::from(ev.conn))
-            .u64(u64::from(ev.thread))
-            .u64(u64::from(ev.class))
-            .u64(ev.req)
-            .u64(ev.arg);
-    }
-    let names = rec.thread_names().iter().fold(Fnv::new(), |h, n| h.str(n));
-    let mut counters: Vec<(&str, u64)> = rec.registry().counters().collect();
-    counters.sort();
-    let counters = counters
-        .iter()
-        .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(*v));
-    let mut gauges: Vec<(&str, f64)> = rec.registry().gauges().collect();
-    gauges.sort_by(|a, b| a.0.cmp(b.0));
-    let gauges = gauges
-        .iter()
-        .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(v.to_bits()));
-    [
-        ("events", events.0),
-        ("names", names.0),
-        ("counters", counters.0),
-        ("gauges", gauges.0),
-    ]
-}
-
 /// Summary, spans and lattices of one outcome.
 fn outcome_parts(out: &DagOutcome) -> [(&'static str, u64); 3] {
-    let summary = Fnv::new().str(&format!("{:?}", out.summary)).0;
+    let summary = debug_digest(&out.summary);
     let spans = out
         .spans
         .iter()
@@ -257,7 +204,7 @@ fn compute() -> String {
             "{name}: tracing changed the summary"
         );
         let mut parts = outcome_parts(&traced).to_vec();
-        parts.extend(trace_parts(&rec));
+        parts.extend(trace_parts(&rec, &[]));
         for (part, digest) in parts {
             writeln!(table, "{name} {part} {digest:016x}").expect("write to String");
         }
@@ -267,26 +214,7 @@ fn compute() -> String {
 
 #[test]
 fn dag_output_matches_the_pinned_digests() {
-    let table = compute();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
-    if std::env::var_os("ASYNCINV_BLESS").is_some() {
-        std::fs::write(&path, &table).expect("write fixture");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&path).expect("read fixture");
-    let diff: Vec<String> = pinned
-        .lines()
-        .zip(table.lines())
-        .filter(|(a, b)| a != b)
-        .map(|(a, b)| format!("pinned {a}\n   got {b}"))
-        .collect();
-    assert!(
-        diff.is_empty() && pinned.lines().count() == table.lines().count(),
-        "{} of {} digests differ:\n{}",
-        diff.len(),
-        pinned.lines().count(),
-        diff.join("\n")
-    );
+    common::bless_or_compare(FIXTURE, &compute());
 }
 
 /// A composed run builds spans only when it is observed: `run` returns

@@ -25,79 +25,17 @@
 
 use asyncinv::fault::{ConnSelector, FaultEvent, FaultKind, FaultPlan, ShedConfig, ShedPolicy};
 use asyncinv::fleet::{
-    BalancerKind, Cluster, FleetConfig, FleetScenario, FleetSummary, HedgeConfig, ShardFault,
-    ShardShed,
+    BalancerKind, Cluster, FleetConfig, FleetScenario, HedgeConfig, ShardFault, ShardShed,
 };
-use asyncinv::obs::Recorder;
 use asyncinv::prelude::*;
 use asyncinv::workload::{ArrivalMode, RequestClass, RetryPolicy, TimeoutMode};
+use common::{debug_digest, trace_parts};
 use std::fmt::Write as _;
+
+mod common;
 
 const FIXTURE: &str = "tests/fixtures/fleet_digests.txt";
 const SCENARIO: &str = "scenarios/shard_brownout.json";
-
-/// FNV-1a, 64-bit.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(mut self, b: &[u8]) -> Self {
-        for &x in b {
-            self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-        self
-    }
-    fn u64(self, v: u64) -> Self {
-        self.bytes(&v.to_le_bytes())
-    }
-    fn str(self, s: &str) -> Self {
-        self.u64(s.len() as u64).bytes(s.as_bytes())
-    }
-}
-
-/// The traced run's externally visible state, one digest per part.
-fn trace_parts(rec: &Recorder) -> [(&'static str, u64); 4] {
-    let mut events = Fnv::new();
-    for ev in rec.events() {
-        events = events
-            .u64(ev.time.as_nanos())
-            .u64(ev.kind.index() as u64)
-            .u64(u64::from(ev.conn))
-            .u64(u64::from(ev.thread))
-            .u64(u64::from(ev.class))
-            .u64(ev.req)
-            .u64(ev.arg);
-    }
-    let names = rec.thread_names().iter().fold(Fnv::new(), |h, n| h.str(n));
-    let mut counters: Vec<(&str, u64)> = rec
-        .registry()
-        .counters()
-        .filter(|(n, _)| *n != "events_processed")
-        .collect();
-    counters.sort();
-    let counters = counters
-        .iter()
-        .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(*v));
-    let mut gauges: Vec<(&str, f64)> = rec.registry().gauges().collect();
-    gauges.sort_by(|a, b| a.0.cmp(b.0));
-    let gauges = gauges
-        .iter()
-        .fold(Fnv::new(), |h, (n, v)| h.str(n).u64(v.to_bits()));
-    [
-        ("events", events.0),
-        ("names", names.0),
-        ("counters", counters.0),
-        ("gauges", gauges.0),
-    ]
-}
-
-fn summary_digest(s: &FleetSummary) -> u64 {
-    Fnv::new().str(&format!("{s:?}")).0
-}
 
 /// Two classes of different sizes, so a spec written to the wrong shard
 /// or at the wrong instant shows in every class-tagged trace event and in
@@ -439,7 +377,7 @@ fn compute() -> String {
     for (name, cfg, kinds) in cells() {
         let fleet = Cluster::new(cfg);
         let summary = fleet.run_mixed(&kinds);
-        let mut parts = vec![("summary", summary_digest(&summary))];
+        let mut parts = vec![("summary", debug_digest(&summary))];
         if kinds.iter().all(|&k| k == kinds[0]) {
             let (traced, rec) = fleet.run_traced(kinds[0]);
             assert_eq!(
@@ -453,7 +391,7 @@ fn compute() -> String {
                 0,
                 "{name}: the ring must keep every event"
             );
-            parts.extend(trace_parts(&rec));
+            parts.extend(trace_parts(&rec, &["events_processed"]));
         }
         for (part, digest) in parts {
             writeln!(table, "{name} {part} {digest:016x}").expect("write to String");
@@ -464,24 +402,5 @@ fn compute() -> String {
 
 #[test]
 fn fleet_output_matches_the_pinned_digests() {
-    let table = compute();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE);
-    if std::env::var_os("ASYNCINV_BLESS").is_some() {
-        std::fs::write(&path, &table).expect("write fixture");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&path).expect("read fixture");
-    let diff: Vec<String> = pinned
-        .lines()
-        .zip(table.lines())
-        .filter(|(a, b)| a != b)
-        .map(|(a, b)| format!("pinned {a}\n   got {b}"))
-        .collect();
-    assert!(
-        diff.is_empty() && pinned.lines().count() == table.lines().count(),
-        "{} of {} digests differ:\n{}",
-        diff.len(),
-        pinned.lines().count(),
-        diff.join("\n")
-    );
+    common::bless_or_compare(FIXTURE, &compute());
 }
