@@ -42,9 +42,10 @@ cargo clippy -q --no-deps --workspace --all-targets \
 
 # Formatting is gated for the packages formatted so far; ROADMAP.md lists
 # the rest of the workspace.
-echo "== gate: rustfmt (asyncinv-metrics, -fleet, -dag, -simcore, -servers, -bench, -rt, -obs, -cpu, -tcp, -uring) =="
-cargo fmt --check -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore -p asyncinv-servers \
-    -p asyncinv-bench -p asyncinv-rt -p asyncinv-obs -p asyncinv-cpu -p asyncinv-tcp -p asyncinv-uring
+echo "== gate: rustfmt (asyncinv-lab, asyncinv-metrics, -fleet, -dag, -simcore, -servers, -bench, -rt, -obs, -cpu, -tcp, -uring, -workload) =="
+cargo fmt --check -p asyncinv-lab -p asyncinv-metrics -p asyncinv-fleet -p asyncinv-dag -p asyncinv-simcore \
+    -p asyncinv-servers -p asyncinv-bench -p asyncinv-rt -p asyncinv-obs -p asyncinv-cpu -p asyncinv-tcp \
+    -p asyncinv-uring -p asyncinv-workload
 
 echo "== gate: dag scenario (drift check + dag/span audits) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
